@@ -7,148 +7,48 @@ baselines, and a seeded experiment harness with regret accounting.
 
 Everything is numpy-based and deterministic given a seed.  Arms are
 indexed from 0; outcomes live in [0, 1].
+
+The package root re-exports the everyday entry points; everything else is
+imported from its submodule (``cmab.distributions``, ``cmab.rewards``,
+``cmab.oracles``, ``cmab.policies``, ``cmab.harness``, ``cmab.rng``).
 """
 
-from .distributions import (
-    Distribution,
-    EmpiricalCdf,
-    FiniteDistribution,
-    PiecewiseDensity,
-    bernoulli_decomposition,
-    bin_index,
-    bin_value,
-    cdf,
-    confidence_radius,
-    discretize_interval,
-    dominant_cdf,
-    empirical_update,
-    l1_distance,
-    make_finite,
-    sample,
-)
+from .distributions import PiecewiseDensity, confidence_radius, dominant_cdf, make_finite
 from .errors import GuardExceeded
-from .harness import (
-    ORACLES,
-    POLICIES,
-    Environment,
-    PolicyFactory,
-    RegretTrace,
-    alpha_for,
-    builtin_env,
-    builtin_env_names,
-    run_many,
-    run_one,
-    write_csv,
-)
-from .oracles import (
-    FeasibleFamily,
-    Signature,
-    discretize_bernoullis,
-    dp_find_set,
-    exhaustive_oracle,
-    greedy_kmax,
-    ptas_discretize,
-    ptas_grid,
-    ptas_kmax,
-    recompose_max,
-    signature_cap,
-    signature_of_arm,
-    signature_value,
-)
-from .policies import (
-    Cucb,
-    Exp3State,
-    LazySdcbDoubling,
-    Osm,
-    Sdcb,
-    doubling_schedule,
-    exp3_gamma,
-    exp3_probs,
-    exp3_select,
-    exp3_update,
-    fresh_exp3,
-    lazy_sdcb_known_T,
-)
+from .harness import PolicyFactory, builtin_env, run_many, write_csv
+from .oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax, ptas_kmax
 from .rewards import (
-    RewardSpec,
     SuperArm,
-    TabulatedUtility,
     expected_kmax,
     expected_kmax_continuous,
     expected_reward,
     kmax_spec,
     linear_spec,
-    realized_reward,
     utility_spec,
 )
-from .rng import ARM_STREAM, POLICY_STREAM, run_seed, substream
+from .rng import substream
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARM_STREAM",
-    "Cucb",
-    "Distribution",
-    "EmpiricalCdf",
-    "Environment",
-    "Exp3State",
     "FeasibleFamily",
-    "FiniteDistribution",
     "GuardExceeded",
-    "LazySdcbDoubling",
-    "ORACLES",
-    "Osm",
-    "POLICIES",
-    "POLICY_STREAM",
     "PiecewiseDensity",
     "PolicyFactory",
-    "RegretTrace",
-    "RewardSpec",
-    "Sdcb",
-    "Signature",
     "SuperArm",
-    "TabulatedUtility",
-    "alpha_for",
-    "bernoulli_decomposition",
-    "bin_index",
-    "bin_value",
     "builtin_env",
-    "builtin_env_names",
-    "cdf",
     "confidence_radius",
-    "discretize_bernoullis",
-    "discretize_interval",
     "dominant_cdf",
-    "doubling_schedule",
-    "dp_find_set",
-    "empirical_update",
     "exhaustive_oracle",
-    "exp3_gamma",
-    "exp3_probs",
-    "exp3_select",
-    "exp3_update",
     "expected_kmax",
     "expected_kmax_continuous",
     "expected_reward",
-    "fresh_exp3",
     "greedy_kmax",
     "kmax_spec",
-    "l1_distance",
-    "lazy_sdcb_known_T",
     "linear_spec",
     "make_finite",
-    "ptas_discretize",
-    "ptas_grid",
     "ptas_kmax",
-    "realized_reward",
-    "recompose_max",
     "run_many",
-    "run_one",
-    "run_seed",
-    "sample",
-    "signature_cap",
-    "signature_of_arm",
-    "signature_value",
     "substream",
     "utility_spec",
     "write_csv",

@@ -169,6 +169,8 @@ def cmd_run(args) -> int:
         raise _ConfigError("runs must be >= 1")
     if seed < 0:
         raise _ConfigError("seed must be >= 0")
+    if args.jobs < 1:
+        raise _ConfigError("jobs must be >= 1")
     if not 0.0 < alpha <= 1.0:
         raise _ConfigError("alpha must be in (0, 1]")
 
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="averaged trace CSV path (default trace.csv)")
     run.add_argument("--per-run-out", help="optional CSV with one block per run")
     run.add_argument("--config", help="JSON config file; explicit flags override its entries")
-    run.add_argument("--jobs", type=int, default=1, help="parallel worker count (default 1; results identical)")
+    run.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1 (default 1; results identical)")
     run.set_defaults(func=cmd_run)
 
     offline = sub.add_parser("offline", help="solve one instance file and print the chosen set")

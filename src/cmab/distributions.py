@@ -84,6 +84,8 @@ class PiecewiseDensity:
             raise ValueError("need at least two breakpoints")
         if len(dens) != len(bp) - 1:
             raise ValueError("need one density per segment")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(dens))):
+            raise ValueError("breakpoints and densities must be finite")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
         if np.any(np.diff(bp) <= 0):
@@ -177,6 +179,8 @@ def make_finite(support: Sequence[float], probs: Sequence[float]) -> FiniteDistr
     probs = np.asarray(probs, dtype=float)
     if support.ndim != 1 or len(support) == 0 or support.shape != probs.shape:
         raise ValueError("support and probs must be nonempty lists of equal length")
+    if not (np.all(np.isfinite(support)) and np.all(np.isfinite(probs))):
+        raise ValueError("support values and masses must be finite")
     if np.any(support < 0.0) or np.any(support > 1.0):
         raise ValueError("support values must lie in [0, 1]")
     if np.any(probs < 0.0):
@@ -202,22 +206,9 @@ def make_finite(support: Sequence[float], probs: Sequence[float]) -> FiniteDistr
     return FiniteDistribution(uniq, merged)
 
 
-def cdf(dist: Distribution, x: float) -> float:
-    """CDF of ``dist`` evaluated at ``x`` in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    return dist.cdf(x)
-
-
 def sample(dist: Distribution, rng: np.random.Generator) -> float:
     """One inverse-CDF draw from ``dist``, consuming a single uniform."""
     return dist.inverse_cdf(rng.random())
-
-
-def empirical_update(ecdf: EmpiricalCdf, x: float) -> EmpiricalCdf:
-    """Record one observation (in place; the same object is returned)."""
-    ecdf.add(x)
-    return ecdf
 
 
 def confidence_radius(t: int, count: int) -> float:

@@ -54,10 +54,6 @@ class Environment:
             self._scores[key] = v
         return v
 
-    def verify_optimum(self) -> bool:
-        fresh = exhaustive_oracle(self.arms, self.family, self.spec)
-        return fresh == self.optimal_arm and self.score(fresh) == self.optimal_value
-
     def __repr__(self):
         label = self.name or f"{self.family.m} arms"
         return f"Environment({label}, optimum={self.optimal_arm!r})"
@@ -97,7 +93,6 @@ class PolicyFactory:
     policy: str
     oracle: str = "exhaustive"
     epsilon: float = 0.25
-    radius_global_t: bool = False
 
     def __call__(self, family: FeasibleFamily, spec: RewardSpec, T: int, rng: np.random.Generator):
         if self.policy == "osm":
@@ -108,22 +103,10 @@ class PolicyFactory:
         if self.policy == "lazy-sdcb":
             return lazy_sdcb_known_T(family, spec, oracle, T)
         if self.policy == "lazy-sdcb-doubling":
-            return LazySdcbDoubling(family, spec, oracle, radius_global_t=self.radius_global_t)
+            return LazySdcbDoubling(family, spec, oracle)
         if self.policy == "cucb":
             return Cucb(family, spec, oracle)
         raise ValueError(f"unknown policy {self.policy!r}")
-
-
-def alpha_for(oracle_kind: str) -> float:
-    """Approximation level credited to the oracle in regret accounting.
-
-    Regret is reported against the full optimum by convention (alpha = 1)
-    for all bundled oracles; the regret column's alpha is a separate
-    config field.
-    """
-    if oracle_kind not in ORACLES:
-        raise ValueError(f"unknown oracle {oracle_kind!r}")
-    return 1.0
 
 
 def run_one(
@@ -182,20 +165,22 @@ def run_many(
 ) -> tuple[RegretTrace, list[RegretTrace]]:
     """Averaged trace over ``runs`` independent runs plus the per-run traces.
 
-    Run r uses seed ``seed_base + r``; results are identical whether runs
-    execute serially or in parallel.
+    Run r uses seed ``seed_base + r``; with ``n_jobs > 1`` the runs are
+    spread over that many worker processes (at most one per run), and the
+    results are identical to a serial execution.
     """
     if runs < 1:
         raise ValueError("need runs >= 1")
+    if n_jobs < 1:
+        raise ValueError("need n_jobs >= 1")
     seeds = [run_seed(seed_base, r) for r in range(runs)]
     worker = partial(run_one, env, policy_factory, T, alpha=alpha)
-    if n_jobs != 1:
-        try:
-            from joblib import Parallel, delayed
+    workers = min(n_jobs, runs)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            traces = Parallel(n_jobs=n_jobs)(delayed(worker)(s) for s in seeds)
-        except ImportError:
-            traces = [worker(s) for s in seeds]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            traces = list(pool.map(worker, seeds))
     else:
         traces = [worker(s) for s in seeds]
     for r, trace in enumerate(traces):

@@ -185,29 +185,12 @@ class Signature:
     """Integer activation-rate summary of a discretized arm or arm set.
 
     ``units[j]`` counts units of size eps^4/m quantizing -ln(1 - q_j) for
-    the grid value at position j (value 0 carries no coordinate).  All
-    arithmetic is exact integer arithmetic.
+    the grid value at position j (value 0 carries no coordinate).
     """
 
     units: tuple[int, ...]
     unit_size: float
     cap_units: int
-
-    def __add__(self, other: "Signature") -> "Signature":
-        self._check(other)
-        return Signature(tuple(a + b for a, b in zip(self.units, other.units)), self.unit_size, self.cap_units)
-
-    def minus(self, other: "Signature") -> Optional["Signature"]:
-        """Componentwise difference, or None if any coordinate would go negative."""
-        self._check(other)
-        diff = tuple(a - b for a, b in zip(self.units, other.units))
-        if any(d < 0 for d in diff):
-            return None
-        return Signature(diff, self.unit_size, self.cap_units)
-
-    def _check(self, other: "Signature") -> None:
-        if len(self.units) != len(other.units) or self.unit_size != other.unit_size:
-            raise ValueError("signatures live on different grids")
 
 
 def signature_cap(eps: float, m: int) -> int:

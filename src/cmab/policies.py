@@ -83,13 +83,12 @@ class Sdcb:
         self.ecdfs = [EmpiricalCdf() for _ in range(family.m)]
         self._clock = _RoundClock()
 
-    def select(self, t: int, radius_t: int | None = None) -> SuperArm:
+    def select(self, t: int) -> SuperArm:
         self._clock.on_select(t)
         m = self.family.m
         if t <= m:
             return self.family.smallest_containing(t - 1)
-        t_radius = t if radius_t is None else radius_t
-        dominant = [dominant_cdf(e, t_radius) for e in self.ecdfs]
+        dominant = [dominant_cdf(e, t) for e in self.ecdfs]
         return self.oracle(dominant)
 
     def observe(self, t: int, S: SuperArm, outcomes) -> None:
@@ -114,37 +113,19 @@ def lazy_sdcb_known_T(family: FeasibleFamily, spec: RewardSpec, oracle, T: int) 
     return Sdcb(family, spec, oracle, outcome_bins=s)
 
 
-def doubling_schedule(m: int, rounds: int) -> list[tuple[int, int, int]]:
-    """Epoch layout (start, end, horizon) covering rounds 1..rounds.
-
-    The first epoch spans rounds 1..2^q with horizon 2^q, q = ceil(log2 m);
-    epoch k >= q spans rounds 2^k + 1 .. 2^(k+1) with horizon 2^k.
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    q = (m - 1).bit_length()
-    epochs = [(1, 2**q, 2**q)]
-    k = q
-    while epochs[-1][1] < rounds:
-        epochs.append((2**k + 1, 2 ** (k + 1), 2**k))
-        k += 1
-    return epochs
-
-
 class LazySdcbDoubling:
     """Horizon-free variant: restart the known-horizon policy on doubling epochs.
 
-    Each epoch runs a fresh instance with its own initialization rounds
-    and epoch-local round indices; by default the confidence radius uses
-    the epoch-local round (each epoch is a complete fresh run), with
-    ``radius_global_t=True`` switching to the global round index.
+    The first epoch spans rounds 1..2^q with horizon 2^q, q = ceil(log2 m);
+    epoch k >= q spans rounds 2^k + 1 .. 2^(k+1) with horizon 2^k.  Each
+    epoch runs a fresh instance with its own initialization rounds and
+    epoch-local round indices, which also set its confidence radius.
     """
 
-    def __init__(self, family: FeasibleFamily, spec: RewardSpec, oracle, radius_global_t: bool = False):
+    def __init__(self, family: FeasibleFamily, spec: RewardSpec, oracle):
         self.family = family
         self.spec = spec
         self.oracle = oracle
-        self.radius_global_t = radius_global_t
         q = (family.m - 1).bit_length()
         self._epoch_start = 1
         self._epoch_end = 2**q
@@ -161,8 +142,7 @@ class LazySdcbDoubling:
         self._clock.on_select(t)
         if t > self._epoch_end:
             self._advance_epoch()
-        local = t - self._epoch_start + 1
-        return self._inner.select(local, radius_t=t if self.radius_global_t else None)
+        return self._inner.select(t - self._epoch_start + 1)
 
     def observe(self, t: int, S: SuperArm, outcomes) -> None:
         self._clock.on_observe(t)

@@ -104,6 +104,8 @@ class TabulatedUtility:
             raise ValueError("need at least two table points")
         self.ys = np.array([y for y, _ in pts])
         self.us = np.array([u for _, u in pts])
+        if not (np.all(np.isfinite(self.ys)) and np.all(np.isfinite(self.us))):
+            raise ValueError("table points must be finite")
         if np.any(np.diff(self.ys) <= 0):
             raise ValueError("table abscissae must be strictly increasing")
 
@@ -115,7 +117,8 @@ class RewardSpec:
     """Which reward function is in force, with its bound M and Lipschitz C.
 
     For ``kmax`` both constants are fixed at 1.  Utility curves must be
-    non-decreasing; this is checked on a sampled grid at construction.
+    finite and non-decreasing; both are checked on a sampled grid at
+    construction.
     """
 
     __slots__ = ("kind", "utility", "bound_M", "lipschitz_C")
@@ -123,8 +126,10 @@ class RewardSpec:
     def __init__(self, kind, utility=None, bound_M=1.0, lipschitz_C=1.0):
         if kind not in (KMAX, UTILITY_OF_SUM, LINEAR_SUM):
             raise ValueError(f"unknown reward kind {kind!r}")
-        if bound_M <= 0:
-            raise ValueError("bound_M must be positive")
+        if not math.isfinite(bound_M) or bound_M <= 0:
+            raise ValueError("bound_M must be positive and finite")
+        if not math.isfinite(lipschitz_C):
+            raise ValueError("lipschitz_C must be finite")
         if kind == KMAX:
             if utility is not None:
                 raise ValueError("kmax takes no utility curve")
@@ -139,6 +144,8 @@ class RewardSpec:
                 raise ValueError("utility_of_sum requires a curve name or callable")
             grid = np.linspace(0.0, 16.0, 257)
             vals = [utility(y) for y in grid]
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("utility curve must be finite on [0, 16]")
             if any(b < a - 1e-12 for a, b in zip(vals, vals[1:])):
                 raise ValueError("utility curve must be non-decreasing")
         else:

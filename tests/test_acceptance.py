@@ -14,12 +14,9 @@ import time
 import numpy as np
 
 from cmab import (
-    Environment,
     PolicyFactory,
-    bernoulli_decomposition,
     builtin_env,
     confidence_radius,
-    discretize_interval,
     dominant_cdf,
     expected_kmax,
     expected_kmax_continuous,
@@ -29,10 +26,10 @@ from cmab import (
     make_finite,
     ptas_kmax,
     run_many,
-    run_one,
     utility_spec,
 )
-from cmab.distributions import EmpiricalCdf, PiecewiseDensity
+from cmab.distributions import EmpiricalCdf, PiecewiseDensity, bernoulli_decomposition, discretize_interval
+from cmab.harness import Environment, run_one
 from cmab.rewards import SuperArm
 
 from util import bruteforce_best_subset, bruteforce_max_law, dicts_close, law_as_dict, random_finite

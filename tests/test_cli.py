@@ -53,11 +53,12 @@ class TestRun:
 
     def test_deterministic_given_seed(self, tmp_path, capsys):
         args = ["run", "--env", "dist2", "--policy", "sdcb", "--oracle", "greedy", "--T", "25", "--runs", "2", "--seed", "11"]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
+        assert main(args + ["--jobs", "2", "--out", str(c)]) == 0
         capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
     def test_per_run_output(self, tmp_path, capsys):
         out, per = tmp_path / "avg.csv", tmp_path / "runs.csv"
@@ -170,6 +171,29 @@ class TestExitCodes:
 
     def test_bad_alpha(self, capsys):
         assert main(["run", "--env", "dist1", "--policy", "sdcb", "--alpha", "1.5"]) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bad_jobs(self, tmp_path, capsys, jobs):
+        out = tmp_path / "t.csv"
+        code = main(["run", "--env", "dist1", "--policy", "cucb", "--T", "2", "--jobs", jobs, "--out", str(out)])
+        assert code == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "arms",
+        [
+            [{"support": [0.5], "probs": [1.0]}, {"support": [0.2, float("nan")], "probs": [0.5, 0.5]}],
+            [{"support": [float("nan")], "probs": [1.0]}],
+        ],
+        ids=["two-arms", "one-arm"],
+    )
+    def test_non_finite_instance(self, tmp_path, capsys, arms):
+        inst = write_config(tmp_path, {"arms": arms, "family": {"kind": "cardinality", "K": 1}}, "nan.json")
+        assert main(["offline", "--instance", str(inst)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cmab: error:") and "finite" in captured.err
 
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "no" / "dir" / "t.csv"

@@ -7,23 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmab import (
+from cmab.distributions import (
     EmpiricalCdf,
     FiniteDistribution,
     PiecewiseDensity,
     bernoulli_decomposition,
     bin_index,
     bin_value,
-    cdf,
     confidence_radius,
     discretize_interval,
     dominant_cdf,
-    empirical_update,
     l1_distance,
     make_finite,
     sample,
-    substream,
 )
+from cmab.rng import substream
 from util import bruteforce_max_law, dicts_close, law_as_dict, random_finite
 
 EXACT = 1e-12
@@ -110,12 +108,6 @@ class TestFiniteDistribution:
         assert d.inverse_cdf(0.3 + 1e-9) == 0.8
         assert d.inverse_cdf(1.0) == 0.8
 
-    def test_module_cdf_validates_range(self):
-        d = make_finite([0.5], [1.0])
-        with pytest.raises(ValueError):
-            cdf(d, 1.2)
-        assert cdf(d, 0.5) == 1.0
-
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_inverse_cdf_is_quantile(self, seed):
@@ -186,11 +178,6 @@ class TestEmpiricalCdf:
         vals, cum = e.arrays()
         assert np.array_equal(vals, [0.1, 0.9])
         assert np.array_equal(cum, [1.0, 3.0])
-
-    def test_empirical_update_in_place(self):
-        e = EmpiricalCdf()
-        out = empirical_update(e, 0.4)
-        assert out is e and e.count == 1
 
 
 class TestConfidenceRadius:

@@ -5,23 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from cmab import (
-    ARM_STREAM,
+from cmab.distributions import make_finite
+from cmab.harness import (
     Environment,
-    FeasibleFamily,
     PolicyFactory,
     RegretTrace,
-    SuperArm,
-    alpha_for,
     builtin_env,
     builtin_env_names,
-    kmax_spec,
-    make_finite,
     run_many,
     run_one,
-    substream,
     write_csv,
 )
+from cmab.oracles import FeasibleFamily
+from cmab.rewards import SuperArm, kmax_spec
+from cmab.rng import ARM_STREAM, substream
 
 EXACT = 1e-12
 
@@ -62,7 +59,6 @@ class TestEnvironment:
         # max of arms 0 and 2 beats every other pair: 0.5*0.5 + 0.5*1 = 0.75
         assert env.optimal_arm == SuperArm([0, 2])
         assert env.optimal_value == pytest.approx(0.75, abs=EXACT)
-        assert env.verify_optimum()
 
     def test_score_caching_returns_same_value(self):
         env = tiny_env()
@@ -179,6 +175,10 @@ class TestRunMany:
         with pytest.raises(ValueError):
             run_many(tiny_env(), PolicyFactory("sdcb"), T=5, runs=0, seed_base=0)
 
+    def test_rejects_zero_jobs(self):
+        with pytest.raises(ValueError):
+            run_many(tiny_env(), PolicyFactory("sdcb"), T=5, runs=2, seed_base=0, n_jobs=0)
+
 
 class TestBuiltinEnvs:
     def test_names_and_descriptions(self):
@@ -226,17 +226,6 @@ class TestBuiltinEnvs:
     def test_dist1_optimal_value(self):
         # 1 - P[all three below 1] and the lower-order terms: 0.955
         assert builtin_env("dist1").optimal_value == pytest.approx(0.955, abs=1e-9)
-
-
-class TestAlphaFor:
-    def test_all_bundled_oracles_credit_full_optimum(self):
-        assert alpha_for("exhaustive") == 1.0
-        assert alpha_for("greedy") == 1.0
-        assert alpha_for("ptas") == 1.0
-
-    def test_unknown_oracle(self):
-        with pytest.raises(ValueError):
-            alpha_for("anneal")
 
 
 class TestWriteCsv:

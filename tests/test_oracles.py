@@ -7,21 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmab import (
+from cmab.distributions import bernoulli_decomposition, make_finite
+from cmab.errors import GuardExceeded
+from cmab.harness import builtin_env
+from cmab.oracles import (
     FeasibleFamily,
-    GuardExceeded,
     Signature,
-    SuperArm,
-    bernoulli_decomposition,
-    builtin_env,
     discretize_bernoullis,
     dp_find_set,
     exhaustive_oracle,
-    expected_kmax,
     greedy_kmax,
-    kmax_spec,
-    linear_spec,
-    make_finite,
     ptas_discretize,
     ptas_grid,
     ptas_kmax,
@@ -30,6 +25,7 @@ from cmab import (
     signature_of_arm,
     signature_value,
 )
+from cmab.rewards import SuperArm, expected_kmax, kmax_spec, linear_spec
 from util import bruteforce_max_law, dicts_close, law_as_dict, random_finite
 
 EXACT = 1e-12
@@ -163,24 +159,6 @@ class TestGreedyKmax:
         rng = np.random.default_rng(seed)
         dists = [random_finite(rng, max_support=4) for _ in range(5)]
         assert greedy_kmax(dists, K) == reference_greedy(dists, K)
-
-
-class TestSignatureArithmetic:
-    def test_add_and_minus(self):
-        a = Signature((1, 2, 3), 0.5, 10)
-        b = Signature((0, 2, 1), 0.5, 10)
-        assert (a + b).units == (1, 4, 4)
-        assert a.minus(b).units == (1, 0, 2)
-        assert b.minus(a) is None
-
-    def test_grid_mismatch(self):
-        a = Signature((1, 2), 0.5, 10)
-        b = Signature((1, 2, 3), 0.5, 10)
-        with pytest.raises(ValueError):
-            a + b
-        c = Signature((1, 2), 0.25, 10)
-        with pytest.raises(ValueError):
-            a.minus(c)
 
 
 class TestPtasGrid:

@@ -8,26 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmab import (
+from cmab.distributions import make_finite
+from cmab.oracles import FeasibleFamily, exhaustive_oracle
+from cmab.policies import (
     Cucb,
     Exp3State,
-    FeasibleFamily,
     LazySdcbDoubling,
     Osm,
     Sdcb,
-    SuperArm,
-    doubling_schedule,
-    exhaustive_oracle,
     exp3_gamma,
     exp3_probs,
     exp3_select,
     exp3_update,
     fresh_exp3,
-    kmax_spec,
     lazy_sdcb_known_T,
-    make_finite,
-    substream,
 )
+from cmab.rewards import SuperArm, kmax_spec
+from cmab.rng import substream
 
 EXACT = 1e-12
 
@@ -162,39 +159,27 @@ class TestLazySdcb:
             lazy_sdcb_known_T(fam, spec, oracle, 0)
 
 
-class TestDoublingSchedule:
-    def test_nine_arms(self):
-        assert doubling_schedule(9, 128) == [(1, 16, 16), (17, 32, 16), (33, 64, 32), (65, 128, 64)]
-
-    def test_single_arm(self):
-        assert doubling_schedule(1, 4) == [(1, 1, 1), (2, 2, 1), (3, 4, 2)]
-
-    def test_epochs_are_contiguous(self):
-        epochs = doubling_schedule(5, 1000)
-        assert epochs[0][0] == 1
-        for (s0, e0, _), (s1, e1, _) in zip(epochs, epochs[1:]):
-            assert s1 == e0 + 1
-        for s, e, horizon in epochs:
-            assert horizon == e - s + 1
-        assert epochs[-1][1] >= 1000
-
-
 class TestLazySdcbDoubling:
     def test_epoch_boundaries(self):
-        fam, spec, oracle = cardinality_setup(3, 9)
-        pol = LazySdcbDoubling(fam, spec, oracle)
-        values = {i: 0.5 for i in range(9)}
-        boundaries = []
-        for t in range(1, 70):
-            S = pol.select(t)
-            boundaries.append(pol.epoch)
-            pol.observe(t, S, {i: values[i] for i in S.members})
+        def epochs(K, m, T):
+            fam, spec, oracle = cardinality_setup(K, m)
+            pol = LazySdcbDoubling(fam, spec, oracle)
+            boundaries = []
+            for t in range(1, T + 1):
+                S = pol.select(t)
+                boundaries.append(pol.epoch)
+                pol.observe(t, S, {i: 0.5 for i in S.members})
+            return boundaries
+
+        boundaries = epochs(3, 9, 69)
         assert boundaries[0] == (1, 16)
         assert boundaries[15] == (1, 16)
         assert boundaries[16] == (17, 32)
         assert boundaries[31] == (17, 32)
         assert boundaries[32] == (33, 64)
         assert boundaries[64] == (65, 128)
+        # a single arm needs no initialization epoch: 1..1, then doubling
+        assert epochs(1, 1, 4) == [(1, 1), (2, 2), (3, 4), (3, 4)]
 
     def test_state_resets_at_epoch_start(self):
         # a fresh epoch replays initialization, so round 17 must select {0}
@@ -207,12 +192,6 @@ class TestLazySdcbDoubling:
         assert seq[2] == (0,)
         assert seq[4] == (0,)
         assert seq[8] == (0,)
-
-    def test_global_radius_flag_runs(self):
-        fam, spec, oracle = cardinality_setup(1, 2)
-        pol = LazySdcbDoubling(fam, spec, oracle, radius_global_t=True)
-        seq = drive(pol, {0: 0.2, 1: 0.9}, 20)
-        assert all(len(s) == 1 for s in seq)
 
 
 class TestCucb:

@@ -8,19 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmab import (
-    GuardExceeded,
-    PiecewiseDensity,
+from cmab.distributions import PiecewiseDensity, make_finite
+from cmab.errors import GuardExceeded
+from cmab.harness import builtin_env
+from cmab.rewards import (
     RewardSpec,
     SuperArm,
     TabulatedUtility,
-    builtin_env,
     expected_kmax,
     expected_kmax_continuous,
     expected_reward,
     kmax_spec,
     linear_spec,
-    make_finite,
     realized_reward,
     utility_spec,
 )
@@ -87,6 +86,28 @@ class TestRewardSpec:
             TabulatedUtility([(0.0, 0.0)])
         with pytest.raises(ValueError):
             TabulatedUtility([(0.0, 0.0), (0.0, 1.0)])
+
+
+NON_FINITE_INPUTS = {
+    "finite-support-nan": lambda: make_finite([0.5, math.nan], [0.5, 0.5]),
+    "finite-mass-nan": lambda: make_finite([0.2, 0.5], [math.nan, 0.5]),
+    "finite-mass-inf": lambda: make_finite([0.2, 0.5], [math.inf, 0.5]),
+    "density-nan": lambda: PiecewiseDensity([0.0, 0.5, 1.0], [math.nan, 1.0]),
+    "breakpoint-nan": lambda: PiecewiseDensity([0.0, math.nan, 1.0], [1.0, 1.0]),
+    "bound-nan": lambda: linear_spec(bound_M=math.nan),
+    "bound-inf": lambda: linear_spec(bound_M=math.inf),
+    "lipschitz-nan": lambda: utility_spec("sqrt", bound_M=1.0, lipschitz_C=math.nan),
+    "curve-nan": lambda: utility_spec(lambda y: math.nan, bound_M=1.0, lipschitz_C=1.0),
+    "curve-partly-nan": lambda: utility_spec(lambda y: y if y < 1 else math.nan, bound_M=1.0, lipschitz_C=1.0),
+    "table-nan": lambda: TabulatedUtility([(0.0, 0.0), (1.0, math.nan)]),
+    "table-inf": lambda: TabulatedUtility([(0.0, 0.0), (math.inf, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestRealizedReward:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from cmab import FiniteDistribution, make_finite
+from cmab.distributions import FiniteDistribution, make_finite
 
 COARSE_GRID = np.round(np.linspace(0.0, 1.0, 201), 6)
 
