@@ -13,7 +13,7 @@ imported from its submodule (``cmab.distributions``, ``cmab.rewards``,
 ``cmab.oracles``, ``cmab.policies``, ``cmab.harness``, ``cmab.rng``).
 """
 
-from .distributions import PiecewiseDensity, confidence_radius, dominant_cdf, make_finite
+from .distributions import PiecewiseDensity, confidence_radius, dominant_cdfs, make_finite
 from .errors import GuardExceeded
 from .harness import PolicyFactory, builtin_env, run_many, write_csv
 from .oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax, ptas_kmax
@@ -38,7 +38,7 @@ __all__ = [
     "SuperArm",
     "builtin_env",
     "confidence_radius",
-    "dominant_cdf",
+    "dominant_cdfs",
     "exhaustive_oracle",
     "expected_kmax",
     "expected_kmax_continuous",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .distributions import PiecewiseDensity, make_finite
@@ -66,6 +67,23 @@ def _load_json(path: str):
         raise _ConfigError(f"invalid JSON in {path!r}: {e}") from e
 
 
+def _int_field(name: str, value) -> int:
+    """A JSON integer; bools, floats and anything else are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _ConfigError(f"{name}: expected an integer, got {value!r}")
+    return value
+
+
+def _real_field(name: str, value) -> float:
+    """A finite JSON number; bools, NaN, infinities and anything else are rejected."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an int too large for a float
+        pass
+    raise _ConfigError(f"{name}: expected a finite number, got {value!r}")
+
+
 def _parse_arm(doc, index: int):
     if not isinstance(doc, dict):
         raise _ConfigError(f"arm {index}: expected an object")
@@ -87,11 +105,16 @@ def _parse_family(doc, m: int) -> FeasibleFamily:
     if kind == "cardinality":
         if "K" not in doc:
             raise _ConfigError("family: cardinality needs 'K'")
-        return FeasibleFamily.cardinality_at_most(int(doc["K"]), m)
+        return FeasibleFamily.cardinality_at_most(_int_field("family: K", doc["K"]), m)
     if kind == "explicit":
         if "sets" not in doc or not isinstance(doc["sets"], list):
             raise _ConfigError("family: explicit needs a 'sets' list")
-        return FeasibleFamily.explicit([SuperArm(s) for s in doc["sets"]], m)
+        sets = []
+        for s in doc["sets"]:
+            if not isinstance(s, list):
+                raise _ConfigError(f"family: each explicit set must be a list of arms, got {s!r}")
+            sets.append(SuperArm([_int_field("family: set member", i) for i in s]))
+        return FeasibleFamily.explicit(sets, m)
     raise _ConfigError(f"family: unknown kind {kind!r}")
 
 
@@ -104,7 +127,7 @@ def _parse_reward(doc):
     if kind == "kmax":
         return kmax_spec()
     if kind == "linear":
-        return linear_spec(bound_M=float(doc.get("bound_M", 1.0)))
+        return linear_spec(bound_M=_real_field("reward: bound_M", doc.get("bound_M", 1.0)))
     if kind == "utility":
         if "utility" not in doc:
             raise _ConfigError("reward: utility kind needs a 'utility' curve (name or [[y, u(y)], ...])")
@@ -113,8 +136,8 @@ def _parse_reward(doc):
             utility = [tuple(p) for p in utility]
         return utility_spec(
             utility,
-            bound_M=float(doc.get("bound_M", 1.0)),
-            lipschitz_C=float(doc.get("lipschitz_C", 1.0)),
+            bound_M=_real_field("reward: bound_M", doc.get("bound_M", 1.0)),
+            lipschitz_C=_real_field("reward: lipschitz_C", doc.get("lipschitz_C", 1.0)),
         )
     raise _ConfigError(f"reward: unknown kind {kind!r}")
 
@@ -154,14 +177,11 @@ def cmd_run(args) -> int:
     oracle = pick("oracle")
     if oracle not in ORACLES:
         raise _ConfigError(f"unknown oracle {oracle!r}; choose from {', '.join(ORACLES)}")
-    try:
-        T = int(pick("T"))
-        runs = int(pick("runs"))
-        seed = int(pick("seed"))
-        epsilon = float(pick("epsilon"))
-        alpha = float(pick("alpha"))
-    except (TypeError, ValueError) as e:
-        raise _ConfigError(f"bad numeric config value: {e}") from e
+    T = _int_field("T", pick("T"))
+    runs = _int_field("runs", pick("runs"))
+    seed = _int_field("seed", pick("seed"))
+    epsilon = _real_field("epsilon", pick("epsilon"))
+    alpha = _real_field("alpha", pick("alpha"))
     out = pick("out")
     if T < 1:
         raise _ConfigError("T must be >= 1")

@@ -1,24 +1,23 @@
 """Outcome distributions on [0, 1].
 
-Three representations cover everything downstream:
+Two representations cover every arm law downstream:
 
 * :class:`FiniteDistribution` for discrete laws with finite support,
 * :class:`PiecewiseDensity` for continuous laws with piecewise-constant
-  density,
-* :class:`EmpiricalCdf` for the per-arm observation record a learning
-  policy accumulates.
+  density.
 
-The distribution objects are immutable after construction and safe to
-share; an ``EmpiricalCdf`` has a single writer (the policy run that owns
-it).  Construct finite distributions through :func:`make_finite`, which
-canonicalizes and validates; the class constructor itself trusts its
-arrays and is meant for internal fast paths.
+Both are immutable after construction and safe to share.  A learning
+policy's observations are not a distribution: they are a count matrix
+over a sorted value grid, which :func:`dominant_cdfs` turns into one
+optimistic finite distribution per arm.  Construct finite distributions
+through :func:`make_finite`, which canonicalizes and validates; the class
+constructor itself trusts its arrays and is meant for internal fast paths.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -128,51 +127,6 @@ class PiecewiseDensity:
 Distribution = Union[FiniteDistribution, PiecewiseDensity]
 
 
-class EmpiricalCdf:
-    """Observation record for one arm: a multiset of values in [0, 1].
-
-    Stores sorted (value, count) pairs, so updates are O(log n) and CDF
-    queries are exact step-function evaluations.  ``count`` is the total
-    number of observations.
-    """
-
-    __slots__ = ("_counts", "count", "_vals", "_cumcounts", "_dirty")
-
-    def __init__(self, observations: Iterable[float] = ()):
-        self._counts: dict[float, int] = {}
-        self.count = 0
-        self._vals = np.empty(0)
-        self._cumcounts = np.empty(0)
-        self._dirty = False
-        for x in observations:
-            self.add(x)
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"observation {x!r} outside [0, 1]")
-        self._counts[x] = self._counts.get(x, 0) + 1
-        self.count += 1
-        self._dirty = True
-
-    def arrays(self):
-        """Sorted observed values and cumulative counts."""
-        if self._dirty:
-            vals = sorted(self._counts)
-            self._vals = np.asarray(vals, dtype=float)
-            self._cumcounts = np.cumsum([self._counts[v] for v in vals], dtype=float)
-            self._dirty = False
-        return self._vals, self._cumcounts
-
-    def cdf(self, x: float) -> float:
-        """F-hat(x) = (#observations <= x) / count."""
-        if self.count == 0:
-            raise ValueError("empty empirical CDF")
-        vals, cum = self.arrays()
-        idx = int(np.searchsorted(vals, x + VALUE_TOL, side="right"))
-        return 0.0 if idx == 0 else float(cum[idx - 1]) / self.count
-
-
 def make_finite(support: Sequence[float], probs: Sequence[float]) -> FiniteDistribution:
     """Validated finite distribution; duplicates merged, zero masses dropped."""
     support = np.asarray(support, dtype=float)
@@ -211,46 +165,48 @@ def sample(dist: Distribution, rng: np.random.Generator) -> float:
     return dist.inverse_cdf(rng.random())
 
 
-def confidence_radius(t: int, count: int) -> float:
-    """sqrt(3 ln t / (2 count)), the uniform CDF confidence radius."""
-    return math.sqrt(1.5 * math.log(t) / count)
+def confidence_radius(t: int, count):
+    """sqrt(3 ln t / (2 count)), the uniform CDF confidence radius; ``count`` may be an array."""
+    return np.sqrt(1.5 * math.log(t) / count)
 
 
-def dominant_cdf(ecdf: EmpiricalCdf, t: int, confidence_radius_override: float | None = None) -> FiniteDistribution:
-    """Optimistic distribution whose CDF sits a confidence radius below F-hat.
+def dominant_cdfs(values, counts, t: int, radius=None) -> list[FiniteDistribution]:
+    """Optimistic distributions whose CDFs sit a confidence radius below F-hat.
 
-    The output CDF is max{F-hat(x) - radius, 0} at every observed value
-    below 1 and exactly 1 at x = 1, so it first-order stochastically
-    dominates the empirical distribution.  The probability mass removed
-    from low values is relocated to the support point 1.
+    Row i of ``counts`` holds arm i's observation counts over the sorted
+    value grid ``values``, which ends at 1.  Each output CDF is
+    max{F-hat_i(x) - radius_i, 0} below 1 and exactly 1 at x = 1, so it
+    first-order stochastically dominates the arm's empirical distribution;
+    the mass removed from low values is relocated to 1.  A grid value the
+    arm never saw carries no mass.
 
     Args:
-        ecdf: observation record with at least one observation.
-        t: current round index (>= 2); sets the radius sqrt(3 ln t / 2T).
-        confidence_radius_override: replaces the radius when given.
+        values: ascending grid of observed values, last entry 1.0.
+        counts: (m, len(values)) integer counts, every row nonzero.
+        t: current round index (>= 2); sets radius_i = sqrt(3 ln t / 2 T_i).
+        radius: one radius for all arms, or one per arm, in place of that.
 
     Returns:
-        FiniteDistribution supported on the observed values plus 1.
+        One FiniteDistribution per arm.
     """
-    if ecdf.count == 0:
-        raise ValueError("dominant_cdf requires at least one observation")
-    if confidence_radius_override is None:
+    values = np.asarray(values, dtype=float)
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[1] != len(values) or not len(values) or values[-1] != 1.0:
+        raise ValueError("counts must be (m, len(values)) over a grid ending at 1")
+    n = counts.sum(axis=1)
+    if np.any(n == 0):
+        raise ValueError("dominant_cdfs requires at least one observation per arm")
+    if radius is None:
         if t < 2:
             raise ValueError("round index t must be >= 2")
-        radius = confidence_radius(t, ecdf.count)
+        radius = confidence_radius(t, n)
     else:
-        radius = float(confidence_radius_override)
-    vals, cumcounts = ecdf.arrays()
-    low = np.maximum(cumcounts / ecdf.count - radius, 0.0)
-    if vals[-1] == 1.0:
-        support = vals
-    else:
-        support = np.append(vals, 1.0)
-        low = np.append(low, 0.0)
-    low[-1] = 1.0
-    probs = np.diff(low, prepend=0.0)
+        radius = np.broadcast_to(np.asarray(radius, dtype=float), n.shape)
+    low = np.maximum(np.cumsum(counts, axis=1) / n[:, None] - radius[:, None], 0.0)
+    low[:, -1] = 1.0
+    probs = np.diff(low, axis=1, prepend=0.0)
     keep = probs > 0.0
-    return FiniteDistribution(support[keep], probs[keep], cum=low[keep])
+    return [FiniteDistribution(values[k], p[k], cum=c[k]) for k, p, c in zip(keep, probs, low)]
 
 
 def l1_distance(P: FiniteDistribution, Q: FiniteDistribution) -> float:

@@ -30,7 +30,6 @@ from .errors import GuardExceeded
 from .rewards import (
     RewardSpec,
     SuperArm,
-    _cdf_at,
     expected_kmax,
     expected_reward,
     kmax_spec,
@@ -162,7 +161,7 @@ def greedy_kmax(dists, K: int) -> SuperArm:
 def _greedy_kmax_finite(dists, K: int) -> SuperArm:
     m = len(dists)
     V = np.unique(np.concatenate([d.support for d in dists]))
-    C = np.vstack([_cdf_at(d, V) for d in dists])  # (m, |V|) member CDFs
+    C = np.vstack([d.cdf(V) for d in dists])  # (m, |V|) member CDFs
     # E[max] = sum_k V_k (P_k - P_{k-1}) = P @ w with w_k = V_k - V_{k+1}, w_last = V_last
     w = np.empty(len(V))
     w[:-1] = V[:-1] - V[1:]

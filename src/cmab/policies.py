@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    EmpiricalCdf,
-    FiniteDistribution,
-    bin_value,
-    confidence_radius,
-    dominant_cdf,
-)
+from .distributions import FiniteDistribution, bin_value, confidence_radius, dominant_cdfs
 from .oracles import FeasibleFamily
 from .rewards import RewardSpec, SuperArm
 
@@ -63,16 +57,18 @@ def _check_outcomes(S: SuperArm, outcomes) -> None:
 class Sdcb:
     """Stochastically dominant confidence bound policy.
 
-    Keeps an empirical CDF per arm.  The first m rounds initialize: round
-    i plays the lexicographically smallest feasible super arm containing
-    arm i - 1.  Afterwards every arm's empirical CDF is shifted down by
+    Keeps one count matrix: ``counts[i, k]`` is how often arm i returned
+    ``values[k]``, over the sorted grid ``values`` of every value observed
+    so far plus 1.  The first m rounds initialize: round i plays the
+    lexicographically smallest feasible super arm containing arm i - 1.
+    Afterwards every arm's empirical CDF is shifted down by
     the confidence radius sqrt(3 ln t / 2 T_i) (mass relocated to 1) and
     the offline oracle is asked for the best super arm under that
     optimistic product law.
 
     With ``outcome_bins=s`` every observation is snapped to the right
     endpoint of its interval under the s-fold split of [0, 1] before
-    storage, which keeps the per-arm support on an s-point grid.
+    storage, which keeps the grid at s points or fewer.
     """
 
     def __init__(self, family: FeasibleFamily, spec: RewardSpec, oracle, outcome_bins: int | None = None):
@@ -80,7 +76,8 @@ class Sdcb:
         self.spec = spec
         self.oracle = oracle
         self.outcome_bins = outcome_bins
-        self.ecdfs = [EmpiricalCdf() for _ in range(family.m)]
+        self.values = np.array([1.0])
+        self.counts = np.zeros((family.m, 1), dtype=np.int64)
         self._clock = _RoundClock()
 
     def select(self, t: int) -> SuperArm:
@@ -88,19 +85,23 @@ class Sdcb:
         m = self.family.m
         if t <= m:
             return self.family.smallest_containing(t - 1)
-        dominant = [dominant_cdf(e, t) for e in self.ecdfs]
-        return self.oracle(dominant)
+        return self.oracle(dominant_cdfs(self.values, self.counts, t))
 
     def observe(self, t: int, S: SuperArm, outcomes) -> None:
         self._clock.on_observe(t)
         _check_outcomes(S, outcomes)
         s = self.outcome_bins
         for arm, x in outcomes.items():
-            self.ecdfs[arm].add(x if s is None else bin_value(x, s))
+            v = float(x) if s is None else bin_value(x, s)
+            k = int(np.searchsorted(self.values, v))
+            if self.values[k] != v:  # a new value: rare once the grid has filled
+                self.values = np.insert(self.values, k, v)
+                self.counts = np.insert(self.counts, k, 0, axis=1)
+            self.counts[arm, k] += 1
 
     @property
     def pull_counts(self):
-        return [e.count for e in self.ecdfs]
+        return self.counts.sum(1).tolist()
 
 
 def lazy_sdcb_known_T(family: FeasibleFamily, spec: RewardSpec, oracle, T: int) -> Sdcb:
@@ -177,8 +178,7 @@ class Cucb:
         if t <= self.family.m:
             return self.family.smallest_containing(t - 1)
         mu = self.sums / self.counts
-        radius = np.sqrt(1.5 * math.log(t) / self.counts)
-        ucb = np.minimum(mu + radius, 1.0)
+        ucb = np.minimum(mu + confidence_radius(t, self.counts), 1.0)
         return self.oracle([FiniteDistribution([u], [1.0]) for u in ucb])
 
     def observe(self, t: int, S: SuperArm, outcomes) -> None:

@@ -19,12 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import (
-    VALUE_TOL,
-    Distribution,
-    FiniteDistribution,
-    PiecewiseDensity,
-)
+from .distributions import Distribution, FiniteDistribution, PiecewiseDensity
 from .errors import GuardExceeded
 
 KMAX = "kmax"
@@ -194,12 +189,6 @@ def realized_reward(x: Mapping[int, float], S: SuperArm, spec: RewardSpec) -> fl
     return spec.utility(total)
 
 
-def _cdf_at(arm: FiniteDistribution, grid: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(arm.support, grid + VALUE_TOL, side="right")
-    cum0 = np.concatenate(([0.0], arm.cum))
-    return cum0[idx]
-
-
 def expected_kmax(dists: Sequence[FiniteDistribution], S: SuperArm) -> float:
     """Exact E[max_{i in S} X_i] for finite-support member distributions.
 
@@ -216,7 +205,7 @@ def expected_kmax(dists: Sequence[FiniteDistribution], S: SuperArm) -> float:
     V = np.unique(np.concatenate([a.support for a in arms]))
     prod = np.ones(len(V))
     for a in arms:
-        prod *= _cdf_at(a, V)
+        prod *= a.cdf(V)
     pr = np.diff(prod, prepend=0.0)
     return float(V @ pr)
 

@@ -17,7 +17,7 @@ from cmab import (
     PolicyFactory,
     builtin_env,
     confidence_radius,
-    dominant_cdf,
+    dominant_cdfs,
     expected_kmax,
     expected_kmax_continuous,
     expected_reward,
@@ -28,11 +28,11 @@ from cmab import (
     run_many,
     utility_spec,
 )
-from cmab.distributions import EmpiricalCdf, PiecewiseDensity, bernoulli_decomposition, discretize_interval
+from cmab.distributions import PiecewiseDensity, bernoulli_decomposition, discretize_interval
 from cmab.harness import Environment, run_one
 from cmab.rewards import SuperArm
 
-from util import bruteforce_best_subset, bruteforce_max_law, dicts_close, law_as_dict, random_finite
+from util import bruteforce_best_subset, bruteforce_max_law, count_matrix, dicts_close, law_as_dict, random_finite
 
 EXACT = 1e-12
 
@@ -132,9 +132,7 @@ def test_criterion_05_dkw_coverage():
     sup = np.maximum(ranks / n - samples, samples - (ranks - 1) / n).max(axis=1)
     # cross-check the order statistics against the package's empirical CDF
     for row in samples[:5]:
-        ecdf = EmpiricalCdf()
-        for x in row:
-            ecdf.add(float(x))
+        ecdf = dominant_cdfs(*count_matrix([row]), t=2, radius=0.0)[0]
         assert all(ecdf.cdf(x) == i / n for i, x in zip(ranks, row))
     violation = float(np.mean(sup >= eps))
     assert violation <= 0.03, violation
@@ -153,15 +151,11 @@ def test_criterion_06_dominance_inequalities():
         base, dominant, lam = [], [], []
         for _ in range(m):
             counts = rng.integers(1, 6, size=rng.integers(2, 5))
-            ecdf = EmpiricalCdf()
             values = rng.choice(grid, size=len(counts), replace=False)
-            for v, c in zip(values, counts):
-                for _ in range(int(c)):
-                    ecdf.add(float(v))
+            vals, tally = count_matrix([np.repeat(values, counts)])
             lam_i = float(rng.uniform(0.01, 0.5))
-            vals, cum = ecdf.arrays()
-            base.append(make_finite(vals, np.diff(cum, prepend=0.0) / ecdf.count))
-            dominant.append(dominant_cdf(ecdf, t=10, confidence_radius_override=lam_i))
+            base.append(make_finite(vals, tally[0] / tally.sum()))
+            dominant.append(dominant_cdfs(vals, tally, t=10, radius=lam_i)[0])
             lam.append(lam_i)
         size = int(rng.integers(1, min(3, m) + 1))
         S = SuperArm(rng.choice(m, size=size, replace=False).tolist())
@@ -179,16 +173,13 @@ def test_criterion_07_dominant_mean_is_ucb():
     t0 = time.perf_counter()
     count_rows = [(3, 1, 1), (1, 1, 1), (10, 0, 2), (0, 4, 4), (7, 2, 1)]
     for counts in count_rows:
-        ecdf = EmpiricalCdf()
-        for v, c in zip((0.0, 0.5, 1.0), counts):
-            for _ in range(c):
-                ecdf.add(v)
+        record = (np.array([0.0, 0.5, 1.0]), np.array([counts]))
         n = sum(counts)
         emp_mean = (0.5 * counts[1] + 1.0 * counts[2]) / n
         p0 = counts[0] / n
         for t in (2, 5, 10, 100, 10_000):
             r = confidence_radius(t, n)
-            nu = dominant_cdf(ecdf, t).mean()
+            nu = dominant_cdfs(*record, t)[0].mean()
             # true distributions within sup-norm radius r of the empirical CDF:
             # move delta <= r of the mass at zero up to one
             for delta in (0.0, min(r, p0) / 2, min(r, p0)):

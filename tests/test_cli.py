@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config merging, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -18,6 +19,33 @@ def write_config(tmp_path, payload, name="config.json"):
     path.write_text(json.dumps(payload))
     return path
 
+
+CARD = {"kind": "cardinality", "K": 2}
+LINEAR = {"kind": "linear", "bound_M": 2.0}
+UTILITY = {"kind": "utility", "utility": "sqrt", "bound_M": 2.0, "lipschitz_C": 1.0}
+
+# JSON numbers of the wrong type or not finite: (subcommand, document fields)
+BAD_NUMBERS = {
+    "K-inf": ("offline", {"family": {**CARD, "K": math.inf}}),
+    "K-list": ("offline", {"family": {**CARD, "K": [1]}}),
+    "K-fraction": ("offline", {"family": {**CARD, "K": 2.7}}),
+    "K-bool": ("offline", {"family": {**CARD, "K": True}}),
+    "set-member-inf": ("offline", {"family": {"kind": "explicit", "sets": [[0, math.inf], [1, 2]]}}),
+    "set-not-list": ("offline", {"family": {"kind": "explicit", "sets": [0]}}),
+    "set-member-bool": ("offline", {"family": {"kind": "explicit", "sets": [[0, 1], [True, 2]]}}),
+    "bound_M-list": ("offline", {"reward": {**LINEAR, "bound_M": [1]}}),
+    "bound_M-bool": ("offline", {"reward": {**LINEAR, "bound_M": True}}),
+    "bound_M-nan": ("offline", {"reward": {**UTILITY, "bound_M": math.nan}}),
+    "lipschitz_C-inf": ("offline", {"reward": {**UTILITY, "lipschitz_C": math.inf}}),
+    "lipschitz_C-string": ("offline", {"reward": {**UTILITY, "lipschitz_C": "1"}}),
+    "T-inf": ("run", {"T": math.inf}),
+    "T-fraction": ("run", {"T": 2.9}),
+    "T-bool": ("run", {"T": True}),
+    "runs-string": ("run", {"runs": "2"}),
+    "seed-fraction": ("run", {"seed": 1.5}),
+    "epsilon-nan": ("run", {"epsilon": math.nan}),
+    "alpha-bool": ("run", {"alpha": True}),
+}
 
 TINY_INSTANCE = {
     "arms": [
@@ -194,6 +222,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("cmab: error:") and "finite" in captured.err
+
+    @pytest.mark.parametrize("command, fields", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+    def test_bad_number(self, tmp_path, capsys, command, fields):
+        out = tmp_path / "t.csv"
+        if command == "offline":
+            doc = write_config(tmp_path, {**TINY_INSTANCE, **fields})
+            argv = ["offline", "--instance", str(doc)]
+        else:
+            base = {"env": "dist1", "policy": "cucb", "T": 3, "runs": 1, "out": str(out)}
+            argv = ["run", "--config", str(write_config(tmp_path, {**base, **fields}))]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cmab: error:")
+        assert not out.exists()
 
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "no" / "dir" / "t.csv"

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmab.distributions import (
-    EmpiricalCdf,
     FiniteDistribution,
     PiecewiseDensity,
     bernoulli_decomposition,
@@ -16,13 +15,21 @@ from cmab.distributions import (
     bin_value,
     confidence_radius,
     discretize_interval,
-    dominant_cdf,
+    dominant_cdfs,
     l1_distance,
     make_finite,
     sample,
 )
 from cmab.rng import substream
-from util import bruteforce_max_law, dicts_close, law_as_dict, random_finite
+from util import (
+    COARSE_GRID,
+    bruteforce_max_law,
+    count_matrix,
+    dicts_close,
+    law_as_dict,
+    random_finite,
+    reference_dominant_cdfs,
+)
 
 EXACT = 1e-12
 # sqrt(3 ln 100 / 200), frozen
@@ -154,32 +161,6 @@ class TestPiecewiseDensity:
             PiecewiseDensity([0.0, 1.0], [0.5])  # integrates to 0.5
 
 
-class TestEmpiricalCdf:
-    def test_counts_and_cdf(self):
-        e = EmpiricalCdf([0.2, 0.2, 0.8])
-        assert e.count == 3
-        assert e.cdf(0.1) == 0.0
-        assert e.cdf(0.2) == pytest.approx(2 / 3, abs=EXACT)
-        assert e.cdf(1.0) == 1.0
-
-    def test_add_validates(self):
-        e = EmpiricalCdf()
-        with pytest.raises(ValueError):
-            e.add(1.5)
-        with pytest.raises(ValueError):
-            e.add(-0.1)
-
-    def test_empty_cdf_errors(self):
-        with pytest.raises(ValueError):
-            EmpiricalCdf().cdf(0.5)
-
-    def test_arrays_sorted(self):
-        e = EmpiricalCdf([0.9, 0.1, 0.9])
-        vals, cum = e.arrays()
-        assert np.array_equal(vals, [0.1, 0.9])
-        assert np.array_equal(cum, [1.0, 3.0])
-
-
 class TestConfidenceRadius:
     def test_frozen_value(self):
         assert confidence_radius(100, 100) == pytest.approx(RADIUS_100_100, abs=0.0)
@@ -191,55 +172,101 @@ class TestConfidenceRadius:
         assert confidence_radius(100, 200) < confidence_radius(100, 100)
 
 
+def one_arm(observations, t, radius=None):
+    values, counts = count_matrix([observations])
+    return dominant_cdfs(values, counts, t, radius)[0]
+
+
 class TestDominantCdf:
     def test_frozen_two_point_example(self):
-        e = EmpiricalCdf([0.0] * 60 + [1.0] * 40)
-        d = dominant_cdf(e, 100)
+        d = one_arm([0.0] * 60 + [1.0] * 40, 100)
         assert np.array_equal(d.support, [0.0, 1.0])
         assert d.cdf(0.0) == pytest.approx(0.6 - RADIUS_100_100, abs=0.0)
         assert d.probs[1] == pytest.approx(0.4 + RADIUS_100_100, abs=EXACT)
 
     def test_total_relocation_when_radius_large(self):
-        e = EmpiricalCdf([0.3])
-        d = dominant_cdf(e, 2)  # radius > 1
+        d = one_arm([0.3], 2)  # radius > 1
         assert np.array_equal(d.support, [1.0])
         assert d.probs[0] == 1.0
 
     def test_override_radius(self):
-        e = EmpiricalCdf([0.0, 0.0, 1.0, 1.0])
-        d = dominant_cdf(e, 2, confidence_radius_override=0.25)
+        d = one_arm([0.0, 0.0, 1.0, 1.0], 2, radius=0.25)
         assert d.cdf(0.0) == pytest.approx(0.25, abs=EXACT)
         assert d.cdf(1.0) == 1.0
 
     def test_zero_radius_reproduces_empirical(self):
-        e = EmpiricalCdf([0.2, 0.4, 0.4, 0.8])
-        d = dominant_cdf(e, 2, confidence_radius_override=0.0)
-        # the appended point at 1 carries zero mass and is dropped
+        d = one_arm([0.2, 0.4, 0.4, 0.8], 2, radius=0.0)
+        # the grid point at 1 carries zero mass and is dropped
         assert np.array_equal(d.support, [0.2, 0.4, 0.8])
         assert np.allclose(d.probs, [0.25, 0.5, 0.25], atol=EXACT)
-        for x in (0.2, 0.4, 0.8, 1.0):
-            assert d.cdf(x) == pytest.approx(e.cdf(x), abs=EXACT)
+        for x, f in [(0.1, 0.0), (0.2, 0.25), (0.4, 0.75), (0.8, 1.0), (1.0, 1.0)]:
+            assert d.cdf(x) == pytest.approx(f, abs=EXACT)
+
+    def test_counts_and_cdf(self):
+        values, counts = count_matrix([[0.2, 0.2, 0.8]])
+        assert np.array_equal(values, [0.2, 0.8, 1.0])
+        assert np.array_equal(counts, [[2, 1, 0]])
+        d = dominant_cdfs(values, counts, 2, radius=0.0)[0]
+        assert d.cdf(0.1) == 0.0
+        assert d.cdf(0.2) == pytest.approx(2 / 3, abs=EXACT)
+        assert d.cdf(1.0) == 1.0
+
+    def test_one_radius_per_arm(self):
+        values, counts = count_matrix([[0.0, 1.0], [0.0, 1.0]])
+        a, b = dominant_cdfs(values, counts, 2, radius=[0.1, 0.3])
+        assert a.cdf(0.0) == pytest.approx(0.4, abs=EXACT)
+        assert b.cdf(0.0) == pytest.approx(0.2, abs=EXACT)
 
     def test_requires_observations_and_t(self):
+        values, counts = count_matrix([[0.5], []])
         with pytest.raises(ValueError):
-            dominant_cdf(EmpiricalCdf(), 5)
+            dominant_cdfs(values, counts, 5)
         with pytest.raises(ValueError):
-            dominant_cdf(EmpiricalCdf([0.5]), 1)
+            dominant_cdfs(values, counts[:1], 1)
+
+    def test_rejects_grid_without_one_or_misshapen_counts(self):
+        with pytest.raises(ValueError):
+            dominant_cdfs(np.array([0.2, 0.5]), np.array([[1, 1]]), 5)
+        with pytest.raises(ValueError):
+            dominant_cdfs(np.array([0.5, 1.0]), np.array([[1, 1, 1]]), 5)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10**6), st.sampled_from(["t", "scalar", "per-arm"]))
+    def test_matches_per_arm_reference(self, seed, t, radius_kind):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 6))
+        grid = np.sort(rng.choice(COARSE_GRID[:-1], size=int(rng.integers(0, 8)), replace=False))
+        values = np.append(grid, 1.0)
+        # sparse counts leave zero columns; the column at 1 is observed or not
+        counts = rng.integers(0, 4, size=(m, len(values))) * (rng.random((m, len(values))) < 0.5)
+        counts[np.arange(m), rng.integers(0, len(values), size=m)] += 1
+        radius = {
+            "t": None,
+            "scalar": float(rng.uniform(0.0, 1.5)),
+            "per-arm": rng.uniform(0.0, 1.5, size=m),
+        }[radius_kind]
+        got = dominant_cdfs(values, counts, t, radius)
+        want = reference_dominant_cdfs(values, counts, t, radius)
+        assert len(got) == len(want) == m
+        for g, w in zip(got, want):
+            assert np.array_equal(g.support, w.support)
+            assert np.array_equal(g.probs, w.probs)
+            assert np.array_equal(g.cum, w.cum)
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 500))
     def test_dominates_empirical(self, seed, t):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 30))
-        e = EmpiricalCdf(np.round(rng.random(n), 3))
-        d = dominant_cdf(e, t)
+        values, counts = count_matrix([np.round(rng.random(n), 3)])
+        d = dominant_cdfs(values, counts, t)[0]
         assert abs(d.probs.sum() - 1.0) <= 1e-9
         assert d.cdf(1.0) == pytest.approx(1.0, abs=EXACT)
         for x in np.linspace(0, 1, 23):
-            assert d.cdf(float(x)) <= e.cdf(float(x)) + EXACT
+            empirical = counts[0, values <= x].sum() / n
+            assert d.cdf(float(x)) <= empirical + EXACT
         # dominance raises the mean
-        emp_mean = sum(v * c for v, c in e._counts.items()) / e.count
-        assert d.mean() >= emp_mean - EXACT
+        assert d.mean() >= values @ counts[0] / n - EXACT
 
 
 class TestL1Distance:

@@ -1,6 +1,7 @@
 """Learning policies: SDCB variants, CUCB, Exp3 machinery, and the OSM baseline."""
 
 import math
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmab.distributions import make_finite
+from cmab.distributions import bin_value, make_finite
 from cmab.oracles import FeasibleFamily, exhaustive_oracle
 from cmab.policies import (
     Cucb,
@@ -25,6 +26,7 @@ from cmab.policies import (
 )
 from cmab.rewards import SuperArm, kmax_spec
 from cmab.rng import substream
+from util import COARSE_GRID
 
 EXACT = 1e-12
 
@@ -78,8 +80,10 @@ class TestRoundContract:
         S = pol.select(1)
         with pytest.raises(ValueError):
             pol.observe(1, S, {0: 0.5, 2: 0.5})
-        with pytest.raises(ValueError):
-            pol.observe(1, S, {S.members[0]: 1.5})
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                pol.observe(1, S, {i: bad for i in S.members})
+        assert pol.pull_counts == [0, 0, 0]
 
 
 class TestSdcb:
@@ -118,8 +122,26 @@ class TestSdcb:
         pol = Sdcb(fam, spec, oracle, outcome_bins=4)
         S = pol.select(1)
         pol.observe(1, S, {0: 0.3})
-        vals, counts = pol.ecdfs[0].arrays()
-        assert np.array_equal(vals, [0.5])
+        assert np.array_equal(pol.values[pol.counts[0] > 0], [0.5])
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 3, 10]))
+    def test_count_matrix_tracks_observations(self, seed, bins):
+        # the grid stays strictly ascending and ends at 1; each row counts its arm's values
+        rng = np.random.default_rng(seed)
+        fam, spec, oracle = cardinality_setup(2, 4)
+        pol = Sdcb(fam, spec, oracle, outcome_bins=bins)
+        seen = {i: [] for i in range(4)}
+        for t in range(1, 30):
+            S = pol.select(t)
+            outcomes = {i: float(rng.choice(COARSE_GRID)) for i in S.members}
+            pol.observe(t, S, outcomes)
+            for i, x in outcomes.items():
+                seen[i].append(x if bins is None else bin_value(x, bins))
+            assert np.all(np.diff(pol.values) > 0) and pol.values[-1] == 1.0
+        for i, obs in seen.items():
+            assert {v: c for v, c in zip(pol.values, pol.counts[i]) if c} == Counter(obs)
+        assert pol.pull_counts == [len(seen[i]) for i in range(4)]
 
     def test_identical_histories_identical_choices(self):
         fam, spec, oracle = cardinality_setup(1, 3)
@@ -142,16 +164,14 @@ class TestLazySdcb:
         pol = lazy_sdcb_known_T(fam, spec, oracle, 100)
         S = pol.select(1)
         pol.observe(1, S, {0: 0.25})
-        vals, _ = pol.ecdfs[0].arrays()
-        assert np.array_equal(vals, [0.3])
+        assert np.array_equal(pol.values[pol.counts[0] > 0], [0.3])
 
     def test_horizon_one_bins_everything_to_one(self):
         fam, spec, oracle = cardinality_setup(1, 2)
         pol = lazy_sdcb_known_T(fam, spec, oracle, 1)
         S = pol.select(1)
         pol.observe(1, S, {0: 0.0})
-        vals, _ = pol.ecdfs[0].arrays()
-        assert np.array_equal(vals, [1.0])
+        assert np.array_equal(pol.values[pol.counts[0] > 0], [1.0])
 
     def test_rejects_bad_horizon(self):
         fam, spec, oracle = cardinality_setup(1, 2)

@@ -73,6 +73,41 @@ def bruteforce_best_subset(dists, K, value_fn):
     return best, best_val
 
 
+def count_matrix(observations):
+    """(values, counts) for per-arm observation lists, laid out like ``Sdcb``'s arm state.
+
+    ``values`` is the sorted set of every observed value plus 1.0;
+    ``counts[i, k]`` is how often arm i observed ``values[k]``.
+    """
+    values = np.unique(np.concatenate([np.asarray(obs, dtype=float) for obs in observations] + [[1.0]]))
+    counts = np.array([np.bincount(np.searchsorted(values, obs), minlength=len(values)) for obs in observations])
+    return values, counts
+
+
+def reference_dominant_cdfs(values, counts, t, radius=None):
+    """One arm at a time over the values that arm observed, as SDCB first computed it."""
+    radii = [None] * len(counts) if radius is None else np.broadcast_to(np.asarray(radius, dtype=float), len(counts))
+    out = []
+    for row, r in zip(counts, radii):
+        seen = row > 0
+        vals = values[seen]
+        count = int(row.sum())
+        cumcounts = np.cumsum(row[seen], dtype=float)
+        if r is None:
+            r = math.sqrt(1.5 * math.log(t) / count)
+        low = np.maximum(cumcounts / count - r, 0.0)
+        if vals[-1] == 1.0:
+            support = vals
+        else:
+            support = np.append(vals, 1.0)
+            low = np.append(low, 0.0)
+        low[-1] = 1.0
+        probs = np.diff(low, prepend=0.0)
+        keep = probs > 0.0
+        out.append(FiniteDistribution(support[keep], probs[keep], cum=low[keep]))
+    return out
+
+
 def law_as_dict(dist: FiniteDistribution) -> dict[float, float]:
     return {float(v): float(p) for v, p in zip(dist.support, dist.probs)}
 
