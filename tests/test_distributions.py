@@ -224,6 +224,13 @@ class TestDominantCdf:
         with pytest.raises(ValueError):
             dominant_cdfs(values, counts[:1], 1)
 
+    def test_empty_arm_row_errors(self):
+        # an arm never observed has no empirical CDF, whatever the radius
+        values, counts = count_matrix([[0.2, 1.0], []])
+        for radius in (0.0, 0.5, [0.0, 0.0]):
+            with pytest.raises(ValueError):
+                dominant_cdfs(values, counts, 5, radius=radius)
+
     def test_rejects_grid_without_one_or_misshapen_counts(self):
         with pytest.raises(ValueError):
             dominant_cdfs(np.array([0.2, 0.5]), np.array([[1, 1]]), 5)

@@ -124,6 +124,19 @@ class TestSdcb:
         pol.observe(1, S, {0: 0.3})
         assert np.array_equal(pol.values[pol.counts[0] > 0], [0.5])
 
+    @pytest.mark.parametrize("bins", [None, 4])
+    def test_observe_rejects_out_of_range_outcomes(self, bins):
+        # a rejected outcome leaves the value grid and the count matrix as they were
+        fam, spec, oracle = cardinality_setup(1, 2)
+        for bad in (1.5, -0.1):
+            pol = Sdcb(fam, spec, oracle, outcome_bins=bins)
+            pol.observe(1, pol.select(1), {0: 0.5})
+            values, counts = pol.values.copy(), pol.counts.copy()
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                pol.observe(2, pol.select(2), {1: bad})
+            assert np.array_equal(pol.values, values)
+            assert np.array_equal(pol.counts, counts)
+
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 3, 10]))
     def test_count_matrix_tracks_observations(self, seed, bins):
