@@ -74,6 +74,13 @@ def _int_field(name: str, value) -> int:
     return value
 
 
+def _str_field(name: str, value) -> str:
+    """A JSON string; null, numbers, lists and anything else are rejected."""
+    if not isinstance(value, str):
+        raise _ConfigError(f"{name}: expected a string, got {value!r}")
+    return value
+
+
 def _real_field(name: str, value) -> float:
     """A finite JSON number; bools, NaN, infinities and anything else are rejected."""
     try:
@@ -172,9 +179,10 @@ def cmd_run(args) -> int:
     policy = pick("policy")
     if policy is None:
         raise _ConfigError("no policy given (use --policy or a 'policy' config entry)")
+    policy = _str_field("policy", policy)
     if policy not in POLICIES:
         raise _ConfigError(f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}")
-    oracle = pick("oracle")
+    oracle = _str_field("oracle", pick("oracle"))
     if oracle not in ORACLES:
         raise _ConfigError(f"unknown oracle {oracle!r}; choose from {', '.join(ORACLES)}")
     T = _int_field("T", pick("T"))
@@ -182,7 +190,7 @@ def cmd_run(args) -> int:
     seed = _int_field("seed", pick("seed"))
     epsilon = _real_field("epsilon", pick("epsilon"))
     alpha = _real_field("alpha", pick("alpha"))
-    out = pick("out")
+    out = _str_field("out", pick("out"))
     if T < 1:
         raise _ConfigError("T must be >= 1")
     if runs < 1:
@@ -196,7 +204,7 @@ def cmd_run(args) -> int:
 
     env_name = pick("env")
     if env_name is not None:
-        env = builtin_env(env_name)
+        env = builtin_env(_str_field("env", env_name))
     elif "arms" in config:
         arms, family, spec = _parse_instance(config)
         env = Environment(arms, family, spec, name="inline")

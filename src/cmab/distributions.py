@@ -209,24 +209,6 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> list[FiniteDistributio
     return [FiniteDistribution(values[k], p[k], cum=c[k]) for k, p, c in zip(keep, probs, low)]
 
 
-def l1_distance(P: FiniteDistribution, Q: FiniteDistribution) -> float:
-    """Sum over the union support of |P(x) - Q(x)|; lies in [0, 2]."""
-    vals = np.concatenate([P.support, Q.support])
-    masses = np.concatenate([P.probs, -Q.probs])
-    order = np.argsort(vals, kind="stable")
-    vals, masses = vals[order], masses[order]
-    total = 0.0
-    acc = masses[0]
-    for k in range(1, len(vals)):
-        if vals[k] - vals[k - 1] < VALUE_TOL:
-            acc += masses[k]
-        else:
-            total += abs(acc)
-            acc = masses[k]
-    total += abs(acc)
-    return float(total)
-
-
 def bin_index(x: float, s: int) -> int:
     """1-based index of the interval of x under the s-fold split of [0, 1].
 

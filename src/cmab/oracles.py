@@ -4,10 +4,11 @@ Three solvers with different cost/guarantee trade-offs:
 
 * :func:`exhaustive_oracle` — exact argmax by enumeration (guarded),
 * :func:`greedy_kmax` — marginal-gain greedy, a (1 - 1/e) approximation,
-* :func:`ptas_kmax` — the signature-based approximation scheme: discretize
-  each arm's Bernoulli decomposition onto a value grid, quantize activation
-  rates into integer signatures, enumerate reachable set signatures with a
-  dynamic program, and score one recovered candidate per signature exactly.
+* :func:`ptas_kmax` — the signature-based approximation scheme: move each
+  arm's Bernoulli decomposition onto a value grid and quantize its
+  activation rates into an integer signature, enumerate the reachable set
+  signatures with a dynamic program that carries one candidate set per
+  signature, and score every candidate exactly.
 
 Signatures use exact integer arithmetic so set equality is never a float
 comparison.
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+import operator
+from typing import Sequence
 
 import numpy as np
 
@@ -179,19 +180,6 @@ def _greedy_kmax_finite(dists, K: int) -> SuperArm:
     return SuperArm(chosen)
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Integer activation-rate summary of a discretized arm or arm set.
-
-    ``units[j]`` counts units of size eps^4/m quantizing -ln(1 - q_j) for
-    the grid value at position j (value 0 carries no coordinate).
-    """
-
-    units: tuple[int, ...]
-    unit_size: float
-    cap_units: int
-
-
 def signature_cap(eps: float, m: int) -> int:
     """Per-coordinate unit cap floor(ln(1/eps^4) * m / eps^4)."""
     return math.floor(math.log(1.0 / eps**4) * m / eps**4)
@@ -210,188 +198,68 @@ def ptas_grid(eps: float, W: float) -> np.ndarray:
     return grid
 
 
-def _validate_ptas_params(W: float, eps: float) -> None:
+def arm_signature(dist: FiniteDistribution, W: float, eps: float, m: int) -> tuple[int, ...]:
+    """Integer signature of one arm, one coordinate per point of ``ptas_grid(eps, W)``.
+
+    Each part (v, q) of the arm's Bernoulli decomposition moves to a grid
+    index: values above W/eps go to the top index with activation
+    q v eps / W (which keeps the mean), the rest round down to the eps W
+    grid, and parts rounding to value 0 drop out.  Independent parts at
+    one value fire with probability 1 - prod(1 - q), so the coordinate is
+    min(floor(sum(-ln(1 - q)) * m / eps^4), cap) over that value's parts.
+    """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     if W <= 0.0:
         raise ValueError("W must be positive")
-
-
-def discretize_bernoullis(pairs, W: float, eps: float) -> list[tuple[float, float]]:
-    """Project one arm's Bernoulli decomposition onto the value grid.
-
-    Values above W/eps collapse to W/eps with the activation scaled to
-    preserve the mean exactly; other values round down to the eps*W grid;
-    value 0 passes through.
-    """
-    _validate_ptas_params(W, eps)
-    thresh = W / eps
-    step = eps * W
-    out = []
-    for v, q in pairs:
-        if v > thresh:
-            out.append((thresh, q * v * eps / W))
-        elif v <= 0.0:
-            out.append((0.0, q))
-        else:
-            k = math.floor(v / step + VALUE_NUDGE)
-            out.append((k * step, q))
-    return out
-
-
-def ptas_discretize(dists, W: float, eps: float) -> list[list[tuple[float, float]]]:
-    """Bernoulli decompositions of all arms, projected onto the grid."""
-    return [discretize_bernoullis(bernoulli_decomposition(d), W, eps) for d in dists]
-
-
-def recompose_max(pairs) -> FiniteDistribution:
-    """Distribution of the max of independent two-point (value, q) variables."""
-    active = sorted((v, q) for v, q in pairs if v > 0.0)
-    values = [0.0]
-    masses = [0.0]
-    for v, q in active:
-        if v != values[-1]:
-            values.append(v)
-            masses.append(0.0)
-    # survival downward: mass at v = Pr[all above stay 0] * Pr[some at v fires]
-    tail = 1.0
-    for k in range(len(values) - 1, 0, -1):
-        stay = 1.0
-        for v, q in active:
-            if v == values[k]:
-                stay *= 1.0 - q
-        masses[k] = tail * (1.0 - stay)
-        tail *= stay
-    masses[0] = tail
-    support, probs, cum = [], [], []
-    running = 0.0
-    for v, p in zip(values, masses):
-        running += p
-        if p > 0.0:
-            support.append(v)
-            probs.append(p)
-            cum.append(running)
-    return FiniteDistribution(support, probs, cum=cum)
-
-
-def signature_of_arm(disc_arm, eps: float, m: int, W: float) -> Signature:
-    """Integer signature of one discretized arm.
-
-    The discretized Bernoullis are recomposed into a single distribution
-    on the grid and re-decomposed, giving one activation rate q_j per
-    grid value; coordinate j is min(floor(-ln(1 - q_j) * m / eps^4), cap).
-    """
-    grid = ptas_grid(eps, W)
-    cap = signature_cap(eps, m)
-    unit = eps**4 / m
-    units = [0] * len(grid)
-    dist = recompose_max(disc_arm)
+    top = len(ptas_grid(eps, W))
+    rates = [0.0] * (top + 1)  # summed -ln(1 - q) per grid index; index 0 is value 0
     for v, q in bernoulli_decomposition(dist):
-        if v <= 0.0:
-            continue
-        j = int(np.argmin(np.abs(grid - v)))
-        if abs(grid[j] - v) > 1e-9 * max(1.0, grid[j]):
-            raise ValueError(f"value {v!r} is not on the discretization grid")
-        if q >= 1.0 - 1e-15:
-            units[j] = cap
+        if v > W / eps:
+            k, q = top, q * v * eps / W
         else:
-            units[j] = min(math.floor(-math.log1p(-q) / unit), cap)
-    return Signature(tuple(units), unit, cap)
+            k = math.floor(v / (eps * W) + VALUE_NUDGE)
+        rates[k] += math.inf if q >= 1.0 else -math.log1p(-q)
+    unit = eps**4 / m
+    cap = signature_cap(eps, m)
+    return tuple(math.floor(min(r / unit, cap)) for r in rates[1:])
 
 
-def signature_value(sg: Signature, eps: float, W: float) -> float:
-    """Val(sg): exact expected max of the Bernoullis the signature induces.
+def _reachable_sets(signatures: Sequence[tuple[int, ...]], K: int) -> dict:
+    """Every (chosen, units) state of at most K arms, mapped to the first set reaching it.
 
-    Coordinate j with u units contributes an independent Bernoulli at the
-    j-th grid value with activation 1 - exp(-u * unit_size).
+    Arms enter in index order and a state keeps the set that reached it
+    first, so its largest member is as small as possible, then its next
+    largest, and so on.
     """
-    grid = ptas_grid(eps, W)
-    if len(grid) != len(sg.units):
-        raise ValueError("signature length does not match the grid")
-    dists = []
-    for v, u in zip(grid, sg.units):
-        q = -math.expm1(-u * sg.unit_size)
-        if q <= 0.0:
-            dists.append(FiniteDistribution([0.0], [1.0]))
-        elif q >= 1.0:
-            dists.append(FiniteDistribution([v], [1.0]))
-        else:
-            dists.append(FiniteDistribution([0.0, v], [1.0 - q, q]))
-    return expected_kmax(dists, SuperArm(range(len(grid))))
-
-
-def _reach_layers(signatures: Sequence[Signature], K: int, bound: Optional[Signature]):
-    """Layered subset-sum reachability over arm signatures.
-
-    ``layers[i]`` holds every (chosen, units) state attainable from the
-    first i arms with at most K arms chosen; when ``bound`` is given,
-    states exceeding it componentwise are pruned.
-    """
-    zero = (0, tuple([0] * len(signatures[0].units))) if signatures else (0, ())
-    layers = [{zero}]
+    reach = {(0, (0,) * len(signatures[0])): ()}
     total = 1
-    for sig in signatures:
-        prev = layers[-1]
-        nxt = set(prev)
-        for chosen, units in prev:
+    for j, sig in enumerate(signatures):
+        for (chosen, units), members in list(reach.items()):
             if chosen == K:
                 continue
-            cand = tuple(a + b for a, b in zip(units, sig.units))
-            if bound is not None and any(c > t for c, t in zip(cand, bound.units)):
-                continue
-            nxt.add((chosen + 1, cand))
-        layers.append(nxt)
-        total += len(nxt)
+            state = (chosen + 1, tuple(map(operator.add, units, sig)))
+            if state not in reach:
+                reach[state] = members + (j,)
+        total += len(reach)
         if total > SIGNATURE_DP_GUARD:
             raise GuardExceeded(
                 f"signature dynamic program exceeded {SIGNATURE_DP_GUARD} states; "
                 "raise eps or reduce the number of arms"
             )
-    return layers
-
-
-def _backtrack(layers, signatures: Sequence[Signature], K: int, target_units) -> SuperArm:
-    """Recover one K-subset summing to ``target_units``.
-
-    Prefers excluding the arm under consideration, so smaller indices
-    enter later states first and the recovered set is the
-    lexicographically smallest the table admits.
-    """
-    chosen, units = K, target_units
-    members = []
-    for j in range(len(signatures), 0, -1):
-        if (chosen, units) in layers[j - 1]:
-            continue
-        members.append(j - 1)
-        units = tuple(a - b for a, b in zip(units, signatures[j - 1].units))
-        chosen -= 1
-    return SuperArm(members)
-
-
-def dp_find_set(arm_signatures: Sequence[Signature], K: int, target: Signature) -> Optional[SuperArm]:
-    """A set of exactly K arms whose signatures sum to ``target``, if any.
-
-    The sum is exact integer equality.  Absence is a valid result (None).
-    """
-    if any(u > K * target.cap_units for u in target.units):
-        raise ValueError("target coordinate exceeds K * cap_units")
-    layers = _reach_layers(arm_signatures, K, bound=target)
-    state = (K, target.units)
-    if state not in layers[-1]:
-        return None
-    return _backtrack(layers, arm_signatures, K, target.units)
+    return reach
 
 
 def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
     """Approximation scheme for expected-max maximization over K-subsets.
 
-    Runs the greedy solver to scale the value grid, discretizes every
-    arm's Bernoulli decomposition, quantizes activation rates into integer
-    signatures, enumerates the reachable signatures of K-subsets, recovers
-    one candidate set per signature, and returns the candidate whose exact
-    expected max (on the original distributions) is largest.  The output
-    need not dominate the greedy seed, but its value is within an O(eps)
-    fraction of the optimum.
+    Runs the greedy solver to scale the value grid, turns every arm into
+    an integer signature, enumerates the reachable signatures of K-subsets
+    with the set that first reaches each, and returns the candidate whose
+    exact expected max (on the original distributions) is largest; ties go
+    to the lexicographically smallest member set.  The output need not
+    dominate the greedy seed, but its value is within an O(eps) fraction
+    of the optimum.
     """
     m = len(dists)
     if not 1 <= K <= m:
@@ -402,15 +270,14 @@ def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
     W = expected_kmax(dists, seed)
     if W <= 0.0:
         return seed
-    disc = ptas_discretize(dists, W, eps)
-    sigs = [signature_of_arm(a, eps, m, W) for a in disc]
-    layers = _reach_layers(sigs, K, bound=None)
-    final = sorted({units for chosen, units in layers[-1] if chosen == K})
+    reach = _reachable_sets([arm_signature(d, W, eps, m) for d in dists], K)
     best = None
     best_val = -math.inf
-    for units in final:
-        S = _backtrack(layers, sigs, K, units)
+    for (chosen, _), members in reach.items():
+        if chosen != K:
+            continue
+        S = SuperArm(members)
         v = expected_kmax(dists, S)
-        if v > best_val or (v == best_val and (best is None or S.members < best.members)):
+        if v > best_val or (v == best_val and S.members < best.members):
             best, best_val = S, v
     return best

@@ -4,7 +4,8 @@ All policies share one interface: ``select(t)`` returns the super arm to
 play in round t (rounds are 1-based), and ``observe(t, S, outcomes)``
 feeds back the outcome of every member of S (semi-bandit feedback, as a
 mapping arm -> value).  Rounds must alternate select/observe and advance
-by exactly one.
+by exactly one.  An ``observe`` that rejects its outcomes changes nothing,
+so a corrected retry of the same round is accepted.
 
 Policies never see the true distributions or exact expected rewards;
 their only inputs are the feasible family, the reward spec, an offline
@@ -88,8 +89,8 @@ class Sdcb:
         return self.oracle(dominant_cdfs(self.values, self.counts, t))
 
     def observe(self, t: int, S: SuperArm, outcomes) -> None:
-        self._clock.on_observe(t)
         _check_outcomes(S, outcomes)
+        self._clock.on_observe(t)
         s = self.outcome_bins
         for arm, x in outcomes.items():
             v = float(x) if s is None else bin_value(x, s)
@@ -146,6 +147,7 @@ class LazySdcbDoubling:
         return self._inner.select(t - self._epoch_start + 1)
 
     def observe(self, t: int, S: SuperArm, outcomes) -> None:
+        _check_outcomes(S, outcomes)
         self._clock.on_observe(t)
         self._inner.observe(t - self._epoch_start + 1, S, outcomes)
 
@@ -182,8 +184,8 @@ class Cucb:
         return self.oracle([FiniteDistribution([u], [1.0]) for u in ucb])
 
     def observe(self, t: int, S: SuperArm, outcomes) -> None:
-        self._clock.on_observe(t)
         _check_outcomes(S, outcomes)
+        self._clock.on_observe(t)
         for arm, x in outcomes.items():
             self.sums[arm] += x
             self.counts[arm] += 1
@@ -262,8 +264,8 @@ class Osm:
         return SuperArm(self.last_draws)
 
     def observe(self, t: int, S: SuperArm, outcomes) -> None:
-        self._clock.on_observe(t)
         _check_outcomes(S, outcomes)
+        self._clock.on_observe(t)
         running = 0.0
         for st, arm in zip(self.instances, self.last_draws):
             gain = max(running, outcomes[arm]) - running

@@ -24,8 +24,8 @@ CARD = {"kind": "cardinality", "K": 2}
 LINEAR = {"kind": "linear", "bound_M": 2.0}
 UTILITY = {"kind": "utility", "utility": "sqrt", "bound_M": 2.0, "lipschitz_C": 1.0}
 
-# JSON numbers of the wrong type or not finite: (subcommand, document fields)
-BAD_NUMBERS = {
+# JSON values of the wrong type, or numbers that are not finite: (subcommand, document fields)
+BAD_FIELDS = {
     "K-inf": ("offline", {"family": {**CARD, "K": math.inf}}),
     "K-list": ("offline", {"family": {**CARD, "K": [1]}}),
     "K-fraction": ("offline", {"family": {**CARD, "K": 2.7}}),
@@ -45,6 +45,9 @@ BAD_NUMBERS = {
     "seed-fraction": ("run", {"seed": 1.5}),
     "epsilon-nan": ("run", {"epsilon": math.nan}),
     "alpha-bool": ("run", {"alpha": True}),
+    "out-number": ("run", {"out": 1}),
+    "out-null": ("run", {"out": None}),
+    "env-list": ("run", {"env": ["dist1"]}),
 }
 
 TINY_INSTANCE = {
@@ -223,7 +226,7 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("cmab: error:") and "finite" in captured.err
 
-    @pytest.mark.parametrize("command, fields", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+    @pytest.mark.parametrize("command, fields", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
     def test_bad_number(self, tmp_path, capsys, command, fields):
         out = tmp_path / "t.csv"
         if command == "offline":

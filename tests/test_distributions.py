@@ -16,7 +16,6 @@ from cmab.distributions import (
     confidence_radius,
     discretize_interval,
     dominant_cdfs,
-    l1_distance,
     make_finite,
     sample,
 )
@@ -274,31 +273,6 @@ class TestDominantCdf:
             assert d.cdf(float(x)) <= empirical + EXACT
         # dominance raises the mean
         assert d.mean() >= values @ counts[0] / n - EXACT
-
-
-class TestL1Distance:
-    def test_identical_is_zero(self):
-        d = make_finite([0.1, 0.9], [0.5, 0.5])
-        assert l1_distance(d, d) == 0.0
-
-    def test_disjoint_is_two(self):
-        p = make_finite([0.1], [1.0])
-        q = make_finite([0.9], [1.0])
-        assert l1_distance(p, q) == pytest.approx(2.0, abs=EXACT)
-
-    def test_known_overlap(self):
-        p = make_finite([0.2, 0.8], [0.5, 0.5])
-        q = make_finite([0.2, 0.8], [0.2, 0.8])
-        assert l1_distance(p, q) == pytest.approx(0.6, abs=EXACT)
-
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_symmetric_and_bounded(self, seed):
-        rng = np.random.default_rng(seed)
-        p, q = random_finite(rng), random_finite(rng)
-        d1, d2 = l1_distance(p, q), l1_distance(q, p)
-        assert d1 == pytest.approx(d2, abs=EXACT)
-        assert -EXACT <= d1 <= 2.0 + EXACT
 
 
 class TestBinning:

@@ -7,26 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmab.distributions import bernoulli_decomposition, make_finite
+from cmab.distributions import FiniteDistribution, dominant_cdfs, make_finite
 from cmab.errors import GuardExceeded
 from cmab.harness import builtin_env
 from cmab.oracles import (
     FeasibleFamily,
-    Signature,
-    discretize_bernoullis,
-    dp_find_set,
+    _reachable_sets,
+    arm_signature,
     exhaustive_oracle,
     greedy_kmax,
-    ptas_discretize,
     ptas_grid,
     ptas_kmax,
-    recompose_max,
     signature_cap,
-    signature_of_arm,
-    signature_value,
 )
 from cmab.rewards import SuperArm, expected_kmax, kmax_spec, linear_spec
-from util import bruteforce_max_law, dicts_close, law_as_dict, random_finite
+from util import count_matrix, random_finite, reference_arm_signature
 
 EXACT = 1e-12
 
@@ -179,65 +174,75 @@ class TestPtasGrid:
         assert signature_cap(0.25, 5) == 7097
 
 
+def units(q, eps, m):
+    """Signature units of one activation rate q."""
+    return math.floor(-math.log1p(-q) * m / eps**4)
+
+
 class TestDiscretizeBernoullis:
+    """Moving an arm's Bernoulli parts onto the grid, as seen in its signature."""
+
     def test_rounds_down_to_grid(self):
-        out = discretize_bernoullis([(0.55, 0.4)], W=0.8, eps=0.25)
-        assert out == [(pytest.approx(0.4, abs=EXACT), 0.4)]
+        eps, m, W = 0.25, 1, 0.8
+        assert ptas_grid(eps, W)[1] == pytest.approx(0.4, abs=EXACT)
+        sig = arm_signature(make_finite([0.0, 0.55], [0.6, 0.4]), W, eps, m)
+        assert sig == tuple(units(0.4, eps, m) if j == 1 else 0 for j in range(16))
 
     def test_grid_points_fixed(self):
-        out = discretize_bernoullis([(0.4, 0.7)], W=0.8, eps=0.25)
-        assert out == [(pytest.approx(0.4, abs=EXACT), 0.7)]
+        eps, m, W = 0.25, 1, 0.8
+        sig = arm_signature(make_finite([0.0, 0.4], [0.3, 0.7]), W, eps, m)
+        assert sig == tuple(units(0.7, eps, m) if j == 1 else 0 for j in range(16))
 
     def test_zero_value_passes_through(self):
-        out = discretize_bernoullis([(0.0, 0.9)], W=0.8, eps=0.25)
-        assert out == [(0.0, 0.9)]
+        # value 0, and values rounding down to it, carry no coordinate
+        eps, m, W = 0.25, 1, 0.8
+        assert arm_signature(point(0.0), W, eps, m) == (0,) * 16
+        assert arm_signature(make_finite([0.0, 0.19], [0.1, 0.9]), W, eps, m) == (0,) * 16
 
     def test_large_values_collapse_mean_preserving(self):
+        eps, m, W = 0.25, 1, 0.2
         v, q = 0.9, 0.1
-        (v2, q2), = discretize_bernoullis([(v, q)], W=0.2, eps=0.25)
-        assert v2 == pytest.approx(0.2 / 0.25, abs=EXACT)
-        assert v2 * q2 == pytest.approx(v * q, abs=EXACT)
+        top = ptas_grid(eps, W)[-1]
+        assert top == pytest.approx(W / eps, abs=EXACT)
+        sig = arm_signature(make_finite([0.0, v], [1 - q, q]), W, eps, m)
+        assert sig[-1] == units(v * q / top, eps, m) > units(q, eps, m)
+        assert sig[:-1] == (0,) * 15
 
     def test_validates_params(self):
         with pytest.raises(ValueError):
-            discretize_bernoullis([], W=1.0, eps=0.6)
+            arm_signature(point(0.5), W=1.0, eps=0.6, m=1)
         with pytest.raises(ValueError):
-            discretize_bernoullis([], W=0.0, eps=0.25)
+            arm_signature(point(0.5), W=0.0, eps=0.25, m=1)
 
+    def test_parts_at_one_value_merge(self):
+        # 0.45 and 0.55 both round down to 0.4 and fire independently
+        eps, m, W = 0.25, 1, 0.8
+        d = make_finite([0.0, 0.45, 0.55], [0.2, 0.3, 0.5])
+        q = d.probs / d.cum  # activation rates of the Bernoulli parts
+        sig = arm_signature(d, W, eps, m)
+        assert sig[1] == math.floor((-math.log1p(-q[1]) - math.log1p(-q[2])) * m / eps**4)
+        assert sig[:1] + sig[2:] == (0,) * 15
 
-class TestRecomposeMax:
-    def test_known_pairs(self):
-        pairs = [(0.5, 0.5), (1.0, 0.5)]
-        dist = recompose_max(pairs)
-        law = law_as_dict(dist)
-        want = bruteforce_max_law(pairs)
-        assert dicts_close(law, want, EXACT)
-
-    def test_all_inactive_gives_point_mass_at_zero(self):
-        dist = recompose_max([(0.5, 0.0), (0.0, 0.8)])
-        assert np.array_equal(dist.support, [0.0])
-        assert dist.probs[0] == 1.0
-
-    def test_duplicate_values_merge(self):
-        pairs = [(0.5, 0.3), (0.5, 0.4)]
-        dist = recompose_max(pairs)
-        law = law_as_dict(dist)
-        want = bruteforce_max_law(pairs)
-        assert dicts_close(law, want, EXACT)
-
-    def test_roundtrip_with_decomposition(self):
-        d = make_finite([0.0, 0.3, 0.7], [0.2, 0.3, 0.5])
-        back = recompose_max(bernoulli_decomposition(d))
-        assert dicts_close(law_as_dict(back), law_as_dict(d), EXACT)
-
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_matches_bruteforce_random(self, seed):
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 0.45),
+        st.integers(1, 8),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+    )
+    def test_matches_reference(self, seed, eps, m, w_frac, optimistic):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 6))
-        pairs = [(float(rng.integers(1, 9)) / 8.0, float(rng.random())) for _ in range(n)]
-        dist = recompose_max(pairs)
-        assert dicts_close(law_as_dict(dist), bruteforce_max_law(pairs), 1e-10)
+        if optimistic:
+            obs = [rng.choice(np.round(rng.random(5), 3), size=int(rng.integers(1, 20))) for _ in range(m)]
+            arms = dominant_cdfs(*count_matrix(obs), int(rng.integers(2, 1000)))
+        else:
+            arms = [random_finite(rng, max_support=8) for _ in range(m)]
+        # ptas_kmax scales the grid by a greedy value, which is at least every arm's mean
+        mu = max(d.mean() for d in arms)
+        W = max(mu + w_frac * (1.0 - mu), 1e-3)
+        for d in arms:
+            assert arm_signature(d, W, eps, m) == reference_arm_signature(d, W, eps, m)
 
 
 class TestSignatureOfArm:
@@ -245,81 +250,52 @@ class TestSignatureOfArm:
         # -ln(0.5) * 2 / 0.3^4 = 171.14...
         eps, m, W = 0.3, 2, 1.0
         grid = ptas_grid(eps, W)
-        sg = signature_of_arm([(float(grid[0]), 0.5)], eps, m, W)
-        assert sg.units[0] == 171
-        assert all(u == 0 for u in sg.units[1:])
-        assert sg.unit_size == pytest.approx(eps**4 / m, abs=0.0)
+        sig = arm_signature(make_finite([0.0, float(grid[0])], [0.5, 0.5]), W, eps, m)
+        assert sig == (171,) + (0,) * (len(grid) - 1)
 
     def test_certain_activation_hits_cap(self):
         eps, m, W = 0.3, 2, 1.0
         grid = ptas_grid(eps, W)
-        sg = signature_of_arm([(float(grid[2]), 1.0)], eps, m, W)
-        assert sg.units[2] == sg.cap_units == 1189
+        sig = arm_signature(point(float(grid[2])), W, eps, m)
+        assert sig[2] == signature_cap(eps, m) == 1189
+        assert sig[:2] + sig[3:] == (0,) * (len(grid) - 1)
 
     def test_zero_activation_gives_zero_units(self):
         eps, m, W = 0.3, 2, 1.0
         grid = ptas_grid(eps, W)
-        sg = signature_of_arm([(float(grid[1]), 0.0)], eps, m, W)
-        assert all(u == 0 for u in sg.units)
-
-    def test_off_grid_value_rejected(self):
-        with pytest.raises(ValueError):
-            signature_of_arm([(0.123, 0.5)], 0.3, 2, 1.0)
-
-
-class TestSignatureValue:
-    def test_all_zero_is_zero(self):
-        eps, W = 0.3, 1.0
-        sg = Signature((0,) * 12, eps**4 / 2, signature_cap(eps, 2))
-        assert signature_value(sg, eps, W) == 0.0
-
-    def test_single_coordinate_closed_form(self):
-        eps, m, W = 0.3, 2, 1.0
-        grid = ptas_grid(eps, W)
-        units = [0] * len(grid)
-        units[4] = 300
-        sg = Signature(tuple(units), eps**4 / m, signature_cap(eps, m))
-        want = float(grid[4]) * -math.expm1(-300 * eps**4 / m)
-        assert signature_value(sg, eps, W) == pytest.approx(want, rel=1e-12)
-
-    def test_matches_activation_enumeration(self):
-        eps, m, W = 0.25, 4, 0.9
-        grid = ptas_grid(eps, W)
-        rng = np.random.default_rng(11)
-        units = tuple(int(u) for u in rng.integers(0, 50, size=len(grid)))
-        sg = Signature(units, eps**4 / m, signature_cap(eps, m))
-        pairs = [(float(v), -math.expm1(-u * sg.unit_size)) for v, u in zip(grid, units)]
-        law = bruteforce_max_law(pairs)
-        want = sum(v * p for v, p in law.items())
-        assert signature_value(sg, eps, W) == pytest.approx(want, rel=1e-10)
+        sig = arm_signature(FiniteDistribution([0.0, float(grid[1])], [1.0, 0.0]), W, eps, m)
+        assert sig == (0,) * len(grid)
 
 
 class TestDpFindSet:
-    def _sig(self, units, unit=0.1, cap=100):
-        return Signature(tuple(units), unit, cap)
+    """The DP's state table: each reachable (chosen, units) state and the first set reaching it."""
 
     def test_finds_identical_arm_sum(self):
-        s = self._sig((3, 1))
-        target = self._sig((6, 2))
-        assert dp_find_set([s, s, s], 2, target) == SuperArm([0, 1])
+        s = (3, 1)
+        assert _reachable_sets([s, s, s], 2)[(2, (6, 2))] == (0, 1)
 
     def test_unreachable_returns_none(self):
-        sigs = [self._sig((1, 0)), self._sig((0, 1))]
-        assert dp_find_set(sigs, 1, self._sig((1, 1))) is None
+        assert (1, (1, 1)) not in _reachable_sets([(1, 0), (0, 1)], 1)
 
     def test_exact_cardinality_required(self):
-        sigs = [self._sig((2, 0)), self._sig((0, 3))]
-        assert dp_find_set(sigs, 2, self._sig((2, 3))) == SuperArm([0, 1])
-        assert dp_find_set(sigs, 2, self._sig((2, 0))) is None  # needs both arms
+        reach = _reachable_sets([(2, 0), (0, 3)], 2)
+        assert reach[(2, (2, 3))] == (0, 1)
+        assert (2, (2, 0)) not in reach  # needs both arms
+        assert reach[(1, (2, 0))] == (0,)
 
     def test_prefers_lexicographically_smallest(self):
-        s = self._sig((5,))
-        assert dp_find_set([s, s, s], 1, s) == SuperArm([0])
+        s = (5,)
+        assert _reachable_sets([s, s, s], 1)[(1, (5,))] == (0,)
 
-    def test_target_bound_validation(self):
-        sigs = [self._sig((1,), cap=3)]
-        with pytest.raises(ValueError):
-            dp_find_set(sigs, 1, self._sig((10,), cap=3))
+    def test_keeps_set_with_smallest_largest_member(self):
+        # {0, 3} and {1, 2} both reach units 5; arms enter in index order, so {1, 2} is first
+        reach = _reachable_sets([(1,), (2,), (3,), (4,)], 2)
+        assert reach[(2, (5,))] == (1, 2)
+
+    def test_state_guard(self, monkeypatch):
+        monkeypatch.setattr("cmab.oracles.SIGNATURE_DP_GUARD", 10)
+        with pytest.raises(GuardExceeded):
+            _reachable_sets([(1,), (2,), (4,), (8,)], 4)
 
 
 class TestPtasKmax:

@@ -52,6 +52,29 @@ def drive(policy, arm_values, T):
     return seq
 
 
+POLICY_MAKERS = {
+    "sdcb": Sdcb,
+    "lazy-sdcb-doubling": LazySdcbDoubling,
+    "cucb": Cucb,
+    "osm": lambda fam, spec, oracle: Osm(fam, 100, substream(0, 1, 0)),
+}
+
+
+def arm_state(pol):
+    """Copies of every array a policy learns into."""
+    if isinstance(pol, LazySdcbDoubling):
+        pol = pol._inner
+    if isinstance(pol, Sdcb):
+        return [pol.values.copy(), pol.counts.copy()]
+    if isinstance(pol, Cucb):
+        return [pol.sums.copy(), pol.counts.copy()]
+    return [st.weights.copy() for st in pol.instances]
+
+
+def same_state(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 class TestRoundContract:
     def test_select_twice_errors(self):
         fam, spec, oracle = cardinality_setup(1, 2)
@@ -84,6 +107,23 @@ class TestRoundContract:
             with pytest.raises(ValueError):
                 pol.observe(1, S, {i: bad for i in S.members})
         assert pol.pull_counts == [0, 0, 0]
+
+    @pytest.mark.parametrize("make", POLICY_MAKERS.values(), ids=POLICY_MAKERS.keys())
+    def test_corrected_retry_after_rejection(self, make):
+        fam, spec, oracle = cardinality_setup(2, 3)
+        pol = make(fam, spec, oracle)
+        for t in (1, 2, 3, 4):
+            S = pol.select(t)
+            other = min(set(range(3)) - set(S.members))
+            before = arm_state(pol)
+            for bad in (1.5, -0.1, math.nan):
+                with pytest.raises(ValueError, match="outside"):
+                    pol.observe(t, S, {i: bad for i in S.members})
+            with pytest.raises(ValueError, match="members"):
+                pol.observe(t, S, {i: 0.5 for i in S.members + (other,)})
+            assert same_state(arm_state(pol), before)
+            pol.observe(t, S, {i: 0.5 for i in S.members})
+            assert not same_state(arm_state(pol), before)
 
 
 class TestSdcb:

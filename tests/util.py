@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from cmab.distributions import FiniteDistribution, make_finite
+from cmab.distributions import FiniteDistribution, bernoulli_decomposition, make_finite
+from cmab.oracles import ptas_grid, signature_cap
 
 COARSE_GRID = np.round(np.linspace(0.0, 1.0, 201), 6)
 
@@ -59,6 +60,29 @@ def bruteforce_max_law(pairs) -> dict[float, float]:
         if p > 0.0:
             out[top] = out.get(top, 0.0) + p
     return out
+
+
+def reference_arm_signature(dist, W, eps, m) -> tuple[int, ...]:
+    """PTAS signature of one arm, read off the max law of its parts on the grid.
+
+    Every part (v, q) of the Bernoulli decomposition moves to a grid value:
+    above W/eps to the top one with activation q v eps / W, else down to a
+    multiple of eps W; parts at value 0 carry no coordinate.  A grid value's
+    activation is the chance that the max of its parts is that value.
+    """
+    grid = ptas_grid(eps, W)
+    parts = [[] for _ in grid]
+    for v, q in bernoulli_decomposition(dist):
+        if v > W / eps:
+            parts[-1].append((float(grid[-1]), q * v * eps / W))
+        elif (k := math.floor(v / (eps * W) + 1e-9)) > 0:
+            parts[k - 1].append((float(grid[k - 1]), q))
+    cap = signature_cap(eps, m)
+    out = []
+    for value, at_value in zip(grid, parts):
+        q = bruteforce_max_law(at_value).get(float(value), 0.0)
+        out.append(cap if q >= 1.0 else min(math.floor(-math.log1p(-q) * m / eps**4), cap))
+    return tuple(out)
 
 
 def bruteforce_best_subset(dists, K, value_fn):
