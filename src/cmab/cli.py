@@ -160,7 +160,16 @@ def _parse_instance(doc):
         raise _ConfigError("instance: missing 'family'")
     family = _parse_family(doc["family"], len(arms))
     spec = _parse_reward(doc.get("reward"))
+    if spec.kind == "utility_of_sum":
+        _require_finite(arms, "a utility reward")
     return arms, family, spec
+
+
+def _require_finite(arms, what: str) -> None:
+    """Reject continuous arms where only finite ones can be evaluated."""
+    for i, a in enumerate(arms):
+        if isinstance(a, PiecewiseDensity):
+            raise _ConfigError(f"arm {i}: {what} needs finite arms ('support'/'probs'), not 'breakpoints'/'densities'")
 
 
 def cmd_run(args) -> int:
@@ -231,6 +240,7 @@ def cmd_offline(args) -> int:
         if args.solver == "greedy":
             S = greedy_kmax(arms, family.K)
         else:
+            _require_finite(arms, "the ptas solver")
             S = ptas_kmax(arms, family.K, args.epsilon)
     value = expected_reward(arms, S, spec)
     print("set:", " ".join(str(i) for i in S.members))

@@ -8,16 +8,20 @@ Two representations cover every arm law downstream:
 
 Both are immutable after construction and safe to share.  A learning
 policy's observations are not a distribution: they are a count matrix
-over a sorted value grid, which :func:`dominant_cdfs` turns into one
-optimistic finite distribution per arm.  Construct finite distributions
-through :func:`make_finite`, which canonicalizes and validates; the class
-constructor itself trusts its arrays and is meant for internal fast paths.
+over a sorted value grid, which :func:`dominant_cdfs` turns into a
+:class:`CdfMatrix`, every arm's optimistic CDF over one shared grid.  An
+offline oracle takes m arm laws: a list or a :class:`CdfMatrix`.
+Construct finite distributions through :func:`make_finite`, which
+canonicalizes and validates; the class constructor itself trusts its
+arrays and is meant for internal fast paths.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+import operator
+from collections.abc import Sequence
+from typing import Union
 
 import numpy as np
 
@@ -127,6 +131,40 @@ class PiecewiseDensity:
 Distribution = Union[FiniteDistribution, PiecewiseDensity]
 
 
+class CdfMatrix(Sequence):
+    """m finite arm laws as one CDF matrix over a shared value grid.
+
+    ``values`` ascends and holds every value at which some arm has mass;
+    ``F[i, k]`` is arm i's CDF at ``values[k]`` itself, with no
+    ``VALUE_TOL`` merging of nearby values, so ``F[:, -1]`` is 1.
+    ``len()`` is m, and ``[i]`` builds arm i's :class:`FiniteDistribution`
+    on demand from row i.  The constructor trusts its arrays.
+    """
+
+    __slots__ = ("values", "F")
+
+    def __init__(self, values: np.ndarray, F: np.ndarray):
+        self.values = values
+        self.F = F
+
+    @classmethod
+    def of(cls, dists: Sequence[FiniteDistribution]) -> "CdfMatrix":
+        """The matrix of finite laws over the union of their supports."""
+        values = np.unique(np.concatenate([d.support for d in dists]))
+        at = [np.searchsorted(d.support, values, side="right") for d in dists]
+        return cls(values, np.vstack([np.append(0.0, d.cum)[k] for d, k in zip(dists, at)]))
+
+    def __len__(self) -> int:
+        return len(self.F)
+
+    def __getitem__(self, i) -> FiniteDistribution:
+        row = self.F[operator.index(i)]
+        probs = row.copy()  # np.diff(row, prepend=0.0) at a fraction of its call cost
+        probs[1:] -= row[:-1]
+        keep = probs > 0.0
+        return FiniteDistribution(self.values[keep], probs[keep], cum=row[keep])
+
+
 def make_finite(support: Sequence[float], probs: Sequence[float]) -> FiniteDistribution:
     """Validated finite distribution; duplicates merged, zero masses dropped."""
     support = np.asarray(support, dtype=float)
@@ -170,7 +208,7 @@ def confidence_radius(t: int, count):
     return np.sqrt(1.5 * math.log(t) / count)
 
 
-def dominant_cdfs(values, counts, t: int, radius=None) -> list[FiniteDistribution]:
+def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
     """Optimistic distributions whose CDFs sit a confidence radius below F-hat.
 
     Row i of ``counts`` holds arm i's observation counts over the sorted
@@ -187,7 +225,9 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> list[FiniteDistributio
         radius: one radius for all arms, or one per arm, in place of that.
 
     Returns:
-        One FiniteDistribution per arm.
+        The optimistic CDFs at the grid values where some arm has mass
+        (the other columns repeat their left neighbour); ``[i]`` is arm
+        i's law, with the support and masses it has on the full grid.
     """
     values = np.asarray(values, dtype=float)
     counts = np.asarray(counts)
@@ -204,9 +244,9 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> list[FiniteDistributio
         radius = np.broadcast_to(np.asarray(radius, dtype=float), n.shape)
     low = np.maximum(np.cumsum(counts, axis=1) / n[:, None] - radius[:, None], 0.0)
     low[:, -1] = 1.0
-    probs = np.diff(low, axis=1, prepend=0.0)
-    keep = probs > 0.0
-    return [FiniteDistribution(values[k], p[k], cum=c[k]) for k, p, c in zip(keep, probs, low)]
+    # a column no arm has mass at repeats the column before it in every row
+    keep = np.any(np.diff(low, axis=1, prepend=0.0) > 0.0, axis=0)
+    return CdfMatrix(values[keep], low[:, keep])
 
 
 def bin_index(x: float, s: int) -> int:

@@ -10,6 +10,9 @@ Three solvers with different cost/guarantee trade-offs:
   signatures with a dynamic program that carries one candidate set per
   signature, and score every candidate exactly.
 
+Each solver takes m arm laws: a list or a :class:`CdfMatrix`.  Greedy
+runs on the CDF matrix itself; the other two read per-arm laws.
+
 Signatures use exact integer arithmetic so set equality is never a float
 comparison.
 """
@@ -24,6 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import (
+    VALUE_TOL,
+    CdfMatrix,
     FiniteDistribution,
     bernoulli_decomposition,
 )
@@ -120,6 +125,7 @@ def exhaustive_oracle(dists, family: FeasibleFamily, spec: RewardSpec) -> SuperA
 
     Ties go to the lexicographically smallest member set.
     """
+    dists = list(dists)
     n = family.count()
     if n > ENUMERATION_GUARD:
         raise GuardExceeded(
@@ -139,13 +145,16 @@ def greedy_kmax(dists, K: int) -> SuperArm:
 
     Adds the arm with the best marginal gain K times; ties go to the
     lowest arm index.  The objective is monotone submodular, so the value
-    is at least (1 - 1/e) times the optimum over K-subsets.
+    is at least (1 - 1/e) times the optimum over K-subsets.  Finite arms
+    are scored on their CDF matrix, read as given or built once.
     """
     m = len(dists)
     if not 1 <= K <= m:
         raise ValueError("need 1 <= K <= m")
-    if all(isinstance(d, FiniteDistribution) for d in dists):
+    if isinstance(dists, CdfMatrix):
         return _greedy_kmax_finite(dists, K)
+    if all(isinstance(d, FiniteDistribution) for d in dists):
+        return _greedy_kmax_finite(CdfMatrix.of(dists), K)
     chosen: list[int] = []
     for _ in range(K):
         best_j, best_val = -1, -math.inf
@@ -159,10 +168,11 @@ def greedy_kmax(dists, K: int) -> SuperArm:
     return SuperArm(chosen)
 
 
-def _greedy_kmax_finite(dists, K: int) -> SuperArm:
-    m = len(dists)
-    V = np.unique(np.concatenate([d.support for d in dists]))
-    C = np.vstack([d.cdf(V) for d in dists])  # (m, |V|) member CDFs
+def _greedy_kmax_finite(cdfs: CdfMatrix, K: int) -> SuperArm:
+    V = cdfs.values
+    # each column read as FiniteDistribution.cdf reads it: with the mass up to VALUE_TOL above
+    C = cdfs.F[:, np.searchsorted(V, V + VALUE_TOL, side="right") - 1]
+    m = len(C)
     # E[max] = sum_k V_k (P_k - P_{k-1}) = P @ w with w_k = V_k - V_{k+1}, w_last = V_last
     w = np.empty(len(V))
     w[:-1] = V[:-1] - V[1:]
@@ -267,6 +277,7 @@ def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     seed = greedy_kmax(dists, K)
+    dists = list(dists)
     W = expected_kmax(dists, seed)
     if W <= 0.0:
         return seed

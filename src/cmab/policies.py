@@ -9,7 +9,9 @@ so a corrected retry of the same round is accepted.
 
 Policies never see the true distributions or exact expected rewards;
 their only inputs are the feasible family, the reward spec, an offline
-oracle over per-arm distributions, and their own observations.
+oracle, and their own observations.  The oracle is called with m arm
+laws: a list or a :class:`CdfMatrix`; SDCB and CUCB both pass a
+:class:`CdfMatrix`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import FiniteDistribution, bin_value, confidence_radius, dominant_cdfs
+from .distributions import CdfMatrix, bin_value, confidence_radius, dominant_cdfs
 from .oracles import FeasibleFamily
 from .rewards import RewardSpec, SuperArm
 
@@ -161,7 +163,8 @@ class Cucb:
 
     Tracks per-arm running means; after initialization it clamps
     mu_hat + sqrt(3 ln t / 2 T_i) at 1 and feeds point masses at those
-    upper bounds to the same distribution oracle the other policies use.
+    upper bounds, as a CDF matrix, to the same distribution oracle the
+    other policies use.
     For max-type rewards this is a deliberate mis-specification (the mean
     carries no tail information), which is exactly the ablation it
     exists to demonstrate.
@@ -181,7 +184,9 @@ class Cucb:
             return self.family.smallest_containing(t - 1)
         mu = self.sums / self.counts
         ucb = np.minimum(mu + confidence_radius(t, self.counts), 1.0)
-        return self.oracle([FiniteDistribution([u], [1.0]) for u in ucb])
+        values = np.unique(ucb)
+        # the point mass at u has CDF 1 from u on
+        return self.oracle(CdfMatrix(values, (ucb[:, None] <= values).astype(float)))
 
     def observe(self, t: int, S: SuperArm, outcomes) -> None:
         _check_outcomes(S, outcomes)

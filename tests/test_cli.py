@@ -61,6 +61,15 @@ TINY_INSTANCE = {
 }
 
 
+# instances whose continuous arm the requested evaluation cannot read: (subcommand, extra flags, reward)
+CONTINUOUS_ARMS = {"arms": [{"breakpoints": [0.0, 0.5, 1.0], "densities": [1.5, 0.5]}, *TINY_INSTANCE["arms"][1:]]}
+FINITE_ONLY = {
+    "offline-ptas": ("offline", ["--solver", "ptas"], {"kind": "kmax"}),
+    "offline-utility": ("offline", [], UTILITY),
+    "run-utility": ("run", [], UTILITY),
+}
+
+
 class TestEnvs:
     def test_lists_all_builtins(self, capsys):
         assert main(["envs"]) == 0
@@ -225,6 +234,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("cmab: error:") and "finite" in captured.err
+
+    @pytest.mark.parametrize("command, flags, reward", FINITE_ONLY.values(), ids=FINITE_ONLY.keys())
+    def test_continuous_arm_needs_finite_evaluator(self, tmp_path, capsys, command, flags, reward):
+        out = tmp_path / "t.csv"
+        doc = {**TINY_INSTANCE, **CONTINUOUS_ARMS, "reward": reward}
+        if command == "offline":
+            argv = ["offline", "--instance", str(write_config(tmp_path, doc)), *flags]
+        else:
+            config = {**doc, "policy": "sdcb", "T": 5, "runs": 1, "out": str(out)}
+            argv = ["run", "--config", str(write_config(tmp_path, config))]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cmab: error: arm 0:") and "finite arms" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, fields", BAD_FIELDS.values(), ids=BAD_FIELDS.keys())
     def test_bad_number(self, tmp_path, capsys, command, fields):

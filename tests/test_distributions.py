@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmab.distributions import (
+    VALUE_TOL,
+    CdfMatrix,
     FiniteDistribution,
     PiecewiseDensity,
     bernoulli_decomposition,
@@ -26,6 +28,7 @@ from util import (
     count_matrix,
     dicts_close,
     law_as_dict,
+    random_counts,
     random_finite,
     reference_dominant_cdfs,
 )
@@ -241,11 +244,7 @@ class TestDominantCdf:
     def test_matches_per_arm_reference(self, seed, t, radius_kind):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 6))
-        grid = np.sort(rng.choice(COARSE_GRID[:-1], size=int(rng.integers(0, 8)), replace=False))
-        values = np.append(grid, 1.0)
-        # sparse counts leave zero columns; the column at 1 is observed or not
-        counts = rng.integers(0, 4, size=(m, len(values))) * (rng.random((m, len(values))) < 0.5)
-        counts[np.arange(m), rng.integers(0, len(values), size=m)] += 1
+        values, counts = random_counts(rng, m)
         radius = {
             "t": None,
             "scalar": float(rng.uniform(0.0, 1.5)),
@@ -273,6 +272,58 @@ class TestDominantCdf:
             assert d.cdf(float(x)) <= empirical + EXACT
         # dominance raises the mean
         assert d.mean() >= values @ counts[0] / n - EXACT
+
+
+class TestCdfMatrix:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10**6), st.sampled_from(["t", "scalar", "per-arm"]), st.booleans())
+    def test_invariants(self, seed, t, radius_kind, near_duplicates):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 6))
+        pool = rng.choice(COARSE_GRID, size=int(rng.integers(1, 8)), replace=False)
+        if near_duplicates:  # a second value less than VALUE_TOL above each
+            pool = np.concatenate([pool, pool + VALUE_TOL * rng.uniform(0.1, 0.9, size=len(pool))])
+            pool = pool[pool <= 1.0]
+        values, counts = count_matrix([rng.choice(pool, size=int(rng.integers(1, 12))) for _ in range(m)])
+        radius = {
+            "t": None,
+            "scalar": float(rng.uniform(0.0, 1.5)),
+            "per-arm": rng.uniform(0.0, 1.5, size=m),
+        }[radius_kind]
+        cdfs = dominant_cdfs(values, counts, t, radius)
+        laws = reference_dominant_cdfs(values, counts, t, radius)
+        assert len(cdfs) == m
+        assert np.array_equal(cdfs.values, np.unique(np.concatenate([d.support for d in laws])))
+        assert np.all(np.any(np.diff(cdfs.F, axis=1, prepend=0.0) > 0.0, axis=0))
+        assert np.all(cdfs.F[:, -1] == 1.0)
+        for row, d in zip(cdfs.F, laws):
+            # the CDF at each value itself, with no VALUE_TOL merging
+            at = np.searchsorted(d.support, cdfs.values, side="right")
+            assert np.array_equal(row, np.concatenate(([0.0], d.cum))[at])
+        # the matrix greedy builds from a list of the same laws
+        rebuilt = CdfMatrix.of(laws)
+        assert np.array_equal(rebuilt.values, cdfs.values)
+        assert np.array_equal(rebuilt.F, cdfs.F)
+
+    def test_exact_where_finite_cdf_merges(self):
+        values, counts = count_matrix([[0.3, 0.3 + 4e-10]])
+        cdfs = dominant_cdfs(values, counts, 2, radius=0.0)
+        assert np.array_equal(cdfs.values, [0.3, 0.3 + 4e-10])
+        assert np.array_equal(cdfs.F, [[0.5, 1.0]])
+        # FiniteDistribution.cdf counts the mass within VALUE_TOL above 0.3
+        assert cdfs[0].cdf(0.3) == 1.0
+
+    def test_sequence_of_arm_laws(self):
+        values, counts = count_matrix([[0.2, 0.6], [0.6], [0.4]])
+        cdfs = dominant_cdfs(values, counts, 2, radius=0.0)
+        assert np.array_equal(cdfs.values, [0.2, 0.4, 0.6])
+        laws = list(cdfs)
+        assert [d.support.tolist() for d in laws] == [[0.2, 0.6], [0.6], [0.4]]
+        assert np.array_equal(cdfs[-1].support, laws[2].support)
+        with pytest.raises(IndexError):
+            cdfs[3]
+        with pytest.raises(TypeError):
+            cdfs[0:2]
 
 
 class TestBinning:

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmab.distributions import FiniteDistribution, dominant_cdfs, make_finite
+from cmab.distributions import (
+    VALUE_TOL,
+    CdfMatrix,
+    FiniteDistribution,
+    confidence_radius,
+    dominant_cdfs,
+    make_finite,
+)
 from cmab.errors import GuardExceeded
 from cmab.harness import builtin_env
 from cmab.oracles import (
@@ -20,8 +27,9 @@ from cmab.oracles import (
     ptas_kmax,
     signature_cap,
 )
+from cmab.policies import Cucb
 from cmab.rewards import SuperArm, expected_kmax, kmax_spec, linear_spec
-from util import count_matrix, random_finite, reference_arm_signature
+from util import count_matrix, random_counts, random_finite, reference_arm_signature
 
 EXACT = 1e-12
 
@@ -148,12 +156,48 @@ class TestGreedyKmax:
         env = builtin_env("dist4")
         assert greedy_kmax(env.arms, 3) == SuperArm([0, 1, 2])
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
-    def test_fast_path_matches_reference(self, seed, K):
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans(), st.booleans())
+    def test_fast_path_matches_reference(self, seed, K, optimistic, per_arm_radius):
         rng = np.random.default_rng(seed)
-        dists = [random_finite(rng, max_support=4) for _ in range(5)]
-        assert greedy_kmax(dists, K) == reference_greedy(dists, K)
+        if optimistic:  # greedy reads the CdfMatrix; the reference scores its per-arm laws
+            radius = rng.uniform(0.0, 1.5, size=5) if per_arm_radius else None
+            dists = dominant_cdfs(*random_counts(rng, 5), int(rng.integers(2, 10**6)), radius)
+        else:
+            dists = [random_finite(rng, max_support=4) for _ in range(5)]
+        assert greedy_kmax(dists, K) == reference_greedy(list(dists), K)
+
+    def test_matrix_read_within_value_tol(self):
+        # arm 0 has mass 1/2 at 0.3 and at 0.3 + 4e-10, arm 1 all at 0.3 + 3e-10;
+        # read through FiniteDistribution.cdf both CDFs are 1 at 0.3, so both
+        # arms score 0.3 and the tie goes to arm 0 (the exact means favour arm 1)
+        values, counts = count_matrix([[0.3, 0.3 + 4e-10], [0.3 + 3e-10]])
+        cdfs = dominant_cdfs(values, counts, 2, radius=0.0)
+        assert np.array_equal(np.vstack([d.cdf(cdfs.values) for d in cdfs]), np.ones((2, 3)))
+        assert greedy_kmax(cdfs, 1) == greedy_kmax(list(cdfs), 1) == SuperArm([0])
+
+    def test_cucb_matrix_picks_what_point_masses_picked(self):
+        family = FeasibleFamily.cardinality_at_most(3, 6)
+        policy = Cucb(family, kmax_spec(), oracle=lambda laws: laws)
+        for t in range(1, 7):
+            policy.select(t)
+            policy.observe(t, SuperArm([t - 1]), {t - 1: 0.5})
+        # the top two upper bounds lie closer than VALUE_TOL, which point-mass
+        # CDFs merge, so arm 0 wins the first pick; arms 2 and 5 tie exactly
+        n = 10**6
+        policy.counts[:] = n
+        policy.sums[:] = np.array([0.9, 0.9 + 4e-10, 0.3, 0.1, 0.5, 0.3]) * n
+        cdfs = policy.select(7)
+        ucb = np.minimum(policy.sums / policy.counts + confidence_radius(7, policy.counts), 1.0)
+        assert 0.0 < ucb[1] - ucb[0] < VALUE_TOL
+        points = [FiniteDistribution([u], [1.0]) for u in ucb]
+        for K in (1, 2, 3):
+            assert greedy_kmax(cdfs, K) == greedy_kmax(points, K)
+        assert greedy_kmax(cdfs, 1) == SuperArm([0])
+        # the per-arm laws are the exact point masses, so arm 1's strictly larger bound wins here
+        for spec in (kmax_spec(), linear_spec()):
+            assert exhaustive_oracle(cdfs, family, spec) == exhaustive_oracle(points, family, spec)
+        assert 1 in exhaustive_oracle(cdfs, FeasibleFamily.cardinality_at_most(1, 6), kmax_spec()).members
 
 
 class TestPtasGrid:

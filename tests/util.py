@@ -108,6 +108,19 @@ def count_matrix(observations):
     return values, counts
 
 
+def random_counts(rng: np.random.Generator, m: int):
+    """(values, counts) of m arms on a random grid ending at 1, every arm observed.
+
+    Counts are sparse, so some grid columns hold no observation at all, and
+    the column at 1 is observed or not.
+    """
+    grid = np.sort(rng.choice(COARSE_GRID[:-1], size=int(rng.integers(0, 8)), replace=False))
+    values = np.append(grid, 1.0)
+    counts = rng.integers(0, 4, size=(m, len(values))) * (rng.random((m, len(values))) < 0.5)
+    counts[np.arange(m), rng.integers(0, len(values), size=m)] += 1
+    return values, counts
+
+
 def reference_dominant_cdfs(values, counts, t, radius=None):
     """One arm at a time over the values that arm observed, as SDCB first computed it."""
     radii = [None] * len(counts) if radius is None else np.broadcast_to(np.asarray(radius, dtype=float), len(counts))
