@@ -91,17 +91,24 @@ def _real_field(name: str, value) -> float:
     raise _ConfigError(f"{name}: expected a finite number, got {value!r}")
 
 
+def _real_list(name: str, value) -> list[float]:
+    """A JSON list of finite numbers."""
+    if not isinstance(value, list):
+        raise _ConfigError(f"{name}: expected a list of numbers, got {value!r}")
+    return [_real_field(name, v) for v in value]
+
+
 def _parse_arm(doc, index: int):
     if not isinstance(doc, dict):
         raise _ConfigError(f"arm {index}: expected an object")
     if "support" in doc or "probs" in doc:
         if "support" not in doc or "probs" not in doc:
             raise _ConfigError(f"arm {index}: finite arms need both 'support' and 'probs'")
-        return make_finite(doc["support"], doc["probs"])
+        return make_finite(*(_real_list(f"arm {index}: {key}", doc[key]) for key in ("support", "probs")))
     if "breakpoints" in doc or "densities" in doc:
         if "breakpoints" not in doc or "densities" not in doc:
             raise _ConfigError(f"arm {index}: continuous arms need both 'breakpoints' and 'densities'")
-        return PiecewiseDensity(doc["breakpoints"], doc["densities"])
+        return PiecewiseDensity(*(_real_list(f"arm {index}: {key}", doc[key]) for key in ("breakpoints", "densities")))
     raise _ConfigError(f"arm {index}: need 'support'/'probs' or 'breakpoints'/'densities'")
 
 
@@ -140,7 +147,10 @@ def _parse_reward(doc):
             raise _ConfigError("reward: utility kind needs a 'utility' curve (name or [[y, u(y)], ...])")
         utility = doc["utility"]
         if isinstance(utility, list):
-            utility = [tuple(p) for p in utility]
+            for p in utility:
+                if not isinstance(p, list) or len(p) != 2:
+                    raise _ConfigError(f"reward: a utility table point must be [y, u(y)], got {p!r}")
+            utility = [tuple(_real_field("reward: utility table", v) for v in p) for p in utility]
         return utility_spec(
             utility,
             bound_M=_real_field("reward: bound_M", doc.get("bound_M", 1.0)),

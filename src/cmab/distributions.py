@@ -154,6 +154,15 @@ class CdfMatrix(Sequence):
         at = [np.searchsorted(d.support, values, side="right") for d in dists]
         return cls(values, np.vstack([np.append(0.0, d.cum)[k] for d, k in zip(dists, at)]))
 
+    def cdf_at_values(self) -> np.ndarray:
+        """Every arm's CDF at every grid value as :meth:`FiniteDistribution.cdf` reads it.
+
+        Column k is ``F``'s column of the last value within ``VALUE_TOL``
+        above ``values[k]``, so it takes in the mass that ``cdf`` merges.
+        """
+        V = self.values
+        return self.F[:, np.searchsorted(V, V + VALUE_TOL, side="right") - 1]
+
     def __len__(self) -> int:
         return len(self.F)
 

@@ -10,8 +10,12 @@ Three solvers with different cost/guarantee trade-offs:
   signatures with a dynamic program that carries one candidate set per
   signature, and score every candidate exactly.
 
-Each solver takes m arm laws: a list or a :class:`CdfMatrix`.  Greedy
-runs on the CDF matrix itself; the other two read per-arm laws.
+Each solver takes m arm laws: a list or a :class:`CdfMatrix`.  On finite
+arms all three score K-MAX on the CDF matrix (a list is converted once):
+greedy its marginal gains, exhaustive and the scheme all their candidate
+sets in one batched pass.  Per-arm laws are built only to rescore exactly
+the candidates within rounding of the batched best, and for the scheme's
+signatures.
 
 Signatures use exact integer arithmetic so set equality is never a float
 comparison.
@@ -34,6 +38,7 @@ from .distributions import (
 )
 from .errors import GuardExceeded
 from .rewards import (
+    KMAX,
     RewardSpec,
     SuperArm,
     expected_kmax,
@@ -44,6 +49,7 @@ from .rewards import (
 ENUMERATION_GUARD = 10**6
 SIGNATURE_DP_GUARD = 10**7
 VALUE_NUDGE = 1e-9
+_SCORE_BLOCK = 1 << 16  # elements of one (sets, members, values) block of candidate scoring
 
 
 class FeasibleFamily:
@@ -55,13 +61,14 @@ class FeasibleFamily:
     observe it.
     """
 
-    __slots__ = ("kind", "m", "K", "sets")
+    __slots__ = ("kind", "m", "K", "sets", "_rows")
 
     def __init__(self, kind, m, K, sets=None):
         self.kind = kind
         self.m = m
         self.K = K
         self.sets = sets
+        self._rows = None
 
     @classmethod
     def cardinality_at_most(cls, K: int, m: int) -> "FeasibleFamily":
@@ -98,6 +105,23 @@ class FeasibleFamily:
         else:
             yield from self.sets
 
+    def index_rows(self) -> np.ndarray:
+        """Every feasible set as a row of K arm indices, shorter sets padded with m; built once."""
+        if self._rows is None:
+            dtype = np.min_scalar_type(self.m)
+            if self.kind == "cardinality":
+                blocks = []
+                for k in range(1, self.K + 1):
+                    combos = itertools.chain.from_iterable(itertools.combinations(range(self.m), k))
+                    block = np.full((math.comb(self.m, k), self.K), self.m, dtype=dtype)
+                    block[:, :k] = np.fromiter(combos, dtype=dtype).reshape(-1, k)
+                    blocks.append(block)
+                self._rows = np.concatenate(blocks)
+            else:
+                pad = (self.m,) * self.K
+                self._rows = np.array([(S.members + pad)[: self.K] for S in self.sets], dtype=dtype)
+        return self._rows
+
     def is_feasible(self, S: SuperArm) -> bool:
         if self.kind == "cardinality":
             return len(S) <= self.K and S.members[-1] < self.m
@@ -123,14 +147,19 @@ class FeasibleFamily:
 def exhaustive_oracle(dists, family: FeasibleFamily, spec: RewardSpec) -> SuperArm:
     """Exact argmax of expected reward over the family (enumeration guard).
 
-    Ties go to the lexicographically smallest member set.
+    Ties go to the lexicographically smallest member set.  K-MAX on
+    finite arms scores every set at once on the CDF matrix.
     """
-    dists = list(dists)
     n = family.count()
     if n > ENUMERATION_GUARD:
         raise GuardExceeded(
             f"exhaustive oracle would enumerate {n} super arms; the guard is {ENUMERATION_GUARD}"
         )
+    if len(dists) != family.m:
+        raise ValueError(f"the family is over {family.m} arms, got {len(dists)} arm laws")
+    if spec.kind == KMAX and _finite(dists):
+        return _best_kmax(dists, family.index_rows())
+    dists = list(dists)
     best = None
     best_val = -math.inf
     for S in family:
@@ -151,10 +180,8 @@ def greedy_kmax(dists, K: int) -> SuperArm:
     m = len(dists)
     if not 1 <= K <= m:
         raise ValueError("need 1 <= K <= m")
-    if isinstance(dists, CdfMatrix):
-        return _greedy_kmax_finite(dists, K)
-    if all(isinstance(d, FiniteDistribution) for d in dists):
-        return _greedy_kmax_finite(CdfMatrix.of(dists), K)
+    if _finite(dists):
+        return _greedy_kmax_finite(_as_matrix(dists), K)
     chosen: list[int] = []
     for _ in range(K):
         best_j, best_val = -1, -math.inf
@@ -168,10 +195,49 @@ def greedy_kmax(dists, K: int) -> SuperArm:
     return SuperArm(chosen)
 
 
+def _finite(dists) -> bool:
+    return isinstance(dists, CdfMatrix) or all(isinstance(d, FiniteDistribution) for d in dists)
+
+
+def _as_matrix(dists) -> CdfMatrix:
+    return dists if isinstance(dists, CdfMatrix) else CdfMatrix.of(dists)
+
+
+def _kmax_scores(cdfs: CdfMatrix, rows: np.ndarray) -> np.ndarray:
+    """E[max] of the arms in each row, on the matrix; index m is an all-ones pad."""
+    V = cdfs.values
+    C = np.vstack([cdfs.cdf_at_values(), np.ones(len(V))])
+    step = max(1, _SCORE_BLOCK // (rows.shape[1] * len(V)))
+    blocks = [np.diff(C[rows[a : a + step]].prod(1), prepend=0.0) @ V for a in range(0, len(rows), step)]
+    return np.concatenate(blocks)
+
+
+def _best_kmax(dists, rows: np.ndarray) -> SuperArm:
+    """The row whose arms have the largest expected max; ties go to the smallest member set.
+
+    Rows within the batched scores' error of the best one are rescored with
+    :func:`expected_kmax` on the laws in ``dists``, so the choice is the
+    one a per-set loop makes, bit-equal ties included.
+    """
+    cdfs = _as_matrix(dists)
+    V = cdfs.values
+    scores = _kmax_scores(cdfs, rows)
+    # a set's score and its expected_kmax differ by at most err: both sums round within (K + 1) len(V)
+    # eps, and where two grid values lie within VALUE_TOL a jump of the max's CDF may land on either;
+    # so a row scoring more than 2 err below the best cannot have the best expected_kmax
+    err = 2 * (rows.shape[1] + 1) * len(V) * np.finfo(float).eps
+    if np.any(V[1:] <= V[:-1] + VALUE_TOL):
+        err += 2 * VALUE_TOL
+    shortlist = rows[scores >= scores.max() - 2 * err]
+    m = len(cdfs)
+    laws = {i: dists[i] for i in np.unique(shortlist).tolist() if i < m}
+    sets = [SuperArm(row[row < m]) for row in shortlist]
+    return min(sets, key=lambda S: (-expected_kmax(laws, S), S.members))
+
+
 def _greedy_kmax_finite(cdfs: CdfMatrix, K: int) -> SuperArm:
     V = cdfs.values
-    # each column read as FiniteDistribution.cdf reads it: with the mass up to VALUE_TOL above
-    C = cdfs.F[:, np.searchsorted(V, V + VALUE_TOL, side="right") - 1]
+    C = cdfs.cdf_at_values()
     m = len(C)
     # E[max] = sum_k V_k (P_k - P_{k-1}) = P @ w with w_k = V_k - V_{k+1}, w_last = V_last
     w = np.empty(len(V))
@@ -277,18 +343,10 @@ def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     seed = greedy_kmax(dists, K)
-    dists = list(dists)
-    W = expected_kmax(dists, seed)
+    laws = list(dists)
+    W = expected_kmax(laws, seed)
     if W <= 0.0:
         return seed
-    reach = _reachable_sets([arm_signature(d, W, eps, m) for d in dists], K)
-    best = None
-    best_val = -math.inf
-    for (chosen, _), members in reach.items():
-        if chosen != K:
-            continue
-        S = SuperArm(members)
-        v = expected_kmax(dists, S)
-        if v > best_val or (v == best_val and S.members < best.members):
-            best, best_val = S, v
-    return best
+    reach = _reachable_sets([arm_signature(d, W, eps, m) for d in laws], K)
+    rows = np.array([members for (chosen, _), members in reach.items() if chosen == K])
+    return _best_kmax(dists, rows)

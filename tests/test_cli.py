@@ -1,13 +1,21 @@
 """Command-line interface: subcommands, config merging, exit codes."""
 
+import contextlib
+import io
+import itertools
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmab.cli import main
+from cmab.distributions import make_finite
+from util import joint_expected
 
 
 def run_csv_lines(path):
@@ -23,6 +31,12 @@ def write_config(tmp_path, payload, name="config.json"):
 CARD = {"kind": "cardinality", "K": 2}
 LINEAR = {"kind": "linear", "bound_M": 2.0}
 UTILITY = {"kind": "utility", "utility": "sqrt", "bound_M": 2.0, "lipschitz_C": 1.0}
+
+TINY_ARMS = [
+    {"support": [0.0, 1.0], "probs": [0.5, 0.5]},
+    {"support": [0.0, 1.0], "probs": [0.8, 0.2]},
+    {"support": [0.5], "probs": [1.0]},
+]
 
 # JSON values of the wrong type, or numbers that are not finite: (subcommand, document fields)
 BAD_FIELDS = {
@@ -48,14 +62,18 @@ BAD_FIELDS = {
     "out-number": ("run", {"out": 1}),
     "out-null": ("run", {"out": None}),
     "env-list": ("run", {"env": ["dist1"]}),
+    "support-object": ("offline", {"arms": [{"support": {"x": 1}, "probs": [1.0]}, *TINY_ARMS[1:]]}),
+    "support-huge": ("offline", {"arms": [{"support": [10**400], "probs": [1.0]}, *TINY_ARMS[1:]]}),
+    "probs-string": ("offline", {"arms": [{"support": [0.5], "probs": ["1.0"]}, *TINY_ARMS[1:]]}),
+    "probs-bool": ("offline", {"arms": [{"support": [0.5], "probs": [True]}, *TINY_ARMS[1:]]}),
+    "breakpoints-object": ("offline", {"arms": [{"breakpoints": {"x": 1}, "densities": [1.0]}, *TINY_ARMS[1:]]}),
+    "utility-point-number": ("offline", {"reward": {**UTILITY, "utility": [1, 2]}}),
+    "utility-point-null": ("offline", {"reward": {**UTILITY, "utility": [[0, 0], [1, None]]}}),
+    "utility-point-huge": ("offline", {"reward": {**UTILITY, "utility": [[0, 0], [1, 10**400]]}}),
 }
 
 TINY_INSTANCE = {
-    "arms": [
-        {"support": [0.0, 1.0], "probs": [0.5, 0.5]},
-        {"support": [0.0, 1.0], "probs": [0.8, 0.2]},
-        {"support": [0.5], "probs": [1.0]},
-    ],
+    "arms": TINY_ARMS,
     "family": {"kind": "cardinality", "K": 2},
     "reward": {"kind": "kmax"},
 }
@@ -280,6 +298,109 @@ class TestExitCodes:
         inst = write_config(tmp_path, payload, "big.json")
         assert main(["offline", "--instance", str(inst), "--solver", "exhaustive"]) == 2
         assert "guard" in capsys.readouterr().err
+
+
+# instance fuzzing: valid documents, and documents with one field the program reads made invalid
+GRID = [0.0, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0]
+JUNK = [math.nan, math.inf, -math.inf, -0.25, 1.5, 10**400, [], [0.5], {"x": 1}, "0.5", None, True]
+CURVES = {"identity": lambda y: y, "sqrt": math.sqrt, "square": lambda y: y * y, "saturating": lambda y: 1 - math.exp(-y)}
+TABLE = [[0.0, 0.0], [1.0, 0.8], [4.0, 1.0]]
+
+
+@st.composite
+def arm_docs(draw):
+    support = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+    return {"support": support, "probs": [w / sum(weights) for w in weights]}
+
+
+@st.composite
+def instance_docs(draw):
+    """(document, solver, whether one field was made invalid)."""
+    arms = draw(st.lists(arm_docs(), min_size=1, max_size=5))
+    m = len(arms)
+    if draw(st.booleans()):
+        family = {"kind": "cardinality", "K": draw(st.integers(1, m))}
+    else:
+        sets = [[i, *draw(st.lists(st.integers(0, m - 1), max_size=2))] for i in range(m)]
+        family = {"kind": "explicit", "sets": sets + draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=3), max_size=3))}
+    reward = draw(
+        st.sampled_from(
+            [{"kind": "kmax"}, {"kind": "linear"}, {"kind": "utility", "utility": TABLE}]
+            + [{"kind": "utility", "utility": name} for name in CURVES]
+        )
+    )
+    doc = {"arms": arms, "family": family, "reward": reward}
+    solver = draw(st.sampled_from(["exhaustive", "greedy", "ptas"]))
+    # one field the program reads: an arm array or one entry of it, K or a set member, or a utility table entry
+    sites = [("arm", i, key) for i in range(m) for key in ("support", "probs")]
+    sites += [("family",)] + [("reward",)] * isinstance(reward.get("utility"), list)
+    if draw(st.booleans()):
+        return doc, solver, False
+    site = draw(st.sampled_from(sites))
+    junk = draw(st.sampled_from(JUNK))
+    if site[0] == "arm":
+        values = arms[site[1]][site[2]]
+        if draw(st.booleans()):
+            arms[site[1]][site[2]] = junk
+        else:
+            values[draw(st.integers(0, len(values) - 1))] = junk
+    elif site[0] == "family":
+        if family["kind"] == "cardinality":
+            family["K"] = junk
+        else:
+            family["sets"][draw(st.integers(0, m - 1))][0] = junk
+    else:
+        reward["utility"] = [*TABLE[:2], [4.0, junk]]
+    return doc, solver, True
+
+
+def brute_force_value(doc, members):
+    dists = [make_finite(a["support"], a["probs"]) for a in doc["arms"]]
+    reward = doc["reward"]
+    if reward["kind"] == "kmax":
+        return joint_expected(dists, members, max)
+    if reward["kind"] == "linear":
+        return joint_expected(dists, members, sum)
+    u = reward["utility"]
+    curve = CURVES[u] if isinstance(u, str) else lambda y: float(np.interp(y, *zip(*u)))
+    return joint_expected(dists, members, lambda xs: curve(sum(xs)))
+
+
+def family_sets(doc):
+    fam = doc["family"]
+    if fam["kind"] == "explicit":
+        return [tuple(sorted(set(s))) for s in fam["sets"]]
+    m = len(doc["arms"])
+    return [S for k in range(1, fam["K"] + 1) for S in itertools.combinations(range(m), k)]
+
+
+class TestOfflineFuzz:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(instance_docs())
+    def test_exit_contract(self, tmp_path_factory, case):
+        doc, solver, bad = case
+        path = tmp_path_factory.mktemp("fuzz") / "instance.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["offline", "--instance", str(path), "--solver", solver])
+        assert code in (0, 1, 2)
+        if bad:
+            assert code == 1 and out.getvalue() == "" and err.getvalue().startswith("cmab: error:")
+            return
+        kmax_card = doc["family"]["kind"] == "cardinality" and doc["reward"]["kind"] == "kmax"
+        assert code == (0 if solver == "exhaustive" or kmax_card else 1)
+        if code:
+            return
+        set_line, value_line = out.getvalue().splitlines()
+        members = tuple(int(i) for i in set_line.split()[1:])
+        assert members in family_sets(doc)
+        value = float(value_line.split()[1])
+        assert value == pytest.approx(brute_force_value(doc, members), rel=1e-10, abs=1e-12)
+        if solver == "exhaustive":
+            best = max(brute_force_value(doc, S) for S in family_sets(doc))
+            assert value == pytest.approx(best, rel=1e-10, abs=1e-12)
 
 
 class TestEntryPoints:

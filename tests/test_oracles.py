@@ -19,6 +19,7 @@ from cmab.errors import GuardExceeded
 from cmab.harness import builtin_env
 from cmab.oracles import (
     FeasibleFamily,
+    _kmax_scores,
     _reachable_sets,
     arm_signature,
     exhaustive_oracle,
@@ -29,13 +30,55 @@ from cmab.oracles import (
 )
 from cmab.policies import Cucb
 from cmab.rewards import SuperArm, expected_kmax, kmax_spec, linear_spec
-from util import count_matrix, random_counts, random_finite, reference_arm_signature
+from util import (
+    COARSE_GRID,
+    count_matrix,
+    random_counts,
+    random_finite,
+    reference_arm_signature,
+    reference_exhaustive,
+)
 
 EXACT = 1e-12
 
 
 def point(v):
     return make_finite([v], [1.0])
+
+
+LAW_KINDS = ("finite", "optimistic", "cucb", "near-finite", "near-optimistic")
+
+
+def random_laws(rng, kind, m):
+    """m arm laws of one kind: a list of finite laws or a CdfMatrix."""
+    if kind == "finite":
+        return [random_finite(rng) for _ in range(m)]
+    if kind == "optimistic":  # many exact ties, at 1 and elsewhere
+        radius = rng.uniform(0.0, 1.5, size=m) if rng.random() < 0.5 else None
+        return dominant_cdfs(*random_counts(rng, m), int(rng.integers(2, 10**6)), radius)
+    if kind == "cucb":  # clamped upper bounds as point masses, some equal, two closer than VALUE_TOL
+        ucb = rng.choice([0.3, 0.5, 0.9, 0.9 + 4e-10, 1.0], size=m)
+        values = np.unique(ucb)
+        return CdfMatrix(values, (ucb[:, None] <= values).astype(float))
+    # support points of different arms (and, in a matrix, of one arm) less than VALUE_TOL apart
+    base = rng.choice(COARSE_GRID[1:], size=4, replace=False)
+    offsets = np.array([0.0, 3e-10, 6e-10, 9e-10, 1.2e-9])
+    if kind == "near-finite":
+        arms = []
+        for _ in range(m):
+            support = rng.choice(base, size=int(rng.integers(1, 5)), replace=False) - rng.choice(offsets)
+            probs = rng.random(len(support)) + 0.05
+            arms.append(make_finite(support, probs / probs.sum()))
+        return arms
+    obs = [base[rng.integers(0, 4, size=n)] - rng.choice(offsets, size=n) for n in rng.integers(1, 8, size=m)]
+    return dominant_cdfs(*count_matrix(obs), int(rng.integers(2, 1000)))
+
+
+def random_explicit(rng, m, K):
+    """Explicit family of sets of mixed sizes up to K; set i holds arm i, and sets may repeat."""
+    sets = [[i, *rng.choice(m, size=int(rng.integers(0, K)), replace=False)] for i in range(m)]
+    sets += [rng.choice(m, size=int(rng.integers(1, K + 1)), replace=False) for _ in range(int(rng.integers(0, 6)))]
+    return FeasibleFamily.explicit([SuperArm(S) for S in sets], m)
 
 
 class TestFeasibleFamily:
@@ -89,6 +132,13 @@ class TestFeasibleFamily:
         assert fam.smallest_containing(2) == SuperArm([0, 2])
         assert fam.smallest_containing(3) == SuperArm([2, 3])
 
+    def test_index_rows(self):
+        # one row per set in iteration order, short sets padded with m; built once
+        for fam in (FeasibleFamily.cardinality_at_most(2, 3), FeasibleFamily.explicit([[1, 2], [0], [2]], 3)):
+            rows = fam.index_rows()
+            assert rows.tolist() == [list(S.members) + [3] * (fam.K - len(S)) for S in fam]
+            assert fam.index_rows() is rows
+
 
 class TestExhaustiveOracle:
     def test_linear_singletons(self):
@@ -110,11 +160,58 @@ class TestExhaustiveOracle:
         fam = FeasibleFamily.cardinality_at_most(2, 3)
         assert exhaustive_oracle(dists, fam, kmax_spec()) == SuperArm([0])
 
-    def test_enumeration_guard(self):
+    def test_enumeration_guard(self, monkeypatch):
+        monkeypatch.setattr(FeasibleFamily, "index_rows", lambda fam: pytest.fail("built the candidate matrix"))
         dists = [point(0.5)] * 40
         fam = FeasibleFamily.cardinality_at_most(20, 40)
         with pytest.raises(GuardExceeded):
             exhaustive_oracle(dists, fam, kmax_spec())
+
+    def test_family_must_match_arms(self):
+        with pytest.raises(ValueError, match="over 4 arms"):
+            exhaustive_oracle([point(0.5)] * 3, FeasibleFamily.cardinality_at_most(2, 4), kmax_spec())
+
+    def test_tie_across_sizes(self):
+        # {1} and {0, 1} both score exactly 0.5; the smallest member tuple over all sizes is (0, 1)
+        dists = [point(0.0), point(0.5)]
+        for fam in (FeasibleFamily.cardinality_at_most(2, 2), FeasibleFamily.explicit([[1], [0, 1]], 2)):
+            assert exhaustive_oracle(dists, fam, kmax_spec()) == SuperArm([0, 1])
+
+    def test_rounding_never_decides(self):
+        # arm 1 lies above both point masses, so {1}, {0, 1} and {1, 2} are equal in exact arithmetic;
+        # the batched scores round them one way and expected_kmax another, and expected_kmax decides
+        arm = make_finite([0.375, 0.42, 0.575, 0.71, 0.82, 0.885], [0.16, 0.25, 0.2, 0.05, 0.22, 0.12])
+        dists = [point(0.255), arm, point(0.185)]
+        fam = FeasibleFamily.cardinality_at_most(2, 3)
+        assert exhaustive_oracle(dists, fam, kmax_spec()) == reference_exhaustive(dists, fam, kmax_spec())
+
+    def test_values_within_value_tol(self):
+        # arm 2's cdf merges its mass at 0.7 into values down to 0.7 - VALUE_TOL, so on the per-arm
+        # laws {0}, {0, 2} and {1, 2} all score 0.7 - 6e-10; on the matrix's full grid {0, 2} and
+        # {1, 2} read 0.7 - 9e-10 and {0} only 0.7 - 1.2e-9, arm 1's value
+        dists = [point(0.7 - 6e-10), point(0.7 - 1.2e-9), make_finite([0.1, 0.7], [0.5, 0.5])]
+        fam = FeasibleFamily.cardinality_at_most(2, 3)
+        assert exhaustive_oracle(dists, fam, kmax_spec()) == reference_exhaustive(dists, fam, kmax_spec())
+        assert exhaustive_oracle(dists, fam, kmax_spec()) == SuperArm([0])
+
+    def test_scoring_blocks(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        dists = dominant_cdfs(*random_counts(rng, 8), 50)
+        fam = FeasibleFamily.cardinality_at_most(4, 8)
+        whole = _kmax_scores(dists, fam.index_rows())
+        chosen = exhaustive_oracle(dists, fam, kmax_spec()), ptas_kmax(dists, 4, 0.3)
+        monkeypatch.setattr("cmab.oracles._SCORE_BLOCK", 3 * 4 * len(dists.values))  # three rows a block
+        np.testing.assert_allclose(_kmax_scores(dists, fam.index_rows()), whole, rtol=0, atol=1e-15)
+        assert (exhaustive_oracle(dists, fam, kmax_spec()), ptas_kmax(dists, 4, 0.3)) == chosen
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(LAW_KINDS), st.integers(1, 7), st.integers(1, 7), st.booleans())
+    def test_matches_reference_loop(self, seed, kind, m, K, explicit):
+        rng = np.random.default_rng(seed)
+        K = min(K, m)
+        dists = random_laws(rng, kind, m)
+        fam = random_explicit(rng, m, K) if explicit else FeasibleFamily.cardinality_at_most(K, m)
+        assert exhaustive_oracle(dists, fam, kmax_spec()) == reference_exhaustive(dists, fam, kmax_spec())
 
 
 def reference_greedy(dists, K):
@@ -342,6 +439,17 @@ class TestDpFindSet:
             _reachable_sets([(1,), (2,), (4,), (8,)], 4)
 
 
+def reference_ptas(dists, K, eps):
+    """ptas_kmax with its candidates scored one at a time by the reference loop."""
+    seed = greedy_kmax(dists, K)
+    laws = list(dists)
+    W = expected_kmax(laws, seed)
+    if W <= 0.0:
+        return seed
+    reach = _reachable_sets([arm_signature(d, W, eps, len(laws)) for d in laws], K)
+    return reference_exhaustive(laws, [SuperArm(S) for (k, _), S in reach.items() if k == K], kmax_spec())
+
+
 class TestPtasKmax:
     def test_matches_optimum_on_easy_instances(self):
         env = builtin_env("dist1")
@@ -377,3 +485,10 @@ class TestPtasKmax:
         opt = expected_kmax(dists, exhaustive_oracle(dists, fam, kmax_spec()))
         assert got >= opt - 8 * eps * W - 1e-9
         assert got <= opt + EXACT
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(LAW_KINDS), st.integers(1, 7), st.integers(1, 7), st.sampled_from([0.2, 0.3, 0.45]))
+    def test_matches_reference_loop(self, seed, kind, m, K, eps):
+        dists = random_laws(np.random.default_rng(seed), kind, m)
+        K = min(K, m)
+        assert ptas_kmax(dists, K, eps) == reference_ptas(dists, K, eps)

@@ -14,6 +14,7 @@ import numpy as np
 
 from cmab.distributions import FiniteDistribution, bernoulli_decomposition, make_finite
 from cmab.oracles import ptas_grid, signature_cap
+from cmab.rewards import expected_reward
 
 COARSE_GRID = np.round(np.linspace(0.0, 1.0, 201), 6)
 
@@ -95,6 +96,21 @@ def bruteforce_best_subset(dists, K, value_fn):
             if v > best_val + 1e-15:
                 best, best_val = combo, v
     return best, best_val
+
+
+def reference_exhaustive(dists, sets, spec):
+    """Best of ``sets`` by a per-set enumerate-and-compare loop, as the exhaustive oracle first did it.
+
+    Ties go to the lexicographically smallest member set, over all sizes together.
+    """
+    dists = list(dists)
+    best = None
+    best_val = -math.inf
+    for S in sets:
+        v = expected_reward(dists, S, spec)
+        if v > best_val or (v == best_val and (best is None or S.members < best.members)):
+            best, best_val = S, v
+    return best
 
 
 def count_matrix(observations):
