@@ -14,6 +14,7 @@ exact evaluators' limits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -294,10 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares: building it costs ten parses, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _ConfigError as e:
         print(f"cmab: error: {e}", file=sys.stderr)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from collections.abc import Sequence
 from typing import Union
 
@@ -39,7 +40,7 @@ class FiniteDistribution:
     the running sum of ``probs``.
     """
 
-    __slots__ = ("support", "probs", "cum")
+    __slots__ = ("support", "probs", "cum", "_cum_list")
 
     def __init__(self, support, probs, cum=None):
         self.support = np.asarray(support, dtype=float)
@@ -47,6 +48,7 @@ class FiniteDistribution:
         if self.support.shape != self.probs.shape or self.support.ndim != 1:
             raise ValueError("support and probs must be 1-d arrays of equal length")
         self.cum = np.cumsum(self.probs) if cum is None else np.asarray(cum, dtype=float)
+        self._cum_list = None  # built on the first draw; oracle-side laws never sample
 
     def __repr__(self):
         pts = ", ".join(f"{v:g}: {p:g}" for v, p in zip(self.support, self.probs))
@@ -64,9 +66,10 @@ class FiniteDistribution:
 
     def inverse_cdf(self, u: float) -> float:
         """Smallest support value whose CDF reaches ``u``."""
-        idx = int(np.searchsorted(self.cum, u, side="left"))
-        if idx >= len(self.support):
-            idx = len(self.support) - 1
+        if self._cum_list is None:
+            self._cum_list = self.cum.tolist()
+        # bisect_left is np.searchsorted(cum, u, side="left") without its per-call overhead
+        idx = min(bisect_left(self._cum_list, u), len(self._cum_list) - 1)
         return float(self.support[idx])
 
 
@@ -78,7 +81,7 @@ class PiecewiseDensity:
     The CDF is continuous piecewise-linear with F(0) = 0 and F(1) = 1.
     """
 
-    __slots__ = ("breakpoints", "densities", "cum")
+    __slots__ = ("breakpoints", "densities", "cum", "_cum_list")
 
     def __init__(self, breakpoints: Sequence[float], densities: Sequence[float]):
         bp = np.asarray(breakpoints, dtype=float)
@@ -101,6 +104,7 @@ class PiecewiseDensity:
         self.breakpoints = bp
         self.densities = dens
         self.cum = np.concatenate(([0.0], np.cumsum(dens * np.diff(bp))))
+        self._cum_list = None
 
     def __repr__(self):
         return f"PiecewiseDensity(breakpoints={self.breakpoints.tolist()}, densities={self.densities.tolist()})"
@@ -118,9 +122,10 @@ class PiecewiseDensity:
         return float(np.sum(self.densities * (b * b - a * a) / 2.0))
 
     def inverse_cdf(self, u: float) -> float:
-        seg = int(np.searchsorted(self.cum[1:], u, side="left"))
-        if seg >= len(self.densities):
-            seg = len(self.densities) - 1
+        if self._cum_list is None:
+            self._cum_list = self.cum.tolist()
+        # the first segment whose right-end CDF reaches u, as np.searchsorted(cum[1:], u, side="left")
+        seg = min(bisect_left(self._cum_list, u, 1) - 1, len(self.densities) - 1)
         d = self.densities[seg]
         if d <= 0.0:
             return float(self.breakpoints[seg])
@@ -253,8 +258,11 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
         radius = np.broadcast_to(np.asarray(radius, dtype=float), n.shape)
     low = np.maximum(np.cumsum(counts, axis=1) / n[:, None] - radius[:, None], 0.0)
     low[:, -1] = 1.0
-    # a column no arm has mass at repeats the column before it in every row
-    keep = np.any(np.diff(low, axis=1, prepend=0.0) > 0.0, axis=0)
+    # a column no arm has mass at repeats the column before it in every row;
+    # a > b is a - b > 0 for finite doubles, without np.diff's prepend copy
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = (low[:, 0] > 0.0).any()
+    keep[1:] = (low[:, 1:] > low[:, :-1]).any(0)
     return CdfMatrix(values[keep], low[:, keep])
 
 

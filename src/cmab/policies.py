@@ -11,13 +11,15 @@ Policies never see the true distributions or exact expected rewards;
 their only inputs are the feasible family, the reward spec, an offline
 oracle, and their own observations.  The oracle is called with m arm
 laws: a list or a :class:`CdfMatrix`; SDCB and CUCB both pass a
-:class:`CdfMatrix`.
+:class:`CdfMatrix`.  OSM, the adversarial baseline, uses no oracle: its
+K Exp3 instances are the rows of one weight matrix, drawn from with the
+policy's own generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -200,79 +202,57 @@ class Cucb:
         return self.counts.tolist()
 
 
-@dataclass
-class Exp3State:
-    """Weights and exploration rate of one adversarial-bandit instance."""
-
-    weights: np.ndarray
-    gamma: float
-
-
-def fresh_exp3(m: int, gamma: float) -> Exp3State:
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    return Exp3State(weights=np.ones(m), gamma=float(gamma))
-
-
-def exp3_probs(state: Exp3State) -> np.ndarray:
-    w = state.weights
-    m = len(w)
-    return (1.0 - state.gamma) * w / w.sum() + state.gamma / m
-
-
-def exp3_select(state: Exp3State, rng: np.random.Generator) -> int:
-    """Sample one arm from the exploration-mixed weight distribution."""
-    return int(rng.choice(len(state.weights), p=exp3_probs(state)))
-
-
-def exp3_update(state: Exp3State, arm: int, payoff: float) -> None:
-    """Importance-weighted exponential update of the chosen arm's weight."""
-    if not 0.0 <= payoff <= 1.0:
-        raise ValueError(f"payoff {payoff!r} outside [0, 1]")
-    m = len(state.weights)
-    p = float(exp3_probs(state)[arm])
-    state.weights[arm] *= math.exp(state.gamma * (payoff / p) / m)
-    state.weights /= state.weights.max()  # rescaling leaves probabilities unchanged
-    np.maximum(state.weights, 1e-300, out=state.weights)  # keep strictly positive
-
-
-def exp3_gamma(m: int, horizon: int) -> float:
-    """min{1, sqrt(m ln m / ((e - 1) T))}, the standard tuned rate."""
-    if m <= 1:
-        return 1.0
-    return min(1.0, math.sqrt(m * math.log(m) / ((math.e - 1.0) * horizon)))
-
-
 class Osm:
     """Online greedy submodular maximization on adversarial-bandit instances.
 
-    Runs K weight-vector instances; each round draws one arm from every
-    instance (duplicates allowed) and plays the union.  After observing
-    outcomes, instance i receives the marginal gain of its draw in draw
-    order: f(first i draws) - f(first i-1 draws), where f of a set is the
-    maximum observed outcome in it.
+    Runs K Exp3 instances, one row each of the ``(K, m)`` weight matrix
+    ``weights``, with the exploration rate ``gamma`` =
+    min{1, sqrt(m ln m / ((e - 1) T))}.  Each round draws one arm from
+    every instance (duplicates allowed) and plays the union.  After
+    observing outcomes, instance i receives the marginal gain of its draw
+    in draw order: f(first i draws) - f(first i-1 draws), where f of a set
+    is the maximum observed outcome in it, and raises that draw's weight
+    by exp(gamma * gain / (p m)).
     """
 
     def __init__(self, family: FeasibleFamily, T: int, rng: np.random.Generator):
         if family.kind != "cardinality":
             raise ValueError("this policy needs a cardinality constraint family")
+        if isinstance(T, bool) or not isinstance(T, numbers.Integral) or T < 1:
+            raise ValueError("horizon T must be >= 1")
+        m = family.m
         self.family = family
         self.rng = rng
-        gamma = exp3_gamma(family.m, T)
-        self.instances = [fresh_exp3(family.m, gamma) for _ in range(family.K)]
+        self.gamma = 1.0 if m <= 1 else min(1.0, math.sqrt(m * math.log(m) / ((math.e - 1.0) * T)))
+        self.weights = np.ones((family.K, m))
         self.last_draws: tuple[int, ...] = ()
         self._clock = _RoundClock()
 
+    def probs(self) -> np.ndarray:
+        """Each instance's exploration-mixed draw probabilities, one row per instance."""
+        W = self.weights
+        return (1.0 - self.gamma) * W / W.sum(1, keepdims=True) + self.gamma / W.shape[1]
+
     def select(self, t: int) -> SuperArm:
         self._clock.on_select(t)
-        self.last_draws = tuple(exp3_select(st, self.rng) for st in self.instances)
+        self._probs = P = self.probs()
+        # rng.choice(m, p=P[i]) per row: the same cumsum, division and
+        # right-side search, on a block of uniforms equal to K single draws
+        C = np.cumsum(P, 1)
+        C /= C[:, -1:]
+        draws = (C <= self.rng.random(len(C))[:, None]).sum(1)
+        self.last_draws = tuple(draws.tolist())
         return SuperArm(self.last_draws)
 
     def observe(self, t: int, S: SuperArm, outcomes) -> None:
         _check_outcomes(S, outcomes)
         self._clock.on_observe(t)
+        W, P, gamma = self.weights, self._probs, self.gamma
+        m = W.shape[1]
         running = 0.0
-        for st, arm in zip(self.instances, self.last_draws):
+        for i, arm in enumerate(self.last_draws):
             gain = max(running, outcomes[arm]) - running
-            exp3_update(st, arm, gain)
+            W[i, arm] *= math.exp(gamma * (gain / P[i, arm]) / m)
             running += gain
+        W /= W.max(1, keepdims=True)  # rescaling leaves probabilities unchanged
+        np.maximum(W, 1e-300, out=W)  # keep strictly positive

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmab import cli
 from cmab.cli import main
 from cmab.distributions import make_finite
 from util import joint_expected
@@ -167,6 +168,24 @@ class TestRun:
         )
         assert main(["run", "--config", str(cfg)]) == 0
         assert "env=dist1" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_state_does_not_leak_between_calls(self, tmp_path, capsys):
+        # main reuses one parser: a failed call leaves no values behind for the next
+        inst = write_config(tmp_path, TINY_INSTANCE, "inst.json")
+        missing = tmp_path / "missing.json"
+        assert main(["offline", "--instance", str(missing), "--solver", "greedy", "--epsilon", "0.5"]) == 1
+        assert "cmab: error:" in capsys.readouterr().err
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--env", "dist1", "--policy", "osm", "--T", "5", "--runs", "1", "--out", str(out)]) == 0
+        assert "env=dist1 policy=osm" in capsys.readouterr().out
+        assert len(run_csv_lines(out)) == 6
+        assert main(["offline", "--instance", str(inst)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["set: 0 2", "value: 0.75"]
+        args = cli._parser().parse_args(["offline", "--instance", str(inst)])
+        assert (args.solver, args.epsilon) == ("exhaustive", 0.25)
+        assert cli._parser() is cli._parser()
 
 
 class TestOffline:

@@ -30,7 +30,9 @@ from util import (
     law_as_dict,
     random_counts,
     random_finite,
+    random_piecewise,
     reference_dominant_cdfs,
+    reference_inverse_cdf,
 )
 
 EXACT = 1e-12
@@ -411,6 +413,22 @@ class TestSampling:
         d = make_finite([0.4], [1.0])
         rng = substream(0, 0, 0)
         assert all(sample(d, rng) == 0.4 for _ in range(10))
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.lists(st.floats(0.0, 1.0), max_size=8))
+    def test_inverse_cdf_matches_searchsorted(self, seed, s, us):
+        # every draw lands where np.searchsorted on cum put it, which keeps criterion 09's
+        # coupling of binned and unbinned sampling; u sits on, just below and just above
+        # each cum entry, at 0, and above a cum[-1] that falls short of 1
+        rng = np.random.default_rng(seed)
+        finite, dens = random_finite(rng), random_piecewise(rng)
+        short = make_finite([0.3, 0.9], [0.4, 0.6 - 5e-13])
+        laws = (finite, dens, short, discretize_interval(finite, s), discretize_interval(dens, s))
+        for d in laws:
+            cum = d.cum
+            edges = np.concatenate([cum, np.nextafter(cum, -1.0), np.nextafter(cum, 2.0)])
+            for u in [0.0, 1.0 - 1e-13, 1.0 - 2.0**-53, *edges[(edges >= 0.0) & (edges <= 1.0)].tolist(), *rng.random(5).tolist(), *us]:
+                assert d.inverse_cdf(u) == reference_inverse_cdf(d, u), (d, u)
 
 
 class TestBernoulliDecomposition:

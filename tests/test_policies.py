@@ -1,4 +1,4 @@
-"""Learning policies: SDCB variants, CUCB, Exp3 machinery, and the OSM baseline."""
+"""Learning policies: SDCB variants, CUCB, and the OSM baseline with its Exp3 weight matrix."""
 
 import math
 from collections import Counter
@@ -11,22 +11,10 @@ from hypothesis import strategies as st
 
 from cmab.distributions import bin_value, make_finite
 from cmab.oracles import FeasibleFamily, exhaustive_oracle
-from cmab.policies import (
-    Cucb,
-    Exp3State,
-    LazySdcbDoubling,
-    Osm,
-    Sdcb,
-    exp3_gamma,
-    exp3_probs,
-    exp3_select,
-    exp3_update,
-    fresh_exp3,
-    lazy_sdcb_known_T,
-)
+from cmab.policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
 from cmab.rewards import SuperArm, kmax_spec
 from cmab.rng import substream
-from util import COARSE_GRID
+from util import COARSE_GRID, ReferenceOsm
 
 EXACT = 1e-12
 
@@ -68,7 +56,7 @@ def arm_state(pol):
         return [pol.values.copy(), pol.counts.copy()]
     if isinstance(pol, Cucb):
         return [pol.sums.copy(), pol.counts.copy()]
-    return [st.weights.copy() for st in pol.instances]
+    return [pol.weights.copy()]
 
 
 def same_state(a, b):
@@ -302,51 +290,70 @@ class TestCucb:
         assert sum(pol.pull_counts) == sum(len(s) for s in seq)
 
 
+def osm(K, m, T=100, seed=0, gamma=None):
+    """An Osm on the cardinality family (K, m); ``gamma`` replaces the tuned rate."""
+    pol = Osm(FeasibleFamily.cardinality_at_most(K, m), T, substream(seed, 1, 0))
+    if gamma is not None:
+        pol.gamma = gamma
+    return pol
+
+
+def play(pol, t, value):
+    """One round of ``pol`` in which every played arm pays ``value``; returns the draws."""
+    S = pol.select(t)
+    pol.observe(t, S, {i: value for i in S.members})
+    return pol.last_draws
+
+
 class TestExp3:
+    """The Exp3 math of each instance, one row of ``Osm.weights``."""
+
     def test_fresh_probs_uniform(self):
-        st8 = fresh_exp3(8, 0.3)
-        assert np.allclose(exp3_probs(st8), 1 / 8, atol=EXACT)
+        assert np.allclose(osm(3, 8, gamma=0.3).probs(), 1 / 8, atol=EXACT)
 
     def test_full_exploration_ignores_weights(self):
-        state = Exp3State(weights=np.array([10.0, 1.0, 1.0]), gamma=1.0)
-        assert np.allclose(exp3_probs(state), 1 / 3, atol=EXACT)
+        pol = osm(1, 3, gamma=1.0)
+        pol.weights[0] = [10.0, 1.0, 1.0]
+        assert np.allclose(pol.probs(), 1 / 3, atol=EXACT)
 
     def test_update_weight_math(self):
-        state = fresh_exp3(2, 0.5)
-        exp3_update(state, 0, 1.0)
-        # w0 *= exp(0.5 * (1/0.5) / 2) = e^0.5, then rescaled by the max
-        assert state.weights[0] == 1.0
-        assert state.weights[1] == pytest.approx(math.exp(-0.5), abs=EXACT)
+        pol = osm(1, 2, gamma=0.5)
+        (arm,) = play(pol, 1, 1.0)
+        # w_arm *= exp(0.5 * (1/0.5) / 2) = e^0.5, then rescaled by the max
+        assert pol.weights[0, arm] == 1.0
+        assert pol.weights[0, 1 - arm] == pytest.approx(math.exp(-0.5), abs=EXACT)
 
     def test_update_raises_chosen_probability(self):
-        state = fresh_exp3(3, 0.2)
-        before = exp3_probs(state)[1]
-        exp3_update(state, 1, 1.0)
-        assert exp3_probs(state)[1] > before
+        pol = osm(1, 3, gamma=0.2)
+        before = pol.probs()
+        (arm,) = play(pol, 1, 1.0)
+        assert pol.probs()[0, arm] > before[0, arm]
 
     def test_zero_payoff_keeps_probs(self):
-        state = fresh_exp3(3, 0.2)
-        exp3_update(state, 1, 0.0)
-        assert np.allclose(exp3_probs(state), 1 / 3, atol=EXACT)
+        pol = osm(2, 3, gamma=0.2)
+        play(pol, 1, 0.0)
+        assert np.allclose(pol.probs(), 1 / 3, atol=EXACT)
 
     def test_payoff_and_gamma_validation(self):
-        state = fresh_exp3(2, 0.5)
-        with pytest.raises(ValueError):
-            exp3_update(state, 0, 1.5)
-        with pytest.raises(ValueError):
-            fresh_exp3(2, 0.0)
+        # a payoff outside [0, 1] is rejected before any weight moves; the tuned rate lies in (0, 1]
+        pol = osm(1, 2, gamma=0.5)
+        S = pol.select(1)
+        with pytest.raises(ValueError, match="outside"):
+            pol.observe(1, S, {i: 1.5 for i in S.members})
+        assert np.array_equal(pol.weights, np.ones((1, 2)))
+        for T in (1, 10, 10**6, 10**12):
+            assert 0.0 < osm(1, 2, T).gamma <= 1.0
 
     def test_gamma_formula(self):
-        assert exp3_gamma(1, 100) == 1.0
+        assert osm(1, 1, 100).gamma == 1.0
         want = min(1.0, math.sqrt(9 * math.log(9) / ((math.e - 1) * 10_000)))
-        assert exp3_gamma(9, 10_000) == pytest.approx(want, abs=0.0)
-        assert exp3_gamma(9, 1) == 1.0
+        assert osm(2, 9, 10_000).gamma == pytest.approx(want, abs=0.0)
+        assert osm(2, 9, 1).gamma == 1.0
 
     def test_select_reproducible(self):
-        state = fresh_exp3(5, 0.4)
-        a = [exp3_select(state, substream(3, 1, 0)) for _ in range(1)]
-        b = [exp3_select(state, substream(3, 1, 0)) for _ in range(1)]
-        assert a == b
+        a, b = osm(3, 5, seed=3, gamma=0.4), osm(3, 5, seed=3, gamma=0.4)
+        assert a.select(1) == b.select(1)
+        assert a.last_draws == b.last_draws
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -354,13 +361,14 @@ class TestExp3:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 7))
         gamma = float(rng.uniform(0.05, 1.0))
-        state = fresh_exp3(m, gamma)
-        for _ in range(40):
-            exp3_update(state, int(rng.integers(m)), float(rng.random()))
-            p = exp3_probs(state)
-            assert abs(p.sum() - 1.0) <= 1e-12
+        pol = osm(int(rng.integers(1, m + 1)), m, seed=seed, gamma=gamma)
+        for t in range(1, 41):
+            S = pol.select(t)
+            pol.observe(t, S, {i: float(rng.random()) for i in S.members})
+            p = pol.probs()
+            assert np.all(np.abs(p.sum(1) - 1.0) <= 1e-12)
             assert np.all(p >= gamma / m - 1e-12)
-            assert np.all(state.weights > 0)
+            assert np.all(pol.weights > 0)
 
 
 class TestOsm:
@@ -368,6 +376,11 @@ class TestOsm:
         fam = FeasibleFamily.explicit([[0], [1]], 2)
         with pytest.raises(ValueError):
             Osm(fam, 100, substream(0, 1, 0))
+
+    @pytest.mark.parametrize("T", [0, -5, 2.5])
+    def test_rejects_bad_horizon(self, T):
+        with pytest.raises(ValueError, match=r"horizon T must be >= 1"):
+            osm(2, 3, T)
 
     def test_plays_feasible_unions(self):
         fam = FeasibleFamily.cardinality_at_most(3, 5)
@@ -391,20 +404,20 @@ class TestOsm:
         pol = Osm(fam, 100, substream(2, 1, 0))
         S = pol.select(1)
         draws = pol.last_draws
-        gamma = pol.instances[0].gamma
-        p_before = [exp3_probs(st).copy() for st in pol.instances]
+        gamma = pol.gamma
+        p_before = pol.probs()
         outcomes = {i: 0.2 + 0.3 * i for i in S.members}
         pol.observe(1, S, outcomes)
         # gains telescope the running max in draw order
         g1 = outcomes[draws[0]]
         g2 = max(g1, outcomes[draws[1]]) - g1
         m = fam.m
-        for inst, arm, gain, p in zip(pol.instances, draws, (g1, g2), p_before):
+        for row, arm, gain, p in zip(pol.weights, draws, (g1, g2), p_before):
             grow = math.exp(gamma * (gain / p[arm]) / m)
             w = np.ones(m)
             w[arm] *= grow
             w /= w.max()
-            assert np.allclose(inst.weights, np.maximum(w, 1e-300), atol=EXACT)
+            assert np.allclose(row, np.maximum(w, 1e-300), atol=EXACT)
 
     def test_duplicate_draw_second_gain_zero(self):
         fam = FeasibleFamily.cardinality_at_most(2, 2)
@@ -414,9 +427,34 @@ class TestOsm:
             S = pol.select(1)
             if len(set(pol.last_draws)) == 1:
                 arm = pol.last_draws[0]
-                before = pol.instances[1].weights.copy()
+                before = pol.weights[1].copy()
                 pol.observe(1, S, {arm: 0.7})
                 # the second instance saw gain max(0.7, 0.7) - 0.7 = 0
-                assert np.allclose(pol.instances[1].weights, before, atol=EXACT)
+                assert np.allclose(pol.weights[1], before, atol=EXACT)
                 return
         pytest.fail("no duplicate draw found")
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+        st.integers(1, 10**6),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    )
+    def test_matches_per_instance_reference(self, mK, T, seed, levels):
+        # the weight matrix draws and updates bit for bit as K separate rng.choice/Exp3 instances;
+        # outcomes come from a few levels, so equal outcomes and zero gains are common
+        m, K = mK
+        pol = osm(K, m, T, seed)
+        ref = ReferenceOsm(m, K, pol.gamma, substream(seed, 1, 0))
+        outcome_rng = np.random.default_rng(seed)
+        duplicates = 0
+        for t in range(1, 301):
+            S = pol.select(t)
+            assert pol.last_draws == ref.select()
+            duplicates += len(S) < K
+            outcomes = {i: levels[int(outcome_rng.integers(len(levels)))] for i in S.members}
+            pol.observe(t, S, outcomes)
+            ref.observe(outcomes)
+            assert np.array_equal(pol.weights, np.vstack(ref.weights))
+        assert duplicates > 0 or K == 1

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from cmab.distributions import FiniteDistribution, bernoulli_decomposition, make_finite
+from cmab.distributions import FiniteDistribution, PiecewiseDensity, bernoulli_decomposition, make_finite
 from cmab.oracles import ptas_grid, signature_cap
 from cmab.rewards import expected_reward
 
@@ -168,3 +168,58 @@ def law_as_dict(dist: FiniteDistribution) -> dict[float, float]:
 def dicts_close(a: dict[float, float], b: dict[float, float], tol: float) -> bool:
     keys = set(a) | set(b)
     return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= tol for k in keys)
+
+
+def reference_inverse_cdf(dist, u: float) -> float:
+    """``dist.inverse_cdf(u)`` by ``np.searchsorted`` on ``cum``, as arm outcomes were first drawn."""
+    if isinstance(dist, FiniteDistribution):
+        idx = min(int(np.searchsorted(dist.cum, u, side="left")), len(dist.support) - 1)
+        return float(dist.support[idx])
+    seg = min(int(np.searchsorted(dist.cum[1:], u, side="left")), len(dist.densities) - 1)
+    d = dist.densities[seg]
+    if d <= 0.0:
+        return float(dist.breakpoints[seg])
+    x = dist.breakpoints[seg] + (u - dist.cum[seg]) / d
+    return float(min(max(x, 0.0), 1.0))
+
+
+def random_piecewise(rng: np.random.Generator, max_segments: int = 5) -> PiecewiseDensity:
+    """Random piecewise-constant density on [0, 1]; some segments may carry no mass."""
+    inner = np.sort(rng.choice(COARSE_GRID[1:-1], size=int(rng.integers(0, max_segments)), replace=False))
+    bp = np.concatenate(([0.0], inner, [1.0]))
+    dens = rng.random(len(bp) - 1) * (rng.random(len(bp) - 1) < 0.8)
+    dens[int(rng.integers(len(dens)))] += 0.5
+    return PiecewiseDensity(bp, dens / float(np.sum(dens * np.diff(bp))))
+
+
+class ReferenceOsm:
+    """OSM as K separate Exp3 weight vectors, as it was first written.
+
+    Each round draws with one ``rng.choice(m, p=...)`` per instance, and
+    each instance's update recomputes its probabilities from its own
+    weights, multiplies the drawn arm's weight, rescales by the max and
+    floors at 1e-300.
+    """
+
+    def __init__(self, m: int, K: int, gamma: float, rng: np.random.Generator):
+        self.gamma = gamma
+        self.rng = rng
+        self.weights = [np.ones(m) for _ in range(K)]
+        self.last_draws: tuple[int, ...] = ()
+
+    def probs(self, w: np.ndarray) -> np.ndarray:
+        return (1.0 - self.gamma) * w / w.sum() + self.gamma / len(w)
+
+    def select(self) -> tuple[int, ...]:
+        self.last_draws = tuple(int(self.rng.choice(len(w), p=self.probs(w))) for w in self.weights)
+        return self.last_draws
+
+    def observe(self, outcomes) -> None:
+        running = 0.0
+        for w, arm in zip(self.weights, self.last_draws):
+            gain = max(running, outcomes[arm]) - running
+            p = float(self.probs(w)[arm])
+            w[arm] *= math.exp(self.gamma * (gain / p) / len(w))
+            w /= w.max()
+            np.maximum(w, 1e-300, out=w)
+            running += gain
