@@ -26,12 +26,13 @@ from .harness import (
     POLICIES,
     Environment,
     PolicyFactory,
+    _oracle_handle,
     builtin_env,
     builtin_env_names,
     run_many,
     write_csv,
 )
-from .oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax, ptas_kmax
+from .oracles import FeasibleFamily
 from .rewards import SuperArm, expected_reward, kmax_spec, linear_spec, utility_spec
 
 _RUN_DEFAULTS = {
@@ -243,16 +244,10 @@ def cmd_run(args) -> int:
 def cmd_offline(args) -> int:
     doc = _load_json(args.instance)
     arms, family, spec = _parse_instance(doc)
-    if args.solver == "exhaustive":
-        S = exhaustive_oracle(arms, family, spec)
-    else:
-        if family.kind != "cardinality" or spec.kind != "kmax":
-            raise _ConfigError(f"the {args.solver} solver needs a cardinality family and the kmax reward")
-        if args.solver == "greedy":
-            S = greedy_kmax(arms, family.K)
-        else:
-            _require_finite(arms, "the ptas solver")
-            S = ptas_kmax(arms, family.K, args.epsilon)
+    solve = _oracle_handle(args.solver, family, spec, args.epsilon)
+    if args.solver == "ptas":
+        _require_finite(arms, "the ptas solver")
+    S = solve(arms)
     value = expected_reward(arms, S, spec)
     print("set:", " ".join(str(i) for i in S.members))
     print("value:", format(value, ".12g"))
@@ -286,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     offline = sub.add_parser("offline", help="solve one instance file and print the chosen set")
     offline.add_argument("--instance", required=True, help="JSON instance with arms, family, and reward")
-    offline.add_argument("--solver", choices=("exhaustive", "greedy", "ptas"), default="exhaustive")
+    offline.add_argument("--solver", choices=ORACLES, default="exhaustive")
     offline.add_argument("--epsilon", type=float, default=0.25, help="accuracy parameter for the ptas solver")
     offline.set_defaults(func=cmd_offline)
 

@@ -55,8 +55,8 @@ class FiniteDistribution:
         return f"FiniteDistribution({{{pts}}})"
 
     def cdf(self, x):
-        """F(x) = total mass at support points <= x (within VALUE_TOL)."""
-        idx = np.searchsorted(self.support, np.asarray(x, dtype=float) + VALUE_TOL, side="right")
+        """F(x) = total mass at support points <= x, read exactly."""
+        idx = np.searchsorted(self.support, np.asarray(x, dtype=float), side="right")
         cum0 = np.concatenate(([0.0], self.cum))
         out = cum0[idx]
         return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
@@ -140,10 +140,12 @@ class CdfMatrix(Sequence):
     """m finite arm laws as one CDF matrix over a shared value grid.
 
     ``values`` ascends and holds every value at which some arm has mass;
-    ``F[i, k]`` is arm i's CDF at ``values[k]`` itself, with no
-    ``VALUE_TOL`` merging of nearby values, so ``F[:, -1]`` is 1.
-    ``len()`` is m, and ``[i]`` builds arm i's :class:`FiniteDistribution`
-    on demand from row i.  The constructor trusts its arrays.
+    ``F[i, k]`` is arm i's CDF at ``values[k]``, exactly as
+    :meth:`FiniteDistribution.cdf` reads it there, so ``F[:, -1]`` is 1.
+    The oracles and :func:`~cmab.rewards.expected_kmax` read ``F`` in
+    place.  ``len()`` is m, and ``[i]`` builds arm i's
+    :class:`FiniteDistribution` on demand from row i.  The constructor
+    trusts its arrays.
     """
 
     __slots__ = ("values", "F")
@@ -159,14 +161,14 @@ class CdfMatrix(Sequence):
         at = [np.searchsorted(d.support, values, side="right") for d in dists]
         return cls(values, np.vstack([np.append(0.0, d.cum)[k] for d, k in zip(dists, at)]))
 
-    def cdf_at_values(self) -> np.ndarray:
-        """Every arm's CDF at every grid value as :meth:`FiniteDistribution.cdf` reads it.
-
-        Column k is ``F``'s column of the last value within ``VALUE_TOL``
-        above ``values[k]``, so it takes in the mass that ``cdf`` merges.
-        """
-        V = self.values
-        return self.F[:, np.searchsorted(V, V + VALUE_TOL, side="right") - 1]
+    @classmethod
+    def trimmed(cls, values: np.ndarray, F: np.ndarray) -> "CdfMatrix":
+        """CDF rows ``F`` over ``values``, kept only at the columns where some row has mass."""
+        # a > b is a - b > 0 for finite doubles, without np.diff's prepend copy
+        keep = np.empty(len(values), dtype=bool)
+        keep[0] = (F[:, 0] > 0.0).any()
+        keep[1:] = (F[:, 1:] > F[:, :-1]).any(0)
+        return cls(values[keep], F[:, keep])
 
     def __len__(self) -> int:
         return len(self.F)
@@ -258,12 +260,8 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
         radius = np.broadcast_to(np.asarray(radius, dtype=float), n.shape)
     low = np.maximum(np.cumsum(counts, axis=1) / n[:, None] - radius[:, None], 0.0)
     low[:, -1] = 1.0
-    # a column no arm has mass at repeats the column before it in every row;
-    # a > b is a - b > 0 for finite doubles, without np.diff's prepend copy
-    keep = np.empty(len(values), dtype=bool)
-    keep[0] = (low[:, 0] > 0.0).any()
-    keep[1:] = (low[:, 1:] > low[:, :-1]).any(0)
-    return CdfMatrix(values[keep], low[:, keep])
+    # a column no arm has mass at repeats the column before it in every row
+    return CdfMatrix.trimmed(values, low)
 
 
 def bin_index(x: float, s: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .distributions import (
 )
 from .oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax, ptas_kmax
 from .policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
-from .rewards import RewardSpec, SuperArm, expected_reward, kmax_spec, realized_reward
+from .rewards import RewardSpec, SuperArm, expected_reward, kmax_spec
 from .rng import ARM_STREAM, POLICY_STREAM, run_seed, substream
 
 POLICIES = ("sdcb", "lazy-sdcb", "lazy-sdcb-doubling", "cucb", "osm")
@@ -66,7 +66,6 @@ class RegretTrace:
     rewards: np.ndarray
     cum_regret: np.ndarray
     super_arms: list[tuple[int, ...]] = field(default_factory=list)
-    realized: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -115,7 +114,6 @@ def run_one(
     T: int,
     seed: int,
     alpha: float = 1.0,
-    record_realized: bool = False,
 ) -> RegretTrace:
     """One deterministic run: select, sample outcomes, observe, account.
 
@@ -130,7 +128,6 @@ def run_one(
     arm_rngs = [substream(seed, ARM_STREAM, i) for i in range(m)]
     policy = policy_factory(env.family, env.spec, T, substream(seed, POLICY_STREAM, 0))
     rewards = np.empty(T)
-    realized = np.empty(T) if record_realized else None
     played: list[tuple[int, ...]] = []
     for t in range(1, T + 1):
         S = policy.select(t)
@@ -139,8 +136,6 @@ def run_one(
         outcomes = {i: sample(env.arms[i], arm_rngs[i]) for i in S.members}
         policy.observe(t, S, outcomes)
         rewards[t - 1] = env.score(S)
-        if record_realized:
-            realized[t - 1] = realized_reward(outcomes, S, env.spec)
         played.append(S.members)
     cum_regret = np.cumsum(alpha * env.optimal_value - rewards)
     meta = {
@@ -151,7 +146,7 @@ def run_one(
         "T": T,
         "runtime_s": time.perf_counter() - t0,
     }
-    return RegretTrace(rewards, cum_regret, played, realized, meta)
+    return RegretTrace(rewards, cum_regret, played, meta)
 
 
 def run_many(

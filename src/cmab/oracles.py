@@ -13,9 +13,10 @@ Three solvers with different cost/guarantee trade-offs:
 Each solver takes m arm laws: a list or a :class:`CdfMatrix`.  On finite
 arms all three score K-MAX on the CDF matrix (a list is converted once):
 greedy its marginal gains, exhaustive and the scheme all their candidate
-sets in one batched pass.  Per-arm laws are built only to rescore exactly
-the candidates within rounding of the batched best, and for the scheme's
-signatures.
+sets in one batched pass, and the candidates within rounding of the
+batched best once more with :func:`expected_kmax` on the caller's laws.
+From a matrix, per-arm laws are built only for the scheme's signatures
+and for the means of shortlisted singletons.
 
 Signatures use exact integer arithmetic so set equality is never a float
 comparison.
@@ -30,12 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import (
-    VALUE_TOL,
-    CdfMatrix,
-    FiniteDistribution,
-    bernoulli_decomposition,
-)
+from .distributions import CdfMatrix, FiniteDistribution, bernoulli_decomposition
 from .errors import GuardExceeded
 from .rewards import (
     KMAX,
@@ -160,13 +156,7 @@ def exhaustive_oracle(dists, family: FeasibleFamily, spec: RewardSpec) -> SuperA
     if spec.kind == KMAX and _finite(dists):
         return _best_kmax(dists, family.index_rows())
     dists = list(dists)
-    best = None
-    best_val = -math.inf
-    for S in family:
-        v = expected_reward(dists, S, spec)
-        if v > best_val or (v == best_val and (best is None or S.members < best.members)):
-            best, best_val = S, v
-    return best
+    return min(family, key=lambda S: (-expected_reward(dists, S, spec), S.members))
 
 
 def greedy_kmax(dists, K: int) -> SuperArm:
@@ -206,7 +196,7 @@ def _as_matrix(dists) -> CdfMatrix:
 def _kmax_scores(cdfs: CdfMatrix, rows: np.ndarray) -> np.ndarray:
     """E[max] of the arms in each row, on the matrix; index m is an all-ones pad."""
     V = cdfs.values
-    C = np.vstack([cdfs.cdf_at_values(), np.ones(len(V))])
+    C = np.vstack([cdfs.F, np.ones(len(V))])
     step = max(1, _SCORE_BLOCK // (rows.shape[1] * len(V)))
     blocks = [np.diff(C[rows[a : a + step]].prod(1), prepend=0.0) @ V for a in range(0, len(rows), step)]
     return np.concatenate(blocks)
@@ -216,28 +206,23 @@ def _best_kmax(dists, rows: np.ndarray) -> SuperArm:
     """The row whose arms have the largest expected max; ties go to the smallest member set.
 
     Rows within the batched scores' error of the best one are rescored with
-    :func:`expected_kmax` on the laws in ``dists``, so the choice is the
-    one a per-set loop makes, bit-equal ties included.
+    :func:`expected_kmax` on ``dists`` as the caller passed them, so the
+    choice is the one a per-set loop makes, bit-equal ties included.
     """
     cdfs = _as_matrix(dists)
-    V = cdfs.values
     scores = _kmax_scores(cdfs, rows)
-    # a set's score and its expected_kmax differ by at most err: both sums round within (K + 1) len(V)
-    # eps, and where two grid values lie within VALUE_TOL a jump of the max's CDF may land on either;
+    # a set's score and its expected_kmax each round within (K + 1) len(V) eps of the exact sum,
     # so a row scoring more than 2 err below the best cannot have the best expected_kmax
-    err = 2 * (rows.shape[1] + 1) * len(V) * np.finfo(float).eps
-    if np.any(V[1:] <= V[:-1] + VALUE_TOL):
-        err += 2 * VALUE_TOL
+    err = 2 * (rows.shape[1] + 1) * len(cdfs.values) * np.finfo(float).eps
     shortlist = rows[scores >= scores.max() - 2 * err]
     m = len(cdfs)
-    laws = {i: dists[i] for i in np.unique(shortlist).tolist() if i < m}
     sets = [SuperArm(row[row < m]) for row in shortlist]
-    return min(sets, key=lambda S: (-expected_kmax(laws, S), S.members))
+    return min(sets, key=lambda S: (-expected_kmax(dists, S), S.members))
 
 
 def _greedy_kmax_finite(cdfs: CdfMatrix, K: int) -> SuperArm:
     V = cdfs.values
-    C = cdfs.cdf_at_values()
+    C = cdfs.F
     m = len(C)
     # E[max] = sum_k V_k (P_k - P_{k-1}) = P @ w with w_k = V_k - V_{k+1}, w_last = V_last
     w = np.empty(len(V))
@@ -343,10 +328,9 @@ def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     seed = greedy_kmax(dists, K)
-    laws = list(dists)
-    W = expected_kmax(laws, seed)
+    W = expected_kmax(dists, seed)
     if W <= 0.0:
         return seed
-    reach = _reachable_sets([arm_signature(d, W, eps, m) for d in laws], K)
+    reach = _reachable_sets([arm_signature(d, W, eps, m) for d in dists], K)
     rows = np.array([members for (chosen, _), members in reach.items() if chosen == K])
     return _best_kmax(dists, rows)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .distributions import Distribution, FiniteDistribution, PiecewiseDensity
+from .distributions import CdfMatrix, Distribution, FiniteDistribution, PiecewiseDensity
 from .errors import GuardExceeded
 
 KMAX = "kmax"
@@ -173,41 +173,28 @@ def utility_spec(utility, bound_M: float, lipschitz_C: float) -> RewardSpec:
     return RewardSpec(UTILITY_OF_SUM, utility=utility, bound_M=bound_M, lipschitz_C=lipschitz_C)
 
 
-def realized_reward(x: Mapping[int, float], S: SuperArm, spec: RewardSpec) -> float:
-    """Reward of the outcome vector ``x`` (keyed by arm) on super arm S."""
-    try:
-        vals = [x[i] for i in S.members]
-    except KeyError as e:
-        raise ValueError(f"outcome missing for arm {e.args[0]}") from None
-    if any(not 0.0 <= v <= 1.0 for v in vals):
-        raise ValueError("outcomes must lie in [0, 1]")
-    if spec.kind == KMAX:
-        return max(vals)
-    total = sum(vals)
-    if spec.kind == LINEAR_SUM:
-        return total
-    return spec.utility(total)
-
-
-def expected_kmax(dists: Sequence[FiniteDistribution], S: SuperArm) -> float:
+def expected_kmax(dists, S: SuperArm) -> float:
     """Exact E[max_{i in S} X_i] for finite-support member distributions.
 
-    Over the union support V, Pr[max = v_k] is the difference between the
-    products of member CDFs at v_k (max at most v_k) and at v_{k-1} (max
-    strictly below v_k); the expectation sums v_k times that mass.
+    ``dists`` is a list of laws, read through ``CdfMatrix.of`` of the
+    members, or a :class:`CdfMatrix`, read in place.  Over the values V
+    where some member has mass, Pr[max = v_k] is the difference between
+    the products of member CDFs at v_k (max at most v_k) and at v_{k-1}
+    (max strictly below v_k); the expectation sums v_k times that mass.
+    A singleton set is its own law's mean.
     """
-    arms = [dists[i] for i in S.members]
-    for a in arms:
-        if not isinstance(a, FiniteDistribution):
+    if isinstance(dists, CdfMatrix):
+        if len(S) == 1:
+            return dists[S.members[0]].mean()
+        cdfs = CdfMatrix.trimmed(dists.values, dists.F[list(S.members)])
+    else:
+        arms = [dists[i] for i in S.members]
+        if not all(isinstance(a, FiniteDistribution) for a in arms):
             raise TypeError("expected_kmax requires finite-support distributions")
-    if len(arms) == 1:
-        return arms[0].mean()
-    V = np.unique(np.concatenate([a.support for a in arms]))
-    prod = np.ones(len(V))
-    for a in arms:
-        prod *= a.cdf(V)
-    pr = np.diff(prod, prepend=0.0)
-    return float(V @ pr)
+        if len(arms) == 1:
+            return arms[0].mean()
+        cdfs = CdfMatrix.of(arms)
+    return float(cdfs.values @ np.diff(cdfs.F.prod(0), prepend=0.0))
 
 
 @lru_cache(maxsize=32)

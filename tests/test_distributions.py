@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmab.distributions import (
-    VALUE_TOL,
     CdfMatrix,
     FiniteDistribution,
     PiecewiseDensity,
@@ -23,7 +22,6 @@ from cmab.distributions import (
 )
 from cmab.rng import substream
 from util import (
-    COARSE_GRID,
     bruteforce_max_law,
     count_matrix,
     dicts_close,
@@ -33,6 +31,7 @@ from util import (
     random_piecewise,
     reference_dominant_cdfs,
     reference_inverse_cdf,
+    value_pool,
 )
 
 EXACT = 1e-12
@@ -282,10 +281,7 @@ class TestCdfMatrix:
     def test_invariants(self, seed, t, radius_kind, near_duplicates):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 6))
-        pool = rng.choice(COARSE_GRID, size=int(rng.integers(1, 8)), replace=False)
-        if near_duplicates:  # a second value less than VALUE_TOL above each
-            pool = np.concatenate([pool, pool + VALUE_TOL * rng.uniform(0.1, 0.9, size=len(pool))])
-            pool = pool[pool <= 1.0]
+        pool = value_pool(rng, near_duplicates)
         values, counts = count_matrix([rng.choice(pool, size=int(rng.integers(1, 12))) for _ in range(m)])
         radius = {
             "t": None,
@@ -299,7 +295,7 @@ class TestCdfMatrix:
         assert np.all(np.any(np.diff(cdfs.F, axis=1, prepend=0.0) > 0.0, axis=0))
         assert np.all(cdfs.F[:, -1] == 1.0)
         for row, d in zip(cdfs.F, laws):
-            # the CDF at each value itself, with no VALUE_TOL merging
+            # the exact CDF at each value
             at = np.searchsorted(d.support, cdfs.values, side="right")
             assert np.array_equal(row, np.concatenate(([0.0], d.cum))[at])
         # the matrix greedy builds from a list of the same laws
@@ -312,8 +308,8 @@ class TestCdfMatrix:
         cdfs = dominant_cdfs(values, counts, 2, radius=0.0)
         assert np.array_equal(cdfs.values, [0.3, 0.3 + 4e-10])
         assert np.array_equal(cdfs.F, [[0.5, 1.0]])
-        # FiniteDistribution.cdf counts the mass within VALUE_TOL above 0.3
-        assert cdfs[0].cdf(0.3) == 1.0
+        # FiniteDistribution.cdf reads the same exact CDF, without the mass 4e-10 above 0.3
+        assert cdfs[0].cdf(0.3) == 0.5
 
     def test_sequence_of_arm_laws(self):
         values, counts = count_matrix([[0.2, 0.6], [0.6], [0.4]])

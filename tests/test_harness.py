@@ -37,6 +37,7 @@ class FixedChoice:
 
     def __init__(self, members):
         self.members = tuple(members)
+        self.outcomes = []
 
     def __call__(self, family, spec, T, rng):
         return self
@@ -45,7 +46,7 @@ class FixedChoice:
         return SuperArm(self.members)
 
     def observe(self, t, S, outcomes):
-        pass
+        self.outcomes.append(outcomes)
 
 
 class TestEnvironment:
@@ -107,23 +108,17 @@ class TestRunOne:
     def test_arm_substreams_are_decoupled(self):
         # an arm's draws depend only on its own pull count, not on other arms
         env = tiny_env()
-        rng = substream(11, ARM_STREAM, 0)
-        first = [env.arms[0].inverse_cdf(rng.random()) for _ in range(5)]
-        trace = run_one(env, FixedChoice((0,)), T=5, seed=11, record_realized=True)
-        assert np.allclose(trace.realized, first, atol=EXACT)
+        for members in ((0,), (0, 1)):
+            policy = FixedChoice(members)
+            run_one(env, policy, T=5, seed=11)
+            for i in members:
+                rng = substream(11, ARM_STREAM, i)
+                assert [x[i] for x in policy.outcomes] == [env.arms[i].inverse_cdf(rng.random()) for _ in range(5)]
 
     def test_infeasible_selection_raises(self):
         env = tiny_env()
         with pytest.raises(RuntimeError):
             run_one(env, FixedChoice((0, 1, 2)), T=3, seed=0)
-
-    def test_realized_recording(self):
-        env = tiny_env()
-        trace = run_one(env, PolicyFactory("sdcb"), T=30, seed=1, record_realized=True)
-        assert trace.realized.shape == (30,)
-        assert np.all((trace.realized >= 0) & (trace.realized <= 1))
-        plain = run_one(env, PolicyFactory("sdcb"), T=30, seed=1)
-        assert plain.realized is None
 
     def test_alpha_scales_the_benchmark(self):
         env = tiny_env()

@@ -186,13 +186,12 @@ class TestExhaustiveOracle:
         assert exhaustive_oracle(dists, fam, kmax_spec()) == reference_exhaustive(dists, fam, kmax_spec())
 
     def test_values_within_value_tol(self):
-        # arm 2's cdf merges its mass at 0.7 into values down to 0.7 - VALUE_TOL, so on the per-arm
-        # laws {0}, {0, 2} and {1, 2} all score 0.7 - 6e-10; on the matrix's full grid {0, 2} and
-        # {1, 2} read 0.7 - 9e-10 and {0} only 0.7 - 1.2e-9, arm 1's value
+        # values less than VALUE_TOL apart are read exactly: {0, 2} has max 0.7 with chance 1/2 and
+        # 0.7 - 6e-10 otherwise, above {0}, {0, 1} and {1, 2} at 0.7 - 6e-10
         dists = [point(0.7 - 6e-10), point(0.7 - 1.2e-9), make_finite([0.1, 0.7], [0.5, 0.5])]
         fam = FeasibleFamily.cardinality_at_most(2, 3)
         assert exhaustive_oracle(dists, fam, kmax_spec()) == reference_exhaustive(dists, fam, kmax_spec())
-        assert exhaustive_oracle(dists, fam, kmax_spec()) == SuperArm([0])
+        assert exhaustive_oracle(dists, fam, kmax_spec()) == SuperArm([0, 2])
 
     def test_scoring_blocks(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -203,6 +202,23 @@ class TestExhaustiveOracle:
         monkeypatch.setattr("cmab.oracles._SCORE_BLOCK", 3 * 4 * len(dists.values))  # three rows a block
         np.testing.assert_allclose(_kmax_scores(dists, fam.index_rows()), whole, rtol=0, atol=1e-15)
         assert (exhaustive_oracle(dists, fam, kmax_spec()), ptas_kmax(dists, 4, 0.3)) == chosen
+
+    def test_matrix_laws_only_for_shortlisted_singletons(self, monkeypatch):
+        # arms 1 and 3 put all their optimistic mass at 1, so every set holding one of them ties at 1;
+        # the rescore reads the matrix and builds only {1}'s and {3}'s laws, for their means, and ptas
+        # builds the m laws its signatures need (the iteration's call m + 1 raises IndexError)
+        values, counts = count_matrix([[0.2, 0.5]] * 5)
+        cdfs = dominant_cdfs(values, counts, 2, radius=[0.1, 1.5, 0.1, 1.5, 0.1])
+        fam = FeasibleFamily.cardinality_at_most(3, 5)
+        want = reference_exhaustive(cdfs, fam, kmax_spec())
+        calls = []
+        getitem = CdfMatrix.__getitem__
+        monkeypatch.setattr(CdfMatrix, "__getitem__", lambda self, i: calls.append(i) or getitem(self, i))
+        assert exhaustive_oracle(cdfs, fam, kmax_spec()) == want == SuperArm([0, 1])
+        assert sorted(set(calls)) == [1, 3]
+        calls.clear()
+        ptas_kmax(cdfs, 3, 0.3)
+        assert calls == list(range(6))
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(LAW_KINDS), st.integers(1, 7), st.integers(1, 7), st.booleans())
@@ -266,12 +282,11 @@ class TestGreedyKmax:
 
     def test_matrix_read_within_value_tol(self):
         # arm 0 has mass 1/2 at 0.3 and at 0.3 + 4e-10, arm 1 all at 0.3 + 3e-10;
-        # read through FiniteDistribution.cdf both CDFs are 1 at 0.3, so both
-        # arms score 0.3 and the tie goes to arm 0 (the exact means favour arm 1)
+        # both CDFs are read exactly, so arm 1's larger mean wins
         values, counts = count_matrix([[0.3, 0.3 + 4e-10], [0.3 + 3e-10]])
         cdfs = dominant_cdfs(values, counts, 2, radius=0.0)
-        assert np.array_equal(np.vstack([d.cdf(cdfs.values) for d in cdfs]), np.ones((2, 3)))
-        assert greedy_kmax(cdfs, 1) == greedy_kmax(list(cdfs), 1) == SuperArm([0])
+        assert np.array_equal(np.vstack([d.cdf(cdfs.values) for d in cdfs]), [[0.5, 0.5, 1.0], [0.0, 1.0, 1.0]])
+        assert greedy_kmax(cdfs, 1) == greedy_kmax(list(cdfs), 1) == SuperArm([1])
 
     def test_cucb_matrix_picks_what_point_masses_picked(self):
         family = FeasibleFamily.cardinality_at_most(3, 6)
@@ -279,8 +294,8 @@ class TestGreedyKmax:
         for t in range(1, 7):
             policy.select(t)
             policy.observe(t, SuperArm([t - 1]), {t - 1: 0.5})
-        # the top two upper bounds lie closer than VALUE_TOL, which point-mass
-        # CDFs merge, so arm 0 wins the first pick; arms 2 and 5 tie exactly
+        # the top two upper bounds lie closer than VALUE_TOL and are read
+        # exactly, so arm 1 wins the first pick; arms 2 and 5 tie exactly
         n = 10**6
         policy.counts[:] = n
         policy.sums[:] = np.array([0.9, 0.9 + 4e-10, 0.3, 0.1, 0.5, 0.3]) * n
@@ -290,11 +305,10 @@ class TestGreedyKmax:
         points = [FiniteDistribution([u], [1.0]) for u in ucb]
         for K in (1, 2, 3):
             assert greedy_kmax(cdfs, K) == greedy_kmax(points, K)
-        assert greedy_kmax(cdfs, 1) == SuperArm([0])
-        # the per-arm laws are the exact point masses, so arm 1's strictly larger bound wins here
         for spec in (kmax_spec(), linear_spec()):
             assert exhaustive_oracle(cdfs, family, spec) == exhaustive_oracle(points, family, spec)
-        assert 1 in exhaustive_oracle(cdfs, FeasibleFamily.cardinality_at_most(1, 6), kmax_spec()).members
+        singles = FeasibleFamily.cardinality_at_most(1, 6)
+        assert greedy_kmax(cdfs, 1) == exhaustive_oracle(cdfs, singles, kmax_spec()) == SuperArm([1])
 
 
 class TestPtasGrid:

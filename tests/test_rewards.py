@@ -1,5 +1,6 @@
 """Reward layer: super arms, reward specs, exact expected-reward evaluation."""
 
+import itertools
 import math
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmab.distributions import PiecewiseDensity, make_finite
+from cmab.distributions import CdfMatrix, PiecewiseDensity, dominant_cdfs, make_finite
 from cmab.errors import GuardExceeded
 from cmab.harness import builtin_env
 from cmab.rewards import (
@@ -20,10 +21,9 @@ from cmab.rewards import (
     expected_reward,
     kmax_spec,
     linear_spec,
-    realized_reward,
     utility_spec,
 )
-from util import bruteforce_kmax, joint_expected, random_finite
+from util import bruteforce_kmax, count_matrix, joint_expected, random_counts, random_finite, value_pool
 
 EXACT = 1e-12
 QUAD = 1e-9
@@ -110,32 +110,6 @@ def test_non_finite_input_rejected(build):
         build()
 
 
-class TestRealizedReward:
-    def test_kmax(self):
-        x = {0: 0.3, 1: 0.9, 2: 0.1}
-        assert realized_reward(x, SuperArm([0, 1, 2]), kmax_spec()) == 0.9
-
-    def test_linear(self):
-        x = {0: 0.3, 1: 0.9, 2: 0.1}
-        assert realized_reward(x, SuperArm([0, 1, 2]), linear_spec()) == pytest.approx(1.3, abs=EXACT)
-
-    def test_square_utility(self):
-        spec = utility_spec("square", bound_M=4.0, lipschitz_C=4.0)
-        assert realized_reward({0: 1.0, 1: 1.0}, SuperArm([0, 1]), spec) == pytest.approx(4.0, abs=EXACT)
-
-    def test_restricts_to_members(self):
-        x = {0: 0.3, 1: 0.9, 5: 1.0}
-        assert realized_reward(x, SuperArm([0, 1]), kmax_spec()) == 0.9
-
-    def test_missing_member_errors(self):
-        with pytest.raises(ValueError):
-            realized_reward({0: 0.3}, SuperArm([0, 1]), kmax_spec())
-
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            realized_reward({0: 1.2}, SuperArm([0]), kmax_spec())
-
-
 class TestExpectedKmax:
     def test_singleton_is_mean(self):
         d = make_finite([0.2, 0.8], [0.3, 0.7])
@@ -180,6 +154,30 @@ class TestExpectedKmax:
         v2 = expected_kmax(dists, SuperArm([0, 1]))
         v3 = expected_kmax(dists, SuperArm([0, 1, 2]))
         assert v1 <= v2 + EXACT and v2 <= v3 + EXACT
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["optimistic", "near-duplicates", "cucb"]))
+    def test_matrix_read_equals_list_read(self, seed, kind):
+        # a CdfMatrix is read in place, its rows' laws through CdfMatrix.of: both give the same bits
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 7))
+        radius = rng.uniform(0.0, 1.5, size=m) if rng.random() < 0.5 else None
+        if kind == "optimistic":
+            cdfs = dominant_cdfs(*random_counts(rng, m), int(rng.integers(2, 10**6)), radius)
+        elif kind == "near-duplicates":
+            pool = value_pool(rng, near_duplicates=True)
+            obs = [rng.choice(pool, size=int(rng.integers(1, 12))) for _ in range(m)]
+            cdfs = dominant_cdfs(*count_matrix(obs), int(rng.integers(2, 10**6)), radius)
+        else:  # Cucb's clamped upper bounds as point masses, two of them closer than VALUE_TOL
+            ucb = rng.choice([0.3, 0.5, 0.9, 0.9 + 4e-10, 1.0], size=m)
+            values = np.unique(ucb)
+            cdfs = CdfMatrix(values, (ucb[:, None] <= values).astype(float))
+        laws = list(cdfs)
+        for k in range(1, min(m, 4) + 1):
+            for members in itertools.combinations(range(m), k):
+                got = expected_kmax(cdfs, SuperArm(members))
+                assert got == expected_kmax(laws, SuperArm(members))
+                assert got == pytest.approx(bruteforce_kmax(laws, members), abs=EXACT)
 
 
 class TestExpectedKmaxContinuous:

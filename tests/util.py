@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from cmab.distributions import FiniteDistribution, PiecewiseDensity, bernoulli_decomposition, make_finite
+from cmab.distributions import VALUE_TOL, FiniteDistribution, PiecewiseDensity, bernoulli_decomposition, make_finite
 from cmab.oracles import ptas_grid, signature_cap
 from cmab.rewards import expected_reward
 
@@ -135,6 +135,15 @@ def random_counts(rng: np.random.Generator, m: int):
     counts = rng.integers(0, 4, size=(m, len(values))) * (rng.random((m, len(values))) < 0.5)
     counts[np.arange(m), rng.integers(0, len(values), size=m)] += 1
     return values, counts
+
+
+def value_pool(rng: np.random.Generator, near_duplicates: bool) -> np.ndarray:
+    """1-7 values off ``COARSE_GRID``; with ``near_duplicates``, a second one less than VALUE_TOL above each."""
+    pool = rng.choice(COARSE_GRID, size=int(rng.integers(1, 8)), replace=False)
+    if near_duplicates:
+        pool = np.concatenate([pool, pool + VALUE_TOL * rng.uniform(0.1, 0.9, size=len(pool))])
+        pool = pool[pool <= 1.0]
+    return pool
 
 
 def reference_dominant_cdfs(values, counts, t, radius=None):
