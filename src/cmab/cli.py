@@ -93,6 +93,14 @@ def _real_field(name: str, value) -> float:
     raise _ConfigError(f"{name}: expected a finite number, got {value!r}")
 
 
+def _epsilon(value) -> float:
+    """The ptas accuracy, checked whichever oracle runs: a finite number in (0, 1/2)."""
+    eps = _real_field("epsilon", value)
+    if not 0.0 < eps < 0.5:
+        raise _ConfigError(f"epsilon must lie in (0, 1/2), got {eps!r}")
+    return eps
+
+
 def _real_list(name: str, value) -> list[float]:
     """A JSON list of finite numbers."""
     if not isinstance(value, list):
@@ -209,7 +217,7 @@ def cmd_run(args) -> int:
     T = _int_field("T", pick("T"))
     runs = _int_field("runs", pick("runs"))
     seed = _int_field("seed", pick("seed"))
-    epsilon = _real_field("epsilon", pick("epsilon"))
+    epsilon = _epsilon(pick("epsilon"))
     alpha = _real_field("alpha", pick("alpha"))
     out = _str_field("out", pick("out"))
     if T < 1:
@@ -244,7 +252,7 @@ def cmd_run(args) -> int:
 def cmd_offline(args) -> int:
     doc = _load_json(args.instance)
     arms, family, spec = _parse_instance(doc)
-    solve = _oracle_handle(args.solver, family, spec, args.epsilon)
+    solve = _oracle_handle(args.solver, family, spec, _epsilon(args.epsilon))
     if args.solver == "ptas":
         _require_finite(arms, "the ptas solver")
     S = solve(arms)

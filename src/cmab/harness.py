@@ -15,13 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import (
-    Distribution,
-    FiniteDistribution,
-    PiecewiseDensity,
-    make_finite,
-    sample,
-)
+from .distributions import Distribution, PiecewiseDensity, make_finite, sample
+from .errors import check_count
 from .oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax, ptas_kmax
 from .policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
 from .rewards import RewardSpec, SuperArm, expected_reward, kmax_spec
@@ -121,8 +116,7 @@ def run_one(
     the played super arm; each arm consumes one uniform per pull from its
     own substream, so the trace is a pure function of ``seed``.
     """
-    if T < 1:
-        raise ValueError("horizon T must be >= 1")
+    check_count(T, "horizon T")
     t0 = time.perf_counter()
     m = env.family.m
     arm_rngs = [substream(seed, ARM_STREAM, i) for i in range(m)]
@@ -164,10 +158,8 @@ def run_many(
     spread over that many worker processes (at most one per run), and the
     results are identical to a serial execution.
     """
-    if runs < 1:
-        raise ValueError("need runs >= 1")
-    if n_jobs < 1:
-        raise ValueError("need n_jobs >= 1")
+    check_count(runs, "runs")
+    check_count(n_jobs, "n_jobs")
     seeds = [run_seed(seed_base, r) for r in range(runs)]
     worker = partial(run_one, env, policy_factory, T, alpha=alpha)
     workers = min(n_jobs, runs)
@@ -195,54 +187,36 @@ def run_many(
     return avg, traces
 
 
-def _dist1_arms() -> list[Distribution]:
-    grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    good = make_finite(grid, [0.1] * 5 + [0.5])
-    weak = make_finite(grid, [0.5] + [0.1] * 5)
-    return [good] * 3 + [weak] * 6
+_GRID = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+# the built-in arm laws, as (constructor, its two arrays); built with their environment
+_GOOD = (make_finite, _GRID, [0.1] * 5 + [0.5])
+_WEAK = (make_finite, _GRID, [0.5] + [0.1] * 5)
+_MID = (make_finite, _GRID, [0.12] * 5 + [0.4])
+_LOW = (make_finite, _GRID, [0.16] * 5 + [0.2])
+_UNIFORM = (PiecewiseDensity, [0.0, 1.0], [1.0])
+_TILTED = (PiecewiseDensity, [0.0, 0.5, 1.0], [1.2, 0.8])
 
-
-def _dist2_arms() -> list[Distribution]:
-    grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    good = make_finite(grid, [0.1] * 5 + [0.5])
-    mid = make_finite(grid, [0.12] * 5 + [0.4])
-    return [good] * 3 + [mid] * 6
-
-
-def _dist3_arms() -> list[Distribution]:
-    grid = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
-    good = make_finite(grid, [0.1] * 5 + [0.5])
-    mid = make_finite(grid, [0.12] * 5 + [0.4])
-    low = make_finite(grid, [0.16] * 5 + [0.2])
-    return [good] * 3 + [mid] * 3 + [low] * 3
-
-
-def _dist4_arms() -> list[Distribution]:
-    uniform = PiecewiseDensity([0.0, 1.0], [1.0])
-    tilted = PiecewiseDensity([0.0, 0.5, 1.0], [1.2, 0.8])
-    return [uniform] * 3 + [tilted] * 6
-
-
-_BUILTIN_BUILDERS = {
-    "dist1": (_dist1_arms, "9 finite arms; three heavy at 1 (p=0.5), six heavy at 0 (p=0.5)"),
-    "dist2": (_dist2_arms, "9 finite arms; three heavy at 1 (p=0.5), six mildly good (p(1)=0.4)"),
-    "dist3": (_dist3_arms, "9 finite arms; p(1) tiers 0.5 / 0.4 / 0.2, three arms each tier"),
-    "dist4": (_dist4_arms, "9 continuous arms; three uniform, six with density 1.2 below 0.5"),
+# name -> (description, ((arm law, arm count), ...))
+_BUILTINS = {
+    "dist1": ("9 finite arms; three heavy at 1 (p=0.5), six heavy at 0 (p=0.5)", ((_GOOD, 3), (_WEAK, 6))),
+    "dist2": ("9 finite arms; three heavy at 1 (p=0.5), six mildly good (p(1)=0.4)", ((_GOOD, 3), (_MID, 6))),
+    "dist3": ("9 finite arms; p(1) tiers 0.5 / 0.4 / 0.2, three arms each tier", ((_GOOD, 3), (_MID, 3), (_LOW, 3))),
+    "dist4": ("9 continuous arms; three uniform, six with density 1.2 below 0.5", ((_UNIFORM, 3), (_TILTED, 6))),
 }
 
 
 def builtin_env(name: str) -> Environment:
     """One of the four bundled 9-arm, K=3 expected-max environments."""
     try:
-        builder, _ = _BUILTIN_BUILDERS[name]
+        _, tiers = _BUILTINS[name]
     except KeyError:
-        raise ValueError(f"unknown environment {name!r}; choose from {sorted(_BUILTIN_BUILDERS)}") from None
-    family = FeasibleFamily.cardinality_at_most(3, 9)
-    return Environment(builder(), family, kmax_spec(), name=name)
+        raise ValueError(f"unknown environment {name!r}; choose from {sorted(_BUILTINS)}") from None
+    arms = [law for (make, *arrays), n in tiers for law in [make(*arrays)] * n]
+    return Environment(arms, FeasibleFamily.cardinality_at_most(3, 9), kmax_spec(), name=name)
 
 
 def builtin_env_names() -> list[tuple[str, str]]:
-    return [(name, desc) for name, (_, desc) in _BUILTIN_BUILDERS.items()]
+    return [(name, desc) for name, (desc, _) in _BUILTINS.items()]
 
 
 def _format_value(v: float) -> str:

@@ -1,17 +1,21 @@
 """Online learning policies over combinatorial arm sets.
 
-All policies share one interface: ``select(t)`` returns the super arm to
-play in round t (rounds are 1-based), and ``observe(t, S, outcomes)``
-feeds back the outcome of every member of S (semi-bandit feedback, as a
-mapping arm -> value).  Rounds must alternate select/observe and advance
-by exactly one.  An ``observe`` that rejects its outcomes changes nothing,
-so a corrected retry of the same round is accepted.
+Every policy keeps one round contract, owned by a private base class:
+``select(t)`` opens round t (rounds are 1-based and advance by exactly
+one) and returns the super arm to play, and ``observe(t, S, outcomes)``
+checks the outcome of every member of S (semi-bandit feedback, as a
+mapping arm -> value in [0, 1]) and then closes the round.  Rounds must
+alternate select/observe.  An ``observe`` that rejects its outcomes
+changes nothing, so a corrected retry of the same round is accepted.
+A policy itself implements only ``_select(t)`` and ``_observe(outcomes)``.
 
 Policies never see the true distributions or exact expected rewards;
 their only inputs are the feasible family, the reward spec, an offline
 oracle, and their own observations.  The oracle is called with m arm
 laws: a list or a :class:`CdfMatrix`; SDCB and CUCB both pass a
-:class:`CdfMatrix`.  OSM, the adversarial baseline, uses no oracle: its
+:class:`CdfMatrix`.  Lazy SDCB is SDCB on binned outcomes; its
+horizon-free variant is an ``Sdcb`` that restarts its own counts on
+doubling epochs.  OSM, the adversarial baseline, uses no oracle: its
 K Exp3 instances are the rows of one weight matrix, drawn from with the
 policy's own generator.
 """
@@ -19,47 +23,42 @@ policy's own generator.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .distributions import CdfMatrix, bin_value, confidence_radius, dominant_cdfs
+from .errors import check_count
 from .oracles import FeasibleFamily
 from .rewards import RewardSpec, SuperArm
 
 
-class _RoundClock:
-    """Enforces the select/observe alternation contract."""
+class _Policy:
+    """The round contract; a subclass implements ``_select(t)`` and ``_observe(outcomes)``."""
 
-    __slots__ = ("t", "awaiting_observe")
+    _round = 0  # the last round selected
+    _open = False  # whether that round still awaits its observe
 
-    def __init__(self):
-        self.t = 0
-        self.awaiting_observe = False
-
-    def on_select(self, t: int) -> None:
-        if self.awaiting_observe:
+    def select(self, t: int) -> SuperArm:
+        if self._open:
             raise ValueError("observe() for the previous round is missing")
-        if t != self.t + 1:
-            raise ValueError(f"expected round {self.t + 1}, got {t}")
-        self.t = t
-        self.awaiting_observe = True
+        if t != self._round + 1:
+            raise ValueError(f"expected round {self._round + 1}, got {t}")
+        self._round, self._open = t, True
+        return self._select(t)
 
-    def on_observe(self, t: int) -> None:
-        if not self.awaiting_observe or t != self.t:
+    def observe(self, t: int, S: SuperArm, outcomes) -> None:
+        if set(outcomes) != set(S.members):
+            raise ValueError("outcomes must cover exactly the members of the played super arm")
+        for arm, x in outcomes.items():
+            if not 0.0 <= x <= 1.0:
+                raise ValueError(f"outcome {x!r} for arm {arm} outside [0, 1]")
+        if not self._open or t != self._round:
             raise ValueError(f"observe({t}) does not follow select({t})")
-        self.awaiting_observe = False
+        self._open = False
+        self._observe(outcomes)
 
 
-def _check_outcomes(S: SuperArm, outcomes) -> None:
-    if set(outcomes) != set(S.members):
-        raise ValueError("outcomes must cover exactly the members of the played super arm")
-    for arm, x in outcomes.items():
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"outcome {x!r} for arm {arm} outside [0, 1]")
-
-
-class Sdcb:
+class Sdcb(_Policy):
     """Stochastically dominant confidence bound policy.
 
     Keeps one count matrix: ``counts[i, k]`` is how often arm i returned
@@ -80,21 +79,20 @@ class Sdcb:
         self.family = family
         self.spec = spec
         self.oracle = oracle
+        self._restart(outcome_bins)
+
+    def _restart(self, outcome_bins: int | None) -> None:
+        """Forget every observation; later ones are binned into ``outcome_bins`` intervals."""
         self.outcome_bins = outcome_bins
         self.values = np.array([1.0])
-        self.counts = np.zeros((family.m, 1), dtype=np.int64)
-        self._clock = _RoundClock()
+        self.counts = np.zeros((self.family.m, 1), dtype=np.int64)
 
-    def select(self, t: int) -> SuperArm:
-        self._clock.on_select(t)
-        m = self.family.m
-        if t <= m:
+    def _select(self, t: int) -> SuperArm:
+        if t <= self.family.m:
             return self.family.smallest_containing(t - 1)
         return self.oracle(dominant_cdfs(self.values, self.counts, t))
 
-    def observe(self, t: int, S: SuperArm, outcomes) -> None:
-        _check_outcomes(S, outcomes)
-        self._clock.on_observe(t)
+    def _observe(self, outcomes) -> None:
         s = self.outcome_bins
         for arm, x in outcomes.items():
             v = float(x) if s is None else bin_value(x, s)
@@ -109,58 +107,41 @@ class Sdcb:
         return self.counts.sum(1).tolist()
 
 
+def _ceil_sqrt(T: int) -> int:
+    """ceil(sqrt(T)) for an integer T >= 1, in exact integer arithmetic."""
+    return math.isqrt(T - 1) + 1
+
+
 def lazy_sdcb_known_T(family: FeasibleFamily, spec: RewardSpec, oracle, T: int) -> Sdcb:
     """SDCB over outcomes binned to the grid {1/s, ..., 1}, s = ceil(sqrt(T))."""
-    if T < 1:
-        raise ValueError("horizon T must be >= 1")
-    s = math.isqrt(T)
-    if s * s < T:
-        s += 1
-    return Sdcb(family, spec, oracle, outcome_bins=s)
+    return Sdcb(family, spec, oracle, outcome_bins=_ceil_sqrt(check_count(T, "horizon T")))
 
 
-class LazySdcbDoubling:
-    """Horizon-free variant: restart the known-horizon policy on doubling epochs.
+class LazySdcbDoubling(Sdcb):
+    """Horizon-free variant: lazy SDCB restarted on doubling epochs.
 
-    The first epoch spans rounds 1..2^q with horizon 2^q, q = ceil(log2 m);
-    epoch k >= q spans rounds 2^k + 1 .. 2^(k+1) with horizon 2^k.  Each
-    epoch runs a fresh instance with its own initialization rounds and
-    epoch-local round indices, which also set its confidence radius.
+    ``epoch`` is the current epoch's first and last round.  The first epoch
+    spans rounds 1..2^q with horizon 2^q, q = ceil(log2 m); epoch k >= q
+    spans rounds 2^k + 1 .. 2^(k+1) with horizon 2^k.  Each epoch starts
+    from empty counts binned for its horizon, replays the initialization
+    rounds, and runs on epoch-local round indices, which also set its
+    confidence radius; ``pull_counts`` covers the current epoch only.
     """
 
     def __init__(self, family: FeasibleFamily, spec: RewardSpec, oracle):
-        self.family = family
-        self.spec = spec
-        self.oracle = oracle
-        q = (family.m - 1).bit_length()
-        self._epoch_start = 1
-        self._epoch_end = 2**q
-        self._inner = lazy_sdcb_known_T(family, spec, oracle, self._epoch_end)
-        self._clock = _RoundClock()
+        end = 2 ** (family.m - 1).bit_length()
+        super().__init__(family, spec, oracle, outcome_bins=_ceil_sqrt(end))
+        self.epoch = (1, end)
 
-    def _advance_epoch(self) -> None:
-        horizon = self._epoch_end  # next epoch doubles the covered range
-        self._epoch_start = self._epoch_end + 1
-        self._epoch_end = 2 * self._epoch_end
-        self._inner = lazy_sdcb_known_T(self.family, self.spec, self.oracle, horizon)
-
-    def select(self, t: int) -> SuperArm:
-        self._clock.on_select(t)
-        if t > self._epoch_end:
-            self._advance_epoch()
-        return self._inner.select(t - self._epoch_start + 1)
-
-    def observe(self, t: int, S: SuperArm, outcomes) -> None:
-        _check_outcomes(S, outcomes)
-        self._clock.on_observe(t)
-        self._inner.observe(t - self._epoch_start + 1, S, outcomes)
-
-    @property
-    def epoch(self) -> tuple[int, int]:
-        return self._epoch_start, self._epoch_end
+    def _select(self, t: int) -> SuperArm:
+        start, end = self.epoch
+        if t > end:  # the next epoch doubles the covered range, binned for horizon `end`
+            self._restart(_ceil_sqrt(end))
+            start, end = self.epoch = (end + 1, 2 * end)
+        return super()._select(t - start + 1)
 
 
-class Cucb:
+class Cucb(_Policy):
     """Mean-based UCB baseline.
 
     Tracks per-arm running means; after initialization it clamps
@@ -178,10 +159,8 @@ class Cucb:
         self.oracle = oracle
         self.sums = np.zeros(family.m)
         self.counts = np.zeros(family.m, dtype=int)
-        self._clock = _RoundClock()
 
-    def select(self, t: int) -> SuperArm:
-        self._clock.on_select(t)
+    def _select(self, t: int) -> SuperArm:
         if t <= self.family.m:
             return self.family.smallest_containing(t - 1)
         mu = self.sums / self.counts
@@ -190,9 +169,7 @@ class Cucb:
         # the point mass at u has CDF 1 from u on
         return self.oracle(CdfMatrix(values, (ucb[:, None] <= values).astype(float)))
 
-    def observe(self, t: int, S: SuperArm, outcomes) -> None:
-        _check_outcomes(S, outcomes)
-        self._clock.on_observe(t)
+    def _observe(self, outcomes) -> None:
         for arm, x in outcomes.items():
             self.sums[arm] += x
             self.counts[arm] += 1
@@ -202,7 +179,7 @@ class Cucb:
         return self.counts.tolist()
 
 
-class Osm:
+class Osm(_Policy):
     """Online greedy submodular maximization on adversarial-bandit instances.
 
     Runs K Exp3 instances, one row each of the ``(K, m)`` weight matrix
@@ -218,23 +195,20 @@ class Osm:
     def __init__(self, family: FeasibleFamily, T: int, rng: np.random.Generator):
         if family.kind != "cardinality":
             raise ValueError("this policy needs a cardinality constraint family")
-        if isinstance(T, bool) or not isinstance(T, numbers.Integral) or T < 1:
-            raise ValueError("horizon T must be >= 1")
+        check_count(T, "horizon T")
         m = family.m
         self.family = family
         self.rng = rng
         self.gamma = 1.0 if m <= 1 else min(1.0, math.sqrt(m * math.log(m) / ((math.e - 1.0) * T)))
         self.weights = np.ones((family.K, m))
         self.last_draws: tuple[int, ...] = ()
-        self._clock = _RoundClock()
 
     def probs(self) -> np.ndarray:
         """Each instance's exploration-mixed draw probabilities, one row per instance."""
         W = self.weights
         return (1.0 - self.gamma) * W / W.sum(1, keepdims=True) + self.gamma / W.shape[1]
 
-    def select(self, t: int) -> SuperArm:
-        self._clock.on_select(t)
+    def _select(self, t: int) -> SuperArm:
         self._probs = P = self.probs()
         # rng.choice(m, p=P[i]) per row: the same cumsum, division and
         # right-side search, on a block of uniforms equal to K single draws
@@ -244,9 +218,7 @@ class Osm:
         self.last_draws = tuple(draws.tolist())
         return SuperArm(self.last_draws)
 
-    def observe(self, t: int, S: SuperArm, outcomes) -> None:
-        _check_outcomes(S, outcomes)
-        self._clock.on_observe(t)
+    def _observe(self, outcomes) -> None:
         W, P, gamma = self.weights, self._probs, self.gamma
         m = W.shape[1]
         running = 0.0

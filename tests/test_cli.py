@@ -59,6 +59,9 @@ BAD_FIELDS = {
     "runs-string": ("run", {"runs": "2"}),
     "seed-fraction": ("run", {"seed": 1.5}),
     "epsilon-nan": ("run", {"epsilon": math.nan}),
+    "epsilon-negative": ("run", {"epsilon": -0.25}),
+    "epsilon-zero": ("run", {"epsilon": 0}),
+    "epsilon-half": ("run", {"epsilon": 0.5}),
     "alpha-bool": ("run", {"alpha": True}),
     "out-number": ("run", {"out": 1}),
     "out-null": ("run", {"out": None}),
@@ -302,6 +305,14 @@ class TestExitCodes:
         assert captured.err.startswith("cmab: error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.25", "0", "0.5"])
+    def test_epsilon_out_of_range_with_any_solver(self, tmp_path, capsys, epsilon):
+        # epsilon tunes only ptas, but an unusable value is rejected whichever solver runs
+        inst = write_config(tmp_path, TINY_INSTANCE)
+        assert main(["offline", "--instance", str(inst), "--solver", "greedy", "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("cmab: error: epsilon")
+
     def test_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "no" / "dir" / "t.csv"
         code = main(["run", "--env", "dist1", "--policy", "cucb", "--T", "2", "--runs", "1", "--out", str(out)])
@@ -321,7 +332,7 @@ class TestExitCodes:
 
 # instance fuzzing: valid documents, and documents with one field the program reads made invalid
 GRID = [0.0, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0]
-JUNK = [math.nan, math.inf, -math.inf, -0.25, 1.5, 10**400, [], [0.5], {"x": 1}, "0.5", None, True]
+JUNK = [math.nan, math.inf, -math.inf, -0.25, 1.5, 10**400, [], [1.5], {"x": 1}, "0.5", None, True]
 CURVES = {"identity": lambda y: y, "sqrt": math.sqrt, "square": lambda y: y * y, "saturating": lambda y: 1 - math.exp(-y)}
 TABLE = [[0.0, 0.0], [1.0, 0.8], [4.0, 1.0]]
 
@@ -420,6 +431,77 @@ class TestOfflineFuzz:
         if solver == "exhaustive":
             best = max(brute_force_value(doc, S) for S in family_sets(doc))
             assert value == pytest.approx(best, rel=1e-10, abs=1e-12)
+
+
+# run config fuzzing: valid documents, and documents with one field made NaN, Inf, negative, empty or of the wrong type
+NUMBER_JUNK = [math.nan, math.inf, -math.inf, -3, -0.25, 1.5, "1", "", [], [1], {"x": 1}, None, True]
+STRING_JUNK = [math.nan, math.inf, -3, 0.5, "", [], ["dist1"], {"x": 1}, None, True]
+NUMBER_FIELDS = ("epsilon", "T", "runs", "seed", "alpha")
+
+
+@st.composite
+def run_docs(draw):
+    """(config document without ``out``, whether one field was made invalid)."""
+    doc = {
+        "policy": draw(st.sampled_from(cli.POLICIES)),
+        "oracle": draw(st.sampled_from(cli.ORACLES)),
+        "epsilon": draw(st.sampled_from([0.1, 0.25, 0.4])),
+        "T": draw(st.integers(1, 30)),
+        "runs": draw(st.integers(1, 2)),
+        "seed": draw(st.integers(0, 2**32)),
+        "alpha": draw(st.sampled_from([0.5, 0.9, 1.0])),
+    }
+    sites = [*NUMBER_FIELDS, "policy", "oracle", "out"]
+    if draw(st.booleans()):
+        doc["env"] = draw(st.sampled_from(["dist1", "dist2", "dist3", "dist4"]))
+        sites.append("env")
+    else:
+        instance, _, bad = draw(instance_docs())  # bad: an arm array or entry, K, a set member or a table entry
+        doc.update(instance)
+        if bad:
+            return doc, True
+        sites += ["arms", "family", "reward"]
+    if draw(st.booleans()):
+        return doc, False
+    site = draw(st.sampled_from(sites))
+    if site in NUMBER_FIELDS:
+        doc[site] = draw(st.sampled_from(NUMBER_JUNK))
+    elif site in ("policy", "oracle", "out", "env"):
+        doc[site] = draw(st.sampled_from(STRING_JUNK))
+    elif site == "arms":
+        doc["arms"] = draw(st.sampled_from([[], math.nan, "x", {"x": 1}, None, True]))
+    elif site == "family":
+        doc["family"] = draw(st.sampled_from([math.nan, None, [], "cardinality", -3, {}]))
+    else:
+        doc["reward"] = draw(st.sampled_from([math.nan, [], "kmax", 3, True, {"kind": None}, {"kind": ""}, {"kind": 3}]))
+    return doc, True
+
+
+class TestRunFuzz:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(run_docs())
+    def test_exit_contract(self, tmp_path_factory, case):
+        doc, bad = case
+        work = tmp_path_factory.mktemp("runfuzz")
+        trace = work / "trace.csv"
+        doc.setdefault("out", str(trace))
+        config = work / "config.json"
+        config.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(config)])
+        if bad:
+            assert code == 1 and out.getvalue() == "" and err.getvalue().startswith("cmab: error:")
+            return
+        if "env" not in doc:  # osm needs a cardinality family, greedy and ptas also the kmax reward
+            cardinality = doc["family"]["kind"] == "cardinality"
+            kmax_card = cardinality and doc["reward"]["kind"] == "kmax"
+            if not (cardinality if doc["policy"] == "osm" else doc["oracle"] == "exhaustive" or kmax_card):
+                assert code == 1 and out.getvalue() == "" and err.getvalue().startswith("cmab: error:")
+                return
+        assert code == 0 and out.getvalue().startswith("wrote ")
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "round,expected_reward,cum_regret" and len(lines) == doc["T"] + 1
 
 
 class TestEntryPoints:

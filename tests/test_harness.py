@@ -16,7 +16,8 @@ from cmab.harness import (
     run_one,
     write_csv,
 )
-from cmab.oracles import FeasibleFamily
+from cmab.oracles import FeasibleFamily, exhaustive_oracle
+from cmab.policies import Osm, lazy_sdcb_known_T
 from cmab.rewards import SuperArm, kmax_spec
 from cmab.rng import ARM_STREAM, substream
 
@@ -173,6 +174,28 @@ class TestRunMany:
     def test_rejects_zero_jobs(self):
         with pytest.raises(ValueError):
             run_many(tiny_env(), PolicyFactory("sdcb"), T=5, runs=2, seed_base=0, n_jobs=0)
+
+
+# every entry point that takes a horizon or a count, given one bad value
+COUNT_ENTRY_POINTS = {
+    "run_one-T": lambda n: run_one(tiny_env(), PolicyFactory("sdcb"), n, 1),
+    "lazy_sdcb_known_T": lambda n: lazy_sdcb_known_T(tiny_env().family, kmax_spec(), exhaustive_oracle, n),
+    "Osm-T": lambda n: Osm(tiny_env().family, n, substream(0, 1, 0)),
+    "run_many-runs": lambda n: run_many(tiny_env(), PolicyFactory("sdcb"), 5, n, 0),
+    "run_many-n_jobs": lambda n: run_many(tiny_env(), PolicyFactory("sdcb"), 5, 2, 0, n_jobs=n),
+}
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize("value", [0, -5, 2.5, 2.0, True], ids=repr)
+    @pytest.mark.parametrize("call", COUNT_ENTRY_POINTS.values(), ids=COUNT_ENTRY_POINTS.keys())
+    def test_rejects_all_but_integers_from_one(self, call, value):
+        with pytest.raises(ValueError, match=r"must be >= 1 and an integer"):
+            call(value)
+
+    @pytest.mark.parametrize("call", COUNT_ENTRY_POINTS.values(), ids=COUNT_ENTRY_POINTS.keys())
+    def test_accepts_numpy_integers(self, call):
+        call(np.int64(2))
 
 
 class TestBuiltinEnvs:

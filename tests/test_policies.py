@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmab.distributions import bin_value, make_finite
-from cmab.oracles import FeasibleFamily, exhaustive_oracle
+from cmab.oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax
 from cmab.policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
 from cmab.rewards import SuperArm, kmax_spec
 from cmab.rng import substream
-from util import COARSE_GRID, ReferenceOsm
+from util import COARSE_GRID, ReferenceDoubling, ReferenceOsm
 
 EXACT = 1e-12
 
@@ -50,8 +50,6 @@ POLICY_MAKERS = {
 
 def arm_state(pol):
     """Copies of every array a policy learns into."""
-    if isinstance(pol, LazySdcbDoubling):
-        pol = pol._inner
     if isinstance(pol, Sdcb):
         return [pol.values.copy(), pol.counts.copy()]
     if isinstance(pol, Cucb):
@@ -253,6 +251,53 @@ class TestLazySdcbDoubling:
         assert seq[2] == (0,)
         assert seq[4] == (0,)
         assert seq[8] == (0,)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_restarted_reference(self, mK, T, seed):
+        # restarting its own counts plays as a fresh known-horizon policy per epoch: every round the same
+        # selection and epoch, and the same grid, counts and bins as that epoch's policy
+        m, K = mK
+        fam = FeasibleFamily.cardinality_at_most(K, m)
+        spec, oracle = kmax_spec(), partial(greedy_kmax, K=K)
+        pol, ref = LazySdcbDoubling(fam, spec, oracle), ReferenceDoubling(fam, spec, oracle)
+        rng = np.random.default_rng(seed)
+        skew = rng.uniform(0.2, 3.0, size=m)  # arm i pays u ** skew[i], and now and then exactly 0 or 1
+        for t in range(1, T + 1):
+            S = pol.select(t)
+            assert S.members == ref.select(t).members
+            assert pol.epoch == ref.epoch
+            outcomes = {i: float(rng.integers(2) if rng.random() < 0.1 else rng.random() ** skew[i]) for i in S.members}
+            pol.observe(t, S, outcomes)
+            ref.observe(t, S, outcomes)
+            assert np.array_equal(pol.values, ref.inner.values)
+            assert np.array_equal(pol.counts, ref.inner.counts)
+            assert pol.outcome_bins == ref.inner.outcome_bins
+
+    def test_rejected_observe_at_epoch_end_keeps_schedule(self):
+        # a rejected observe on an epoch's last round, then a corrected retry, plays as an undisturbed run
+        fam, spec, oracle = cardinality_setup(2, 3)
+        pol, undisturbed = LazySdcbDoubling(fam, spec, oracle), LazySdcbDoubling(fam, spec, oracle)
+        values = {0: 0.2, 1: 0.9, 2: 0.55}
+        for t in range(1, 41):
+            S = pol.select(t)
+            assert S == undisturbed.select(t)
+            assert pol.epoch == undisturbed.epoch
+            if t == pol.epoch[1]:
+                before = arm_state(pol)
+                with pytest.raises(ValueError, match="outside"):
+                    pol.observe(t, S, {i: 1.5 for i in S.members})
+                with pytest.raises(ValueError, match="members"):
+                    pol.observe(t, S, {i: 0.5 for i in range(3)})
+                assert same_state(arm_state(pol), before)
+            pol.observe(t, S, {i: values[i] for i in S.members})
+            undisturbed.observe(t, S, {i: values[i] for i in S.members})
+            assert same_state(arm_state(pol), arm_state(undisturbed))
+        assert pol.epoch == (33, 64)
 
 
 class TestCucb:

@@ -14,6 +14,7 @@ import numpy as np
 
 from cmab.distributions import VALUE_TOL, FiniteDistribution, PiecewiseDensity, bernoulli_decomposition, make_finite
 from cmab.oracles import ptas_grid, signature_cap
+from cmab.policies import lazy_sdcb_known_T
 from cmab.rewards import expected_reward
 
 COARSE_GRID = np.round(np.linspace(0.0, 1.0, 201), 6)
@@ -232,3 +233,40 @@ class ReferenceOsm:
             w /= w.max()
             np.maximum(w, 1e-300, out=w)
             running += gain
+
+
+class ReferenceDoubling:
+    """Horizon-free lazy SDCB as first written: a wrapper that builds a fresh known-horizon policy per epoch.
+
+    The first epoch spans rounds 1..2^q with horizon 2^q, q = ceil(log2 m);
+    epoch k >= q spans rounds 2^k + 1 .. 2^(k+1) with horizon 2^k.  Each
+    epoch runs a new ``lazy_sdcb_known_T`` instance, ``inner``, on
+    epoch-local round indices.
+    """
+
+    def __init__(self, family, spec, oracle):
+        self.family = family
+        self.spec = spec
+        self.oracle = oracle
+        q = (family.m - 1).bit_length()
+        self.epoch_start = 1
+        self.epoch_end = 2**q
+        self.inner = lazy_sdcb_known_T(family, spec, oracle, self.epoch_end)
+
+    def advance_epoch(self) -> None:
+        horizon = self.epoch_end  # next epoch doubles the covered range
+        self.epoch_start = self.epoch_end + 1
+        self.epoch_end = 2 * self.epoch_end
+        self.inner = lazy_sdcb_known_T(self.family, self.spec, self.oracle, horizon)
+
+    def select(self, t):
+        if t > self.epoch_end:
+            self.advance_epoch()
+        return self.inner.select(t - self.epoch_start + 1)
+
+    def observe(self, t, S, outcomes) -> None:
+        self.inner.observe(t - self.epoch_start + 1, S, outcomes)
+
+    @property
+    def epoch(self) -> tuple[int, int]:
+        return self.epoch_start, self.epoch_end
