@@ -187,29 +187,32 @@ def make_finite(support: Sequence[float], probs: Sequence[float]) -> FiniteDistr
     probs = np.asarray(probs, dtype=float)
     if support.ndim != 1 or len(support) == 0 or support.shape != probs.shape:
         raise ValueError("support and probs must be nonempty lists of equal length")
-    if not (np.all(np.isfinite(support)) and np.all(np.isfinite(probs))):
+    # array methods, not np.all/np.any/np.sum: the same reductions at half the call cost
+    if not (np.isfinite(support).all() and np.isfinite(probs).all()):
         raise ValueError("support values and masses must be finite")
-    if np.any(support < 0.0) or np.any(support > 1.0):
+    if (support < 0.0).any() or (support > 1.0).any():
         raise ValueError("support values must lie in [0, 1]")
-    if np.any(probs < 0.0):
+    if (probs < 0.0).any():
         raise ValueError("masses must be nonnegative")
-    total = float(np.sum(probs))
+    total = float(probs.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise ValueError(f"masses sum to {total!r}, expected 1 within {MASS_TOL}")
 
-    order = np.argsort(support, kind="stable")
-    support = support[order]
-    probs = probs[order]
-    # merge exact duplicates
-    uniq, inverse = np.unique(support, return_inverse=True)
-    merged = np.zeros(len(uniq))
-    np.add.at(merged, inverse, probs)
+    if (support[1:] > support[:-1]).all():  # already ascending without duplicates: nothing to merge
+        uniq, merged = support, probs
+    else:
+        order = np.argsort(support, kind="stable")
+        support = support[order]
+        probs = probs[order]
+        # merge exact duplicates
+        uniq, inverse = np.unique(support, return_inverse=True)
+        merged = np.zeros(len(uniq))
+        np.add.at(merged, inverse, probs)
     keep = merged > 1e-15
     uniq, merged = uniq[keep], merged[keep]
     if len(uniq) == 0:
         raise ValueError("all masses are zero")
-    gaps = np.diff(uniq)
-    if np.any(gaps < VALUE_TOL):
+    if (uniq[1:] - uniq[:-1] < VALUE_TOL).any():
         raise ValueError(f"distinct support points closer than {VALUE_TOL}")
     return FiniteDistribution(uniq, merged)
 

@@ -1,4 +1,4 @@
-"""Offline computation oracles for the expected-max objective.
+"""Offline computation oracles: exact enumeration for any reward, and two K-MAX solvers.
 
 Three solvers with different cost/guarantee trade-offs:
 
@@ -15,8 +15,12 @@ arms all three score K-MAX on the CDF matrix (a list is converted once):
 greedy its marginal gains, exhaustive and the scheme all their candidate
 sets in one batched pass, and the candidates within rounding of the
 batched best once more with :func:`expected_kmax` on the caller's laws.
-From a matrix, per-arm laws are built only for the scheme's signatures
-and for the means of shortlisted singletons.
+Exhaustive scores a utility of the sum on finite arms the same way: every
+candidate set's product points in one batched pass, then the sets within
+rounding of the best with :func:`expected_reward`.  From a matrix,
+per-arm laws are built only for the scheme's signatures, for the means of
+shortlisted singletons and for the members of shortlisted utility sets.
+Linear rewards and continuous arms are scored one set at a time.
 
 Signatures use exact integer arithmetic so set equality is never a float
 comparison.
@@ -34,7 +38,10 @@ import numpy as np
 from .distributions import CdfMatrix, FiniteDistribution, bernoulli_decomposition
 from .errors import GuardExceeded
 from .rewards import (
+    _SUM_GRID,
+    CONVOLUTION_GUARD,
     KMAX,
+    UTILITY_OF_SUM,
     RewardSpec,
     SuperArm,
     expected_kmax,
@@ -45,7 +52,7 @@ from .rewards import (
 ENUMERATION_GUARD = 10**6
 SIGNATURE_DP_GUARD = 10**7
 VALUE_NUDGE = 1e-9
-_SCORE_BLOCK = 1 << 16  # elements of one (sets, members, values) block of candidate scoring
+_SCORE_BLOCK = 1 << 16  # elements of one block of candidate scoring: (sets, members, values), or product points
 
 
 class FeasibleFamily:
@@ -143,8 +150,9 @@ class FeasibleFamily:
 def exhaustive_oracle(dists, family: FeasibleFamily, spec: RewardSpec) -> SuperArm:
     """Exact argmax of expected reward over the family (enumeration guard).
 
-    Ties go to the lexicographically smallest member set.  K-MAX on
-    finite arms scores every set at once on the CDF matrix.
+    Ties go to the lexicographically smallest member set.  On finite
+    arms every set is scored at once: K-MAX on the CDF matrix, a utility
+    of the sum over each set's product points.
     """
     n = family.count()
     if n > ENUMERATION_GUARD:
@@ -155,6 +163,8 @@ def exhaustive_oracle(dists, family: FeasibleFamily, spec: RewardSpec) -> SuperA
         raise ValueError(f"the family is over {family.m} arms, got {len(dists)} arm laws")
     if spec.kind == KMAX and _finite(dists):
         return _best_kmax(dists, family.index_rows())
+    if spec.kind == UTILITY_OF_SUM and _finite(dists):
+        return _best_utility(dists, family.index_rows(), spec)
     dists = list(dists)
     return min(family, key=lambda S: (-expected_reward(dists, S, spec), S.members))
 
@@ -218,6 +228,101 @@ def _best_kmax(dists, rows: np.ndarray) -> SuperArm:
     m = len(cdfs)
     sets = [SuperArm(row[row < m]) for row in shortlist]
     return min(sets, key=lambda S: (-expected_kmax(dists, S), S.members))
+
+
+def _support_table(dists):
+    """Each arm's support keys ``round(v * _SUM_GRID)`` and masses, left-aligned in (m + 1, S) arrays, and its size.
+
+    Row m is a point mass at 0, the index-m pad.  A matrix row's masses
+    are the positive steps of its CDF, as ``CdfMatrix.__getitem__`` reads
+    them; columns past an arm's size hold key 0 and mass 0.
+    """
+    if isinstance(dists, CdfMatrix):
+        steps = dists.F.copy()
+        steps[:, 1:] -= dists.F[:, :-1]
+        arm, col = np.nonzero(steps > 0.0)
+        keys, masses = np.rint(dists.values * _SUM_GRID)[col], steps[arm, col]
+    else:
+        arm = np.repeat(np.arange(len(dists)), [len(d.support) for d in dists])
+        keys = np.rint(np.concatenate([d.support for d in dists]) * _SUM_GRID)
+        masses = np.concatenate([d.probs for d in dists])
+    arm, keys, masses = np.append(arm, len(dists)), np.append(keys, 0.0), np.append(masses, 1.0)
+    sizes = np.bincount(arm)
+    at = np.arange(len(arm)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # arm entries are contiguous
+    key_table = np.zeros((len(sizes), sizes.max()), dtype=np.int64)
+    mass_table = np.zeros(key_table.shape)
+    key_table[arm, at] = keys
+    mass_table[arm, at] = masses
+    return key_table, mass_table, sizes
+
+
+def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Expected utility of the sum of the arms in each row, and a bound on its distance from ``expected_reward``.
+
+    Every row expands into its product points, one member at a time in
+    member order, each point carrying its sum key and its mass, the
+    product of the member masses.  The utility is evaluated once per
+    distinct key, and a row scores the sum of mass times utility over its
+    points, in blocks of at most ``_SCORE_BLOCK`` points.  Raises
+    :class:`GuardExceeded` before any product point is built when a row
+    has ``CONVOLUTION_GUARD`` points or more.
+    """
+    keys, masses, sizes = _support_table(dists)
+    n_points = sizes[rows].prod(axis=1, dtype=float)  # exact below the guard, and at least the guard above it
+    over = np.flatnonzero(n_points >= CONVOLUTION_GUARD)
+    if len(over):
+        row = rows[over[0]]
+        raise GuardExceeded(
+            f"sum-support convolution of super arm {row[row < len(dists)].tolist()} needs "
+            f"{math.prod(sizes[row].tolist())} product points; the guard is {CONVOLUTION_GUARD}"
+        )
+    n_points = n_points.astype(np.int64)
+    ends = np.cumsum(n_points)
+    utility: dict[int, float] = {}
+    scores, magnitudes = [], []
+    start = 0
+    while start < len(rows):
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - n_points[start] + _SCORE_BLOCK, side="right")))
+        block = rows[start:stop]
+        owner = np.arange(len(block))
+        key = np.zeros(len(block), dtype=np.int64)
+        mass = np.ones(len(block))
+        for j in range(block.shape[1]):
+            arm = block[owner, j]
+            n = sizes[arm]
+            at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            owner, arm = np.repeat(owner, n), np.repeat(arm, n)
+            key = np.repeat(key, n) + keys[arm, at]
+            mass = np.repeat(mass, n) * masses[arm, at]
+        distinct, inverse = np.unique(key, return_inverse=True)
+        for k in distinct.tolist():
+            if k not in utility:
+                utility[k] = spec.utility(k / _SUM_GRID)
+        u = np.array([utility[k] for k in distinct.tolist()], dtype=float)[inverse]
+        scores.append(np.bincount(owner, weights=mass * u, minlength=len(block)))
+        magnitudes.append(np.bincount(owner, weights=mass * np.abs(u), minlength=len(block)))
+        start = stop
+    # Over a row of N points, a term of the batch is rounded at most K + N times (K products, one by
+    # u, N - 1 additions), one of expected_reward's at most (K + 1) N times (a product and up to N - 1
+    # merge additions in each of the K convolution steps, one by u, N - 1 additions).  So the two lie
+    # within (K + 2)(N + 1) eps times the row's sum of |mass u|; doubled for second-order terms
+    err = 2 * (rows.shape[1] + 2) * (n_points + 1) * np.finfo(float).eps * np.concatenate(magnitudes)
+    return np.concatenate(scores), err
+
+
+def _best_utility(dists, rows: np.ndarray, spec: RewardSpec) -> SuperArm:
+    """The row whose arms' sum has the largest expected utility; ties go to the smallest member set.
+
+    Rows whose batched score lies within the two error bounds of the
+    best one are rescored with :func:`expected_reward` on ``dists`` as the
+    caller passed them, so the choice is the one a per-set loop makes,
+    bit-equal ties included.
+    """
+    scores, err = _utility_scores(dists, rows, spec)
+    shortlist = rows[scores + err >= (scores - err).max()]
+    m = len(dists)
+    sets = [SuperArm(row[row < m]) for row in shortlist]
+    return min(sets, key=lambda S: (-expected_reward(dists, S, spec), S.members))
 
 
 def _greedy_kmax_finite(cdfs: CdfMatrix, K: int) -> SuperArm:

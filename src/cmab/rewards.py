@@ -6,9 +6,13 @@ Three reward families are supported:
 * ``utility_of_sum``: R(x, S) = u(sum_{i in S} x_i) for a monotone u,
 * ``linear_sum``: R(x, S) = sum_{i in S} x_i.
 
-Expected rewards r_D(S) are computed exactly for product distributions:
-the max via a CDF-product expansion (discrete) or piecewise polynomial
-quadrature (continuous), the sum-utility via exact support convolution.
+Expected rewards r_D(S) are computed exactly for product distributions,
+one super arm at a time: the max via a CDF-product expansion (discrete) or
+piecewise polynomial quadrature (continuous), the sum-utility via exact
+support convolution.  The exhaustive oracle scores every candidate set of
+K-MAX and of a sum-utility on finite arms in batched passes of its own
+(:mod:`cmab.oracles`), and calls :func:`expected_reward` only for the sets
+within rounding of its best.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -318,6 +319,32 @@ class TestExitCodes:
         code = main(["run", "--env", "dist1", "--policy", "cucb", "--T", "2", "--runs", "1", "--out", str(out)])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "reward, message",
+        [
+            ({"kind": "quadratic"}, "cmab: error: reward: unknown kind 'quadratic'"),
+            ({"kind": "utility", "bound_M": 2.0}, "cmab: error: reward: utility kind needs a 'utility' curve"),
+        ],
+        ids=["unknown-kind", "utility-without-curve"],
+    )
+    def test_bad_reward(self, tmp_path, capsys, reward, message):
+        inst = write_config(tmp_path, {**TINY_INSTANCE, "reward": reward})
+        assert main(["offline", "--instance", str(inst)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
+
+    @pytest.mark.parametrize("sizes, code", [((1000, 1000), 2), ((999, 1001), 0)], ids=["at-guard", "under-guard"])
+    def test_convolution_guard(self, tmp_path, capsys, sizes, code):
+        # the set {0, 1} has sizes[0] * sizes[1] product points, against CONVOLUTION_GUARD = 10^6
+        arms = [{"support": [k / 1000 for k in range(n)], "probs": [1 / n] * n} for n in sizes]
+        doc = {"arms": arms, "family": {"kind": "explicit", "sets": [[0, 1]]}, "reward": UTILITY}
+        assert main(["offline", "--instance", str(write_config(tmp_path, doc))]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == "" and captured.err.startswith("cmab: guard exceeded:")
+        else:
+            assert captured.out.startswith("set: 0 1\n")
+
     def test_guard_violation_exits_two(self, tmp_path, capsys):
         # 40 arms with K=20 explodes the exhaustive subset count guard
         payload = {
@@ -506,7 +533,10 @@ class TestRunFuzz:
 
 class TestEntryPoints:
     def test_module_invocation(self):
-        proc = subprocess.run([sys.executable, "-m", "cmab", "envs"], capture_output=True, text=True)
+        # the subprocess imports cmab from the directory this process imported it from, installed or not
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "cmab", "envs"], capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "dist4" in proc.stdout
 

@@ -31,6 +31,7 @@ from util import (
     random_piecewise,
     reference_dominant_cdfs,
     reference_inverse_cdf,
+    reference_make_finite,
     value_pool,
 )
 
@@ -91,6 +92,29 @@ class TestMakeFinite:
         assert np.all(d.probs > 0)
         assert abs(d.probs.sum() - 1.0) <= 1e-9
         assert 0.0 <= d.support[0] and d.support[-1] <= 1.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_matches_reference(self, seed, ascending, near_duplicates):
+        # ascending input takes the path without the merge; the rest is sorted and merged as before
+        rng = np.random.default_rng(seed)
+        support = rng.choice(value_pool(rng, near_duplicates), size=int(rng.integers(1, 9)))
+        if ascending:
+            support = np.unique(support)
+        if rng.random() < 0.2:
+            support[support == 0.0] = -0.0
+        probs = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
+        if probs.sum() > 0.0:
+            probs /= probs.sum()
+
+        def outcome(make):
+            try:
+                d = make(support.copy(), probs.copy())
+            except ValueError as e:
+                return str(e)
+            return [a.tobytes() for a in (d.support, d.probs, d.cum)]
+
+        assert outcome(make_finite) == outcome(reference_make_finite)
 
 
 class TestFiniteDistribution:

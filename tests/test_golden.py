@@ -2,11 +2,14 @@
 
 A fixed seed gives byte-identical CSV, so a refactor of the policies, the
 oracles or the harness that keeps these digests keeps every trace.  The
-digests were recorded before the SDCB arm state moved to a count matrix;
-re-record them only when the output is meant to change.
+built-in environment digests were recorded before the SDCB arm state moved
+to a count matrix, the utility digests while the exhaustive oracle still
+scored utility rewards one set at a time; re-record them only when the
+output is meant to change.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -124,10 +127,11 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_digests(tmp_path, policy, env, oracle, T):
+def run_digests(tmp_path, policy, env, oracle, T, config=None):
     avg, per = tmp_path / "avg.csv", tmp_path / "per.csv"
+    source = ["--env", env] if config is None else ["--config", str(config)]
     argv = [
-        "run", "--env", env, "--policy", policy, "--oracle", oracle, "--T", str(T),
+        "run", *source, "--policy", policy, "--oracle", oracle, "--T", str(T),
         "--runs", "2", "--seed", "42", "--out", str(avg), "--per-run-out", str(per),
     ]
     assert main(argv) == 0
@@ -137,4 +141,56 @@ def run_digests(tmp_path, policy, env, oracle, T):
 @pytest.mark.parametrize("case", CASES, ids=["-".join(map(str, c)) for c in CASES])
 def test_trace_digest(tmp_path, capsys, case):
     assert run_digests(tmp_path, *case) == DIGESTS[case]
+    capsys.readouterr()
+
+
+# 9 finite arms, K = 3: three safe arms with mean 0.6, three risky {0, 1} arms with mean 0.65 and three low ones
+UTILITY_ARMS = (
+    [{"support": [0.4, 0.6, 0.8], "probs": [0.2, 0.6, 0.2]}] * 3
+    + [{"support": [0.0, 1.0], "probs": [0.35, 0.65]}] * 3
+    + [{"support": [0.2, 0.4, 0.6], "probs": [0.3, 0.4, 0.3]}] * 3
+)
+UTILITY_CURVES = {
+    "identity": {"kind": "utility", "utility": "identity", "bound_M": 3.0},
+    "sqrt": {"kind": "utility", "utility": "sqrt", "bound_M": 3**0.5},
+    "table": {"kind": "utility", "utility": [[0.0, -0.5], [1.0, 0.4], [2.0, 1.0], [3.0, 1.1]], "bound_M": 1.1},
+}
+UTILITY_CASES = [(p, c) for p in ("sdcb", "lazy-sdcb") for c in UTILITY_CURVES]
+
+# (policy, utility curve) -> (averaged CSV, per-run CSV); exhaustive oracle, T = 200, seed 42, 2 runs
+UTILITY_DIGESTS = {
+    ("sdcb", "identity"): (
+        "4a5aaa1b65ac832574122ae1a95b5e6dea630a335718e2dbb7fb93b3467a202d",
+        "a26393bb5529656a42fa300f7bb047b69b482e1f6a4da8ffc41410be09545722",
+    ),
+    ("sdcb", "sqrt"): (
+        "b3c64bca5a7b288e3a9a5911b6ae4ca11c962b6a88537233548d1562c23a52bd",
+        "b116fd1aace9a6a5fcea77ef4652805c3e4654b59fd2e5831f0cf6547b480fa7",
+    ),
+    ("sdcb", "table"): (
+        "a8ee580a6392ced22f8d22a8de791b69903dffb2a3c2a89b79ea1638e4b3b263",
+        "3386c44b704edc0c03e6ecf3f6679978faacf4b032020816c7c317d432e448e3",
+    ),
+    ("lazy-sdcb", "identity"): (
+        "6efc47faeb3783c58cbeae650a4507b3e126bbd817402eb265bd0be2a88f246e",
+        "14c8b68939b192cdac01f2fa3f7e39c5c465fe96f7f98ee3bf6c9dde5669843c",
+    ),
+    ("lazy-sdcb", "sqrt"): (
+        "013286f7e46f833dda222c447912d414a3d6be969b7c0842013a73cc83b202a9",
+        "0ae5109a0be6e51624c61c6bc112f47de6ae0c0c7087e11c4f53251bbb3fe506",
+    ),
+    ("lazy-sdcb", "table"): (
+        "d9cf201ae58898532fe7056fe383145a4838319549a7339a41bcd2d6bffcd728",
+        "96c7b196899537cf1577fffba27d7b6c1e784c82662ce1f18c9e6f7d04ca4da8",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UTILITY_CASES, ids=["-".join(c) for c in UTILITY_CASES])
+def test_utility_trace_digest(tmp_path, capsys, case):
+    policy, curve = case
+    config = tmp_path / "config.json"
+    family = {"kind": "cardinality", "K": 3}
+    config.write_text(json.dumps({"arms": UTILITY_ARMS, "family": family, "reward": UTILITY_CURVES[curve]}))
+    assert run_digests(tmp_path, policy, None, "exhaustive", 200, config) == UTILITY_DIGESTS[case]
     capsys.readouterr()

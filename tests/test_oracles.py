@@ -21,6 +21,7 @@ from cmab.oracles import (
     FeasibleFamily,
     _kmax_scores,
     _reachable_sets,
+    _utility_scores,
     arm_signature,
     exhaustive_oracle,
     greedy_kmax,
@@ -29,7 +30,7 @@ from cmab.oracles import (
     signature_cap,
 )
 from cmab.policies import Cucb
-from cmab.rewards import SuperArm, expected_kmax, kmax_spec, linear_spec
+from cmab.rewards import UTILITY_CURVES, SuperArm, expected_kmax, expected_reward, kmax_spec, linear_spec, utility_spec
 from util import (
     COARSE_GRID,
     count_matrix,
@@ -228,6 +229,114 @@ class TestExhaustiveOracle:
         dists = random_laws(rng, kind, m)
         fam = random_explicit(rng, m, K) if explicit else FeasibleFamily.cardinality_at_most(K, m)
         assert exhaustive_oracle(dists, fam, kmax_spec()) == reference_exhaustive(dists, fam, kmax_spec())
+
+
+def random_utility(rng, curve):
+    """A named utility curve, or for "table" a tabulated one that starts below 0."""
+    if curve == "table":
+        ys = np.sort(rng.choice(np.arange(8) / 2, size=int(rng.integers(2, 6)), replace=False))
+        us = np.cumsum(rng.random(len(ys))) - rng.uniform(0.5, 2.0)
+        curve = list(zip(ys, us))
+    return utility_spec(curve, bound_M=1.0, lipschitz_C=1.0)
+
+
+def utility_case(seed, kind, curve, m, K, explicit):
+    """(laws, family, spec) of one utility instance: list or matrix laws, on and off a lattice."""
+    rng = np.random.default_rng(seed)
+    K = min(K, m)
+    dists = random_laws(rng, kind, m)
+    fam = random_explicit(rng, m, K) if explicit else FeasibleFamily.cardinality_at_most(K, m)
+    return dists, fam, random_utility(rng, curve)
+
+
+UTILITY_CASES = st.builds(
+    utility_case,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(LAW_KINDS),
+    st.sampled_from([*UTILITY_CURVES, "table"]),
+    st.integers(2, 6),
+    st.integers(1, 4),
+    st.booleans(),
+)
+
+
+class TestExhaustiveUtility:
+    def test_rounding_never_decides(self):
+        # arm 1 has mean 0.3 like the point mass 2, so {0, 1} and {0, 2} tie in exact arithmetic;
+        # the batched scores round them one way and expected_reward another, and expected_reward decides
+        dists = [
+            make_finite([0.7, 0.8, 1.0], [2 / 17, 5 / 17, 10 / 17]),
+            make_finite([0.1, 0.7], [2 / 3, 1 / 3]),
+            point(0.3),
+        ]
+        fam = FeasibleFamily.cardinality_at_most(2, 3)
+        spec = utility_spec("identity", bound_M=2.0, lipschitz_C=1.0)
+        assert exhaustive_oracle(dists, fam, spec) == reference_exhaustive(dists, fam, spec) == SuperArm([0, 1])
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(UTILITY_CASES)
+    def test_matches_reference_loop(self, case):
+        dists, fam, spec = case
+        assert exhaustive_oracle(dists, fam, spec) == reference_exhaustive(dists, fam, spec)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(UTILITY_CASES)
+    def test_scores_within_bound(self, case):
+        dists, fam, spec = case
+        rows = fam.index_rows()
+        scores, err = _utility_scores(dists, rows, spec)
+        want = [expected_reward(dists, SuperArm(row[row < len(dists)]), spec) for row in rows]
+        assert np.all(np.abs(scores - want) <= err)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(UTILITY_CASES)
+    def test_guard_trips_on_the_same_families(self, case):
+        # at a guard of 20 product points, the batch raises exactly when some set of the per-set loop does
+        dists, fam, spec = case
+
+        def trips(solve) -> bool:
+            try:
+                solve(dists, fam, spec)
+            except GuardExceeded:
+                return True
+            return False
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cmab.oracles.CONVOLUTION_GUARD", 20)
+            mp.setattr("cmab.rewards.CONVOLUTION_GUARD", 20)
+            batch = trips(lambda dists, fam, spec: _utility_scores(dists, fam.index_rows(), spec))
+            assert batch == trips(reference_exhaustive)
+
+    @pytest.mark.parametrize("as_matrix", [False, True], ids=["list", "matrix"])
+    def test_guard_counts_real_support_points(self, monkeypatch, as_matrix):
+        # a 4-point and a 5-point arm: {0, 1} has 20 product points, though the matrix holds 8 columns
+        arms = [make_finite([0.1, 0.2, 0.3, 0.4], [0.25] * 4), make_finite([0.5, 0.6, 0.7, 0.8, 0.9], [0.2] * 5)]
+        dists = CdfMatrix.of(arms) if as_matrix else arms
+        rows = FeasibleFamily.explicit([[0, 1]], 2).index_rows()
+        spec = utility_spec("sqrt", bound_M=2.0, lipschitz_C=1.0)
+        monkeypatch.setattr("cmab.oracles.CONVOLUTION_GUARD", 21)
+        _utility_scores(dists, rows, spec)
+        monkeypatch.setattr("cmab.oracles.CONVOLUTION_GUARD", 20)
+        with pytest.raises(GuardExceeded, match=r"super arm \[0, 1\] needs 20 product points"):
+            _utility_scores(dists, rows, spec)
+
+    def test_scoring_blocks_and_one_utility_call_per_sum(self, monkeypatch):
+        calls = []
+        spec = utility_spec(lambda y: calls.append(y) or math.sqrt(y), bound_M=2.0, lipschitz_C=1.0)
+        dists = dominant_cdfs(*random_counts(np.random.default_rng(11), 8), 50)
+        fam = FeasibleFamily.cardinality_at_most(3, 8)
+        calls.clear()
+        whole = _utility_scores(dists, fam.index_rows(), spec)
+        sums = sorted(calls)
+        assert len(sums) == len(set(sums))
+        chosen = exhaustive_oracle(dists, fam, spec)
+        monkeypatch.setattr("cmab.oracles._SCORE_BLOCK", 40)  # a few rows a block, or one row past 40 points
+        calls.clear()
+        blocked = _utility_scores(dists, fam.index_rows(), spec)
+        assert sorted(calls) == sums
+        np.testing.assert_array_equal(blocked[0], whole[0])
+        np.testing.assert_array_equal(blocked[1], whole[1])
+        assert exhaustive_oracle(dists, fam, spec) == chosen
 
 
 def reference_greedy(dists, K):

@@ -12,7 +12,14 @@ import math
 
 import numpy as np
 
-from cmab.distributions import VALUE_TOL, FiniteDistribution, PiecewiseDensity, bernoulli_decomposition, make_finite
+from cmab.distributions import (
+    MASS_TOL,
+    VALUE_TOL,
+    FiniteDistribution,
+    PiecewiseDensity,
+    bernoulli_decomposition,
+    make_finite,
+)
 from cmab.oracles import ptas_grid, signature_cap
 from cmab.policies import lazy_sdcb_known_T
 from cmab.rewards import expected_reward
@@ -27,6 +34,39 @@ def random_finite(rng: np.random.Generator, max_support: int = 6) -> FiniteDistr
     probs = rng.random(k) + 0.05
     probs /= probs.sum()
     return make_finite(support, probs)
+
+
+def reference_make_finite(support, probs) -> FiniteDistribution:
+    """``make_finite`` as it was before sorted, duplicate-free input skipped the merge: every input is sorted and merged."""
+    support = np.asarray(support, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    if support.ndim != 1 or len(support) == 0 or support.shape != probs.shape:
+        raise ValueError("support and probs must be nonempty lists of equal length")
+    if not (np.all(np.isfinite(support)) and np.all(np.isfinite(probs))):
+        raise ValueError("support values and masses must be finite")
+    if np.any(support < 0.0) or np.any(support > 1.0):
+        raise ValueError("support values must lie in [0, 1]")
+    if np.any(probs < 0.0):
+        raise ValueError("masses must be nonnegative")
+    total = float(np.sum(probs))
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"masses sum to {total!r}, expected 1 within {MASS_TOL}")
+
+    order = np.argsort(support, kind="stable")
+    support = support[order]
+    probs = probs[order]
+    # merge exact duplicates
+    uniq, inverse = np.unique(support, return_inverse=True)
+    merged = np.zeros(len(uniq))
+    np.add.at(merged, inverse, probs)
+    keep = merged > 1e-15
+    uniq, merged = uniq[keep], merged[keep]
+    if len(uniq) == 0:
+        raise ValueError("all masses are zero")
+    gaps = np.diff(uniq)
+    if np.any(gaps < VALUE_TOL):
+        raise ValueError(f"distinct support points closer than {VALUE_TOL}")
+    return FiniteDistribution(uniq, merged)
 
 
 def joint_expected(dists, members, reward_fn) -> float:
