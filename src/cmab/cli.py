@@ -220,14 +220,6 @@ def cmd_run(args) -> int:
     epsilon = _epsilon(pick("epsilon"))
     alpha = _real_field("alpha", pick("alpha"))
     out = _str_field("out", pick("out"))
-    if T < 1:
-        raise _ConfigError("T must be >= 1")
-    if runs < 1:
-        raise _ConfigError("runs must be >= 1")
-    if seed < 0:
-        raise _ConfigError("seed must be >= 0")
-    if args.jobs < 1:
-        raise _ConfigError("jobs must be >= 1")
     if not 0.0 < alpha <= 1.0:
         raise _ConfigError("alpha must be in (0, 1]")
 

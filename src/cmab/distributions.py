@@ -7,8 +7,8 @@ Two representations cover every arm law downstream:
   density.
 
 Both are immutable after construction and safe to share.  A learning
-policy's observations are not a distribution: they are a count matrix
-over a sorted value grid, which :func:`dominant_cdfs` turns into a
+policy's observations are not a distribution: they are counts over a
+sorted value grid, which :func:`dominant_cdfs` turns into a
 :class:`CdfMatrix`, every arm's optimistic CDF over one shared grid.  An
 offline oracle takes m arm laws: a list or a :class:`CdfMatrix`.
 Construct finite distributions through :func:`make_finite`, which
@@ -235,7 +235,8 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
     max{F-hat_i(x) - radius_i, 0} below 1 and exactly 1 at x = 1, so it
     first-order stochastically dominates the arm's empirical distribution;
     the mass removed from low values is relocated to 1.  A grid value the
-    arm never saw carries no mass.
+    arm never saw carries no mass.  ``Sdcb`` runs the same kernel on its
+    cumulative counts.
 
     Args:
         values: ascending grid of observed values, last entry 1.0.
@@ -252,7 +253,8 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
     counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[1] != len(values) or not len(values) or values[-1] != 1.0:
         raise ValueError("counts must be (m, len(values)) over a grid ending at 1")
-    n = counts.sum(axis=1)
+    cum = np.cumsum(counts, axis=1)
+    n = cum[:, -1]
     if np.any(n == 0):
         raise ValueError("dominant_cdfs requires at least one observation per arm")
     if radius is None:
@@ -261,7 +263,14 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
         radius = confidence_radius(t, n)
     else:
         radius = np.broadcast_to(np.asarray(radius, dtype=float), n.shape)
-    low = np.maximum(np.cumsum(counts, axis=1) / n[:, None] - radius[:, None], 0.0)
+    return _optimistic(values, cum, n, radius)
+
+
+def _optimistic(values: np.ndarray, cum: np.ndarray, n: np.ndarray, radius: np.ndarray) -> CdfMatrix:
+    """max{cum / n - radius, 0} and 1 at 1, over cumulative counts ``cum`` with totals ``n = cum[:, -1]`` > 0."""
+    low = cum / n[:, None]
+    low -= radius[:, None]
+    np.maximum(low, 0.0, out=low)
     low[:, -1] = 1.0
     # a column no arm has mass at repeats the column before it in every row
     return CdfMatrix.trimmed(values, low)
@@ -272,12 +281,7 @@ def bin_index(x: float, s: int) -> int:
 
     Intervals are I_1 = [0, 1/s] and I_j = ((j-1)/s, j/s] for j >= 2.
     """
-    j = math.ceil(x * s)
-    if j < 1:
-        j = 1
-    elif j > s:
-        j = s
-    return j
+    return min(max(math.ceil(x * s), 1), s)
 
 
 def bin_value(x: float, s: int) -> float:

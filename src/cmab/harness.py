@@ -158,6 +158,7 @@ def run_many(
     spread over that many worker processes (at most one per run), and the
     results are identical to a serial execution.
     """
+    check_count(T, "horizon T")  # before any worker starts; run_one checks it again
     check_count(runs, "runs")
     check_count(n_jobs, "n_jobs")
     seeds = [run_seed(seed_base, r) for r in range(runs)]

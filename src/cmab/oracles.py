@@ -173,9 +173,11 @@ def greedy_kmax(dists, K: int) -> SuperArm:
     """Greedy expected-max maximization under a cardinality constraint.
 
     Adds the arm with the best marginal gain K times; ties go to the
-    lowest arm index.  The objective is monotone submodular, so the value
-    is at least (1 - 1/e) times the optimum over K-subsets.  Finite arms
-    are scored on their CDF matrix, read as given or built once.
+    lowest arm index only when the computed gains are bit-equal (gains
+    equal in exact arithmetic may round apart).  The objective is
+    monotone submodular, so the value is at least (1 - 1/e) times the
+    optimum over K-subsets.  Finite arms are scored on their CDF matrix,
+    read as given or built once.
     """
     m = len(dists)
     if not 1 <= K <= m:
@@ -263,7 +265,8 @@ def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> tuple[np.ndarr
     member order, each point carrying its sum key and its mass, the
     product of the member masses.  The utility is evaluated once per
     distinct key, and a row scores the sum of mass times utility over its
-    points, in blocks of at most ``_SCORE_BLOCK`` points.  Raises
+    points, in blocks of at most ``_SCORE_BLOCK`` points; a row with more
+    points is summed over chunks of that many, in the same sequence.  Raises
     :class:`GuardExceeded` before any product point is built when a row
     has ``CONVOLUTION_GUARD`` points or more.
     """
@@ -279,35 +282,45 @@ def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> tuple[np.ndarr
     n_points = n_points.astype(np.int64)
     ends = np.cumsum(n_points)
     utility: dict[int, float] = {}
-    scores, magnitudes = [], []
+    scores, magnitudes = np.zeros(len(rows)), np.zeros(len(rows))
     start = 0
     while start < len(rows):
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] - n_points[start] + _SCORE_BLOCK, side="right")))
         block = rows[start:stop]
-        owner = np.arange(len(block))
-        key = np.zeros(len(block), dtype=np.int64)
-        mass = np.ones(len(block))
-        for j in range(block.shape[1]):
-            arm = block[owner, j]
-            n = sizes[arm]
-            at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-            owner, arm = np.repeat(owner, n), np.repeat(arm, n)
-            key = np.repeat(key, n) + keys[arm, at]
-            mass = np.repeat(mass, n) * masses[arm, at]
-        distinct, inverse = np.unique(key, return_inverse=True)
-        for k in distinct.tolist():
-            if k not in utility:
-                utility[k] = spec.utility(k / _SUM_GRID)
-        u = np.array([utility[k] for k in distinct.tolist()], dtype=float)[inverse]
-        scores.append(np.bincount(owner, weights=mass * u, minlength=len(block)))
-        magnitudes.append(np.bincount(owner, weights=mass * np.abs(u), minlength=len(block)))
+        if n_points[start] > _SCORE_BLOCK:  # a row alone: its points in chunks, the first member slowest
+            row, total, B = block[:1].T, int(n_points[start]), _SCORE_BLOCK
+            ats = (np.unravel_index(np.arange(a, min(a + B, total)), sizes[block[0]]) for a in range(0, total, B))
+            # keys summed and masses multiplied member by member, as the one-chunk expansion below does
+            points = ((0, sum(keys[row, at]), math.prod(masses[row, at])) for at in map(np.array, ats))
+        else:
+            owner = np.arange(len(block))
+            key = np.zeros(len(block), dtype=np.int64)
+            mass = np.ones(len(block))
+            for j in range(block.shape[1]):
+                arm = block[owner, j]
+                n = sizes[arm]
+                at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+                owner, arm = np.repeat(owner, n), np.repeat(arm, n)
+                key = np.repeat(key, n) + keys[arm, at]
+                mass = np.repeat(mass, n) * masses[arm, at]
+            points = [(owner, key, mass)]
+        for owner, key, mass in points:
+            distinct, inverse = np.unique(key, return_inverse=True)
+            for k in distinct.tolist():
+                if k not in utility:
+                    utility[k] = spec.utility(k / _SUM_GRID)
+            u = np.array([utility[k] for k in distinct.tolist()], dtype=float)[inverse]
+            # each row's running total enters first, so a row split over chunks sums its points in one sequence
+            bins = np.concatenate([np.arange(len(block)), np.broadcast_to(owner, key.shape)])
+            for out, terms in ((scores, mass * u), (magnitudes, mass * np.abs(u))):
+                out[start:stop] = np.bincount(bins, np.concatenate([out[start:stop], terms]), minlength=len(block))
         start = stop
     # Over a row of N points, a term of the batch is rounded at most K + N times (K products, one by
     # u, N - 1 additions), one of expected_reward's at most (K + 1) N times (a product and up to N - 1
     # merge additions in each of the K convolution steps, one by u, N - 1 additions).  So the two lie
     # within (K + 2)(N + 1) eps times the row's sum of |mass u|; doubled for second-order terms
-    err = 2 * (rows.shape[1] + 2) * (n_points + 1) * np.finfo(float).eps * np.concatenate(magnitudes)
-    return np.concatenate(scores), err
+    err = 2 * (rows.shape[1] + 2) * (n_points + 1) * np.finfo(float).eps * magnitudes
+    return scores, err
 
 
 def _best_utility(dists, rows: np.ndarray, spec: RewardSpec) -> SuperArm:
@@ -328,21 +341,15 @@ def _best_utility(dists, rows: np.ndarray, spec: RewardSpec) -> SuperArm:
 def _greedy_kmax_finite(cdfs: CdfMatrix, K: int) -> SuperArm:
     V = cdfs.values
     C = cdfs.F
-    m = len(C)
     # E[max] = sum_k V_k (P_k - P_{k-1}) = P @ w with w_k = V_k - V_{k+1}, w_last = V_last
-    w = np.empty(len(V))
-    w[:-1] = V[:-1] - V[1:]
-    w[-1] = V[-1]
-    prod = np.ones(len(V))
-    chosen: list[int] = []
-    avail = np.ones(m, dtype=bool)
-    for _ in range(K):
-        vals = (C[avail] * prod) @ w
-        idx = np.flatnonzero(avail)
-        j = int(idx[np.argmax(vals)])
-        chosen.append(j)
-        avail[j] = False
-        prod = prod * C[j]
+    w = np.append(V[:-1] - V[1:], V[-1])
+    avail = list(range(len(C)))
+    chosen = [avail.pop(int((C @ w).argmax()))]
+    prod = C[chosen[0]]
+    # score the remaining rows only, in index order: a gemv's bits depend on its row count
+    for _ in range(K - 1):
+        chosen.append(avail.pop(int((C[avail] * prod @ w).argmax())))
+        prod = prod * C[chosen[-1]]
     return SuperArm(chosen)
 
 

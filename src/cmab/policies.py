@@ -23,10 +23,11 @@ policy's own generator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
-from .distributions import CdfMatrix, bin_value, confidence_radius, dominant_cdfs
+from .distributions import CdfMatrix, _optimistic, bin_value, confidence_radius
 from .errors import check_count
 from .oracles import FeasibleFamily
 from .rewards import RewardSpec, SuperArm
@@ -61,14 +62,15 @@ class _Policy:
 class Sdcb(_Policy):
     """Stochastically dominant confidence bound policy.
 
-    Keeps one count matrix: ``counts[i, k]`` is how often arm i returned
-    ``values[k]``, over the sorted grid ``values`` of every value observed
-    so far plus 1.  The first m rounds initialize: round i plays the
+    Keeps one cumulative count matrix: ``cum[i, k]`` is how often arm i
+    returned a value at or below ``values[k]``, over the sorted grid of
+    every value observed so far plus 1; ``counts`` reads the per-value
+    counts off it.  The first m rounds initialize: round i plays the
     lexicographically smallest feasible super arm containing arm i - 1.
-    Afterwards every arm's empirical CDF is shifted down by
-    the confidence radius sqrt(3 ln t / 2 T_i) (mass relocated to 1) and
-    the offline oracle is asked for the best super arm under that
-    optimistic product law.
+    Afterwards every arm's empirical CDF ``cum[i] / cum[i, -1]`` is shifted
+    down by the confidence radius sqrt(3 ln t / 2 T_i) (mass relocated to
+    1), and the offline oracle is asked for the best super arm under that
+    optimistic product law, built by :func:`dominant_cdfs`'s kernel.
 
     With ``outcome_bins=s`` every observation is snapped to the right
     endpoint of its interval under the s-fold split of [0, 1] before
@@ -84,27 +86,36 @@ class Sdcb(_Policy):
     def _restart(self, outcome_bins: int | None) -> None:
         """Forget every observation; later ones are binned into ``outcome_bins`` intervals."""
         self.outcome_bins = outcome_bins
-        self.values = np.array([1.0])
-        self.counts = np.zeros((self.family.m, 1), dtype=np.int64)
+        self._grid = [1.0]  # ``values`` as a list, bisected per outcome
+        self.values = np.array(self._grid)
+        self.cum = np.zeros((self.family.m, 1), dtype=np.int64)
 
     def _select(self, t: int) -> SuperArm:
         if t <= self.family.m:
             return self.family.smallest_containing(t - 1)
-        return self.oracle(dominant_cdfs(self.values, self.counts, t))
+        n = self.cum[:, -1]
+        if not n.all():
+            raise ValueError("every arm needs an observation before its optimistic CDF")
+        return self.oracle(_optimistic(self.values, self.cum, n, confidence_radius(t, n)))
 
     def _observe(self, outcomes) -> None:
-        s = self.outcome_bins
+        s, grid = self.outcome_bins, self._grid
         for arm, x in outcomes.items():
             v = float(x) if s is None else bin_value(x, s)
-            k = int(np.searchsorted(self.values, v))
-            if self.values[k] != v:  # a new value: rare once the grid has filled
-                self.values = np.insert(self.values, k, v)
-                self.counts = np.insert(self.counts, k, 0, axis=1)
-            self.counts[arm, k] += 1
+            k = bisect_left(grid, v)
+            if grid[k] != v:  # a new value: rare once the grid has filled
+                grid.insert(k, v)
+                self.values = np.array(grid)
+                self.cum = np.insert(self.cum, k, self.cum[:, k - 1] if k else 0, axis=1)
+            self.cum[arm, k:] += 1
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.cum, prepend=0)
 
     @property
     def pull_counts(self):
-        return self.counts.sum(1).tolist()
+        return self.cum[:, -1].tolist()
 
 
 def _ceil_sqrt(T: int) -> int:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config merging, exit codes."""
 
+import concurrent.futures
 import contextlib
 import io
 import itertools
@@ -83,6 +84,33 @@ TINY_INSTANCE = {
     "reward": {"kind": "kmax"},
 }
 
+
+# documents reaching each rejection of the config and instance readers: (subcommand, document, message)
+CONFIG_ERRORS = {
+    "config-not-object": ("run", [1], "config: expected a JSON object"),
+    "config-unknown-policy": ("run", {"env": "dist1", "policy": "thompson"}, "unknown policy 'thompson'"),
+    "config-unknown-oracle": ("run", {"env": "dist1", "policy": "sdcb", "oracle": "lp"}, "unknown oracle 'lp'"),
+    "no-environment": ("run", {"policy": "sdcb"}, "no environment"),
+    "instance-not-object": ("offline", [1], "instance: expected a JSON object"),
+    "no-arms": ("offline", {"family": CARD}, "instance: need a nonempty 'arms' list"),
+    "no-family": ("offline", {"arms": TINY_ARMS}, "instance: missing 'family'"),
+    "family-without-kind": ("offline", {"arms": TINY_ARMS, "family": {"K": 2}}, "family: expected an object with"),
+    "family-without-K": ("offline", {"arms": TINY_ARMS, "family": {"kind": "cardinality"}}, "family: cardinality needs"),
+    "family-without-sets": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit"}}, "family: explicit needs"),
+    "family-unknown-kind": ("offline", {"arms": TINY_ARMS, "family": {"kind": "matroid"}}, "family: unknown kind"),
+    "arm-not-object": ("offline", {"arms": [[0.5]], "family": CARD}, "arm 0: expected an object"),
+    "arm-without-probs": ("offline", {"arms": [{"support": [0.5]}]}, "arm 0: finite arms need both"),
+    "arm-without-densities": ("offline", {"arms": [{"breakpoints": [0, 1]}]}, "arm 0: continuous arms need both"),
+    "arm-without-fields": ("offline", {"arms": [{}]}, "arm 0: need 'support'/'probs' or 'breakpoints'/'densities'"),
+}
+
+# flags whose range the library checks, and the message it raises: (flags, message)
+COUNT_ERRORS = {
+    "T-zero": (["--T", "0"], "horizon T must be >= 1"),
+    "runs-zero": (["--runs", "0"], "runs must be >= 1"),
+    "jobs-zero": (["--jobs", "0"], "n_jobs must be >= 1"),
+    "seed-negative": (["--seed", "-1"], "seed must be a nonnegative integer"),
+}
 
 # instances whose continuous arm the requested evaluation cannot read: (subcommand, extra flags, reward)
 CONTINUOUS_ARMS = {"arms": [{"breakpoints": [0.0, 0.5, 1.0], "densities": [1.5, 0.5]}, *TINY_INSTANCE["arms"][1:]]}
@@ -249,6 +277,33 @@ class TestExitCodes:
 
     def test_bad_horizon(self, capsys):
         assert main(["run", "--env", "dist1", "--policy", "sdcb", "--T", "0"]) == 1
+
+    @pytest.mark.parametrize("command, doc, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS.keys())
+    def test_config_error(self, tmp_path, capsys, command, doc, message):
+        out = tmp_path / "t.csv"
+        if command == "run":
+            argv = ["run", "--config", str(write_config(tmp_path, doc)), "--T", "3", "--runs", "1", "--out", str(out)]
+        else:
+            argv = ["offline", "--instance", str(write_config(tmp_path, doc))]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"cmab: error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", COUNT_ERRORS.values(), ids=COUNT_ERRORS.keys())
+    def test_count_rejected_by_library(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "t.csv"
+        assert main(["run", "--env", "dist1", "--policy", "cucb", "--T", "2", *flags, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"cmab: error: {message}")
+        assert not out.exists()
+
+    def test_bad_horizon_starts_no_worker(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # calling it would raise TypeError
+        out = tmp_path / "t.csv"
+        argv = ["run", "--env", "dist1", "--policy", "cucb", "--T", "0", "--runs", "2", "--jobs", "2"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("cmab: error: horizon T must be >= 1")
 
     def test_bad_alpha(self, capsys):
         assert main(["run", "--env", "dist1", "--policy", "sdcb", "--alpha", "1.5"]) == 1

@@ -21,6 +21,7 @@ from cmab.oracles import (
     FeasibleFamily,
     _kmax_scores,
     _reachable_sets,
+    _support_table,
     _utility_scores,
     arm_signature,
     exhaustive_oracle,
@@ -38,6 +39,7 @@ from util import (
     random_finite,
     reference_arm_signature,
     reference_exhaustive,
+    reference_greedy_matrix,
 )
 
 EXACT = 1e-12
@@ -338,6 +340,27 @@ class TestExhaustiveUtility:
         np.testing.assert_array_equal(blocked[1], whole[1])
         assert exhaustive_oracle(dists, fam, spec) == chosen
 
+    def test_oversized_rows_scored_in_chunks(self, monkeypatch):
+        # at a block of 5 points, every row past 5 product points is scored in chunks of at most 5, each
+        # carrying the row's running total into the next, so scores and bounds keep their bits
+        spec = utility_spec("sqrt", bound_M=3.0, lipschitz_C=1.0)
+        rng = np.random.default_rng(11)
+        dists = [random_finite(rng) for _ in range(6)]
+        fam = FeasibleFamily.cardinality_at_most(3, 6)
+        whole = _utility_scores(dists, fam.index_rows(), spec)
+        chosen = exhaustive_oracle(dists, fam, spec)
+        _, _, sizes = _support_table(dists)
+        assert np.mean(sizes[fam.index_rows()].prod(1) > 5) > 0.5
+        sized = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda keys, **kw: sized.append(len(keys)) or unique(keys, **kw))
+        monkeypatch.setattr("cmab.oracles._SCORE_BLOCK", 5)
+        chunked = _utility_scores(dists, fam.index_rows(), spec)
+        assert max(sized) <= 5
+        np.testing.assert_array_equal(chunked[0], whole[0])
+        np.testing.assert_array_equal(chunked[1], whole[1])
+        assert exhaustive_oracle(dists, fam, spec) == chosen
+
 
 def reference_greedy(dists, K):
     """Greedy re-derived with per-candidate scoring; strict > keeps lowest index."""
@@ -388,6 +411,32 @@ class TestGreedyKmax:
         else:
             dists = [random_finite(rng, max_support=4) for _ in range(5)]
         assert greedy_kmax(dists, K) == reference_greedy(list(dists), K)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(LAW_KINDS), st.integers(1, 9))
+    def test_matrix_path_matches_masked_reference(self, seed, kind, m):
+        # dominant_cdfs and Cucb point-mass matrices, and lists read through CdfMatrix.of: the same pick,
+        # bit-equal ties included, as greedy scoring boolean-masked rows times a running product
+        dists = random_laws(np.random.default_rng(seed), kind, m)
+        cdfs = dists if isinstance(dists, CdfMatrix) else CdfMatrix.of(dists)
+        for K in range(1, m + 1):
+            assert greedy_kmax(dists, K) == reference_greedy_matrix(cdfs, K)
+
+    @pytest.mark.parametrize("seed, K", [(4725, 5), (5165, 4), (5565, 5)])
+    def test_scores_the_remaining_rows_only(self, seed, K):
+        # a matrix-vector product's last bits depend on its row count: on these near-ties, scoring all m
+        # rows with the chosen ones masked out can change the pick; the remaining rows alone keep it
+        dists = random_laws(np.random.default_rng(seed), "finite", 7)
+        assert greedy_kmax(dists, K) == reference_greedy_matrix(CdfMatrix.of(dists), K)
+
+    def test_ties_only_when_bit_equal(self):
+        # after {0, 2}, arms 1, 3 and 4 lie below arm 0's point mass at 0.76 and add nothing in exact
+        # arithmetic, but their computed gains differ in the last bit: greedy takes 3, as the masked
+        # scoring did, where reference_greedy's strict > on expected_kmax takes 1
+        rng = np.random.default_rng(365)
+        dists = [random_finite(rng, max_support=4) for _ in range(5)]
+        assert greedy_kmax(dists, 3) == reference_greedy_matrix(CdfMatrix.of(dists), 3) == SuperArm([0, 2, 3])
+        assert reference_greedy(dists, 3) == SuperArm([0, 1, 2])
 
     def test_matrix_read_within_value_tol(self):
         # arm 0 has mass 1/2 at 0.3 and at 0.3 + 4e-10, arm 1 all at 0.3 + 3e-10;

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmab.distributions import bin_value, make_finite
+from cmab.distributions import bin_value, confidence_radius, dominant_cdfs, make_finite, sample
+from cmab.harness import PolicyFactory, builtin_env
 from cmab.oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax
 from cmab.policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
-from cmab.rewards import SuperArm, kmax_spec
-from cmab.rng import substream
-from util import COARSE_GRID, ReferenceDoubling, ReferenceOsm
+from cmab.rewards import SuperArm, expected_kmax, kmax_spec
+from cmab.rng import ARM_STREAM, POLICY_STREAM, substream
+from util import COARSE_GRID, ReferenceDoubling, ReferenceOsm, count_matrix
 
 EXACT = 1e-12
 
@@ -181,6 +182,38 @@ class TestSdcb:
         for i, obs in seen.items():
             assert {v: c for v, c in zip(pol.values, pol.counts[i]) if c} == Counter(obs)
         assert pol.pull_counts == [len(seen[i]) for i in range(4)]
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([None, 1, 3, 10]))
+    def test_oracle_input_is_dominant_cdfs(self, seed, m, bins):
+        # from cumulative counts, every round's oracle input equals dominant_cdfs on the count matrix of the
+        # outcomes seen so far, bit for bit; new values keep arriving below, between and above the grid
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, m + 1))
+        inputs = []
+        pol = Sdcb(
+            FeasibleFamily.cardinality_at_most(K, m),
+            kmax_spec(),
+            lambda laws: inputs.append(laws) or SuperArm(rng.choice(m, size=K, replace=False)),
+            outcome_bins=bins,
+        )
+        pool = [float(rng.choice(COARSE_GRID))]
+        seen = [[] for _ in range(m)]
+        for t in range(1, 60):
+            want = dominant_cdfs(*count_matrix(seen), t) if t > m else None
+            S = pol.select(t)
+            if want is not None:
+                got = inputs.pop()
+                assert np.array_equal(got.values, want.values) and got.values.dtype == want.values.dtype
+                assert np.array_equal(got.F, want.F) and got.F.dtype == want.F.dtype
+            if rng.random() < 0.3:
+                pool.append(float(rng.choice([0.0, 1.0, rng.random(), rng.choice(COARSE_GRID)])))
+            outcomes = {i: pool[int(rng.integers(len(pool)))] for i in S.members}
+            pol.observe(t, S, outcomes)
+            for i, x in outcomes.items():
+                seen[i].append(x if bins is None else bin_value(x, bins))
+            assert np.array_equal(pol.values, count_matrix(seen)[0])
+        assert not inputs
 
     def test_identical_histories_identical_choices(self):
         fam, spec, oracle = cardinality_setup(1, 3)
@@ -503,3 +536,51 @@ class TestOsm:
             ref.observe(outcomes)
             assert np.array_equal(pol.weights, np.vstack(ref.weights))
         assert duplicates > 0 or K == 1
+
+
+class TestRegretCertificate:
+    """The SDCB analysis's per-round proof step, checked on the learning loop itself.
+
+    E_t is the event sup_x |F-hat_i(x) - F_i(x)| <= L_i for every arm i, with
+    L_i = sqrt(3 ln t / 2 T_i).  On every round after initialization where
+    E_t holds, optimism plus an alpha-approximate oracle give
+    (a) alpha r_D(S*) <= r_Dbar(S_t) and (b) r_Dbar(S_t) - r_D(S_t) <= 2 M sum_{i in S_t} L_i.
+    Rounds where E_t fails are counted, against a budget fixed from the
+    Massart bound P(sup_x |F-hat - F| > L) <= 2 exp(-2 n L^2) = 2 t^-3 per
+    arm, summed over the t possible counts n: 2 m t^-2 per round.
+    """
+
+    @pytest.mark.parametrize(
+        "env_name, oracle, alpha",
+        [("dist1", "exhaustive", 1.0), ("dist2", "greedy", 1.0 - 1.0 / math.e), ("dist3", "exhaustive", 1.0)],
+    )
+    def test_optimism_and_confidence_bounds(self, env_name, oracle, alpha):
+        T, seed = 3000, 7
+        env = builtin_env(env_name)
+        m, M = env.family.m, env.spec.bound_M
+        pol = PolicyFactory("sdcb", oracle)(env.family, env.spec, T, substream(seed, POLICY_STREAM, 0))
+        arm_rngs = [substream(seed, ARM_STREAM, i) for i in range(m)]
+        # the empirical and true CDFs are right-continuous steps: |F-hat - F| peaks at a jump of either
+        jumps = np.unique(np.concatenate([arm.support for arm in env.arms] + [[0.0, 1.0]]))
+        true_cdfs = np.vstack([arm.cdf(jumps) for arm in env.arms])
+        failures, certified = 0, 0
+        for t in range(1, T + 1):
+            if t > m:
+                values, counts = pol.values, pol.counts
+                n = counts.sum(1)
+                radius = confidence_radius(t, n)
+                at = np.searchsorted(values, jumps, side="right")
+                empirical = np.hstack([np.zeros((m, 1)), np.cumsum(counts, 1) / n[:, None]])[:, at]
+                holds = bool(np.all(np.abs(empirical - true_cdfs).max(1) <= radius))
+            S = pol.select(t)
+            if t > m and holds:
+                optimistic = expected_kmax(dominant_cdfs(values, counts, t), S)
+                assert alpha * env.optimal_value <= optimistic + EXACT, (t, S)
+                assert optimistic - env.score(S) <= 2 * M * radius[list(S.members)].sum() + EXACT, (t, S)
+                certified += 1
+            elif t > m:
+                failures += 1
+            pol.observe(t, S, {i: sample(env.arms[i], arm_rngs[i]) for i in S.members})
+        assert certified + failures == T - m
+        budget = sum(2 * m / t**2 for t in range(m + 1, T + 1))
+        assert failures <= budget, (failures, budget)

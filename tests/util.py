@@ -22,7 +22,7 @@ from cmab.distributions import (
 )
 from cmab.oracles import ptas_grid, signature_cap
 from cmab.policies import lazy_sdcb_known_T
-from cmab.rewards import expected_reward
+from cmab.rewards import SuperArm, expected_reward
 
 COARSE_GRID = np.round(np.linspace(0.0, 1.0, 201), 6)
 
@@ -152,6 +152,28 @@ def reference_exhaustive(dists, sets, spec):
         if v > best_val or (v == best_val and (best is None or S.members < best.members)):
             best, best_val = S, v
     return best
+
+
+def reference_greedy_matrix(cdfs, K):
+    """Greedy on a CDF matrix as it was first vectorized: every step scores the boolean-masked rows times a running product."""
+    V = cdfs.values
+    C = cdfs.F
+    m = len(C)
+    # E[max] = sum_k V_k (P_k - P_{k-1}) = P @ w with w_k = V_k - V_{k+1}, w_last = V_last
+    w = np.empty(len(V))
+    w[:-1] = V[:-1] - V[1:]
+    w[-1] = V[-1]
+    prod = np.ones(len(V))
+    chosen: list[int] = []
+    avail = np.ones(m, dtype=bool)
+    for _ in range(K):
+        vals = (C[avail] * prod) @ w
+        idx = np.flatnonzero(avail)
+        j = int(idx[np.argmax(vals)])
+        chosen.append(j)
+        avail[j] = False
+        prod = prod * C[j]
+    return SuperArm(chosen)
 
 
 def count_matrix(observations):
