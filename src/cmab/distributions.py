@@ -142,10 +142,10 @@ class CdfMatrix(Sequence):
     ``values`` ascends and holds every value at which some arm has mass;
     ``F[i, k]`` is arm i's CDF at ``values[k]``, exactly as
     :meth:`FiniteDistribution.cdf` reads it there, so ``F[:, -1]`` is 1.
-    The oracles and :func:`~cmab.rewards.expected_kmax` read ``F`` in
-    place.  ``len()`` is m, and ``[i]`` builds arm i's
-    :class:`FiniteDistribution` on demand from row i.  The constructor
-    trusts its arrays.
+    K-MAX scores, the oracles' and :func:`~cmab.rewards.expected_kmax`'s,
+    read ``F`` in place.  ``len()`` is m, and ``[i]`` builds arm i's
+    :class:`FiniteDistribution` on demand from row i, for the PTAS's
+    signatures and the utility rescore.  The constructor trusts its arrays.
     """
 
     __slots__ = ("values", "F")

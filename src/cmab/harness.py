@@ -161,7 +161,7 @@ def run_many(
     check_count(T, "horizon T")  # before any worker starts; run_one checks it again
     check_count(runs, "runs")
     check_count(n_jobs, "n_jobs")
-    seeds = [run_seed(seed_base, r) for r in range(runs)]
+    seeds = [run_seed(seed_base, r) for r in range(runs)]  # checks the seed before any worker starts
     worker = partial(run_one, env, policy_factory, T, alpha=alpha)
     workers = min(n_jobs, runs)
     if workers > 1:

@@ -13,13 +13,12 @@ Three solvers with different cost/guarantee trade-offs:
 Each solver takes m arm laws: a list or a :class:`CdfMatrix`.  On finite
 arms all three score K-MAX on the CDF matrix (a list is converted once):
 greedy its marginal gains, exhaustive and the scheme all their candidate
-sets in one batched pass, and the candidates within rounding of the
-batched best once more with :func:`expected_kmax` on the caller's laws.
-Exhaustive scores a utility of the sum on finite arms the same way: every
-candidate set's product points in one batched pass, then the sets within
-rounding of the best with :func:`expected_reward`.  From a matrix,
-per-arm laws are built only for the scheme's signatures, for the means of
-shortlisted singletons and for the members of shortlisted utility sets.
+sets in one batched pass whose scores are :func:`expected_kmax`'s values
+bit for bit, so the best row is the answer.  Exhaustive scores a utility
+of the sum on finite arms in one batched pass over the sets' product
+points, then rescores the sets within rounding of the best with
+:func:`expected_reward`.  From a matrix, per-arm laws are built only for
+the scheme's signatures and the members of shortlisted utility sets.
 Linear rewards and continuous arms are scored one set at a time.
 
 Signatures use exact integer arithmetic so set equality is never a float
@@ -38,12 +37,14 @@ import numpy as np
 from .distributions import CdfMatrix, FiniteDistribution, bernoulli_decomposition
 from .errors import GuardExceeded
 from .rewards import (
+    _SCORE_BLOCK,
     _SUM_GRID,
     CONVOLUTION_GUARD,
     KMAX,
     UTILITY_OF_SUM,
     RewardSpec,
     SuperArm,
+    _kmax_scores,
     expected_kmax,
     expected_reward,
     kmax_spec,
@@ -52,7 +53,6 @@ from .rewards import (
 ENUMERATION_GUARD = 10**6
 SIGNATURE_DP_GUARD = 10**7
 VALUE_NUDGE = 1e-9
-_SCORE_BLOCK = 1 << 16  # elements of one block of candidate scoring: (sets, members, values), or product points
 
 
 class FeasibleFamily:
@@ -205,31 +205,15 @@ def _as_matrix(dists) -> CdfMatrix:
     return dists if isinstance(dists, CdfMatrix) else CdfMatrix.of(dists)
 
 
-def _kmax_scores(cdfs: CdfMatrix, rows: np.ndarray) -> np.ndarray:
-    """E[max] of the arms in each row, on the matrix; index m is an all-ones pad."""
-    V = cdfs.values
-    C = np.vstack([cdfs.F, np.ones(len(V))])
-    step = max(1, _SCORE_BLOCK // (rows.shape[1] * len(V)))
-    blocks = [np.diff(C[rows[a : a + step]].prod(1), prepend=0.0) @ V for a in range(0, len(rows), step)]
-    return np.concatenate(blocks)
-
-
 def _best_kmax(dists, rows: np.ndarray) -> SuperArm:
     """The row whose arms have the largest expected max; ties go to the smallest member set.
 
-    Rows within the batched scores' error of the best one are rescored with
-    :func:`expected_kmax` on ``dists`` as the caller passed them, so the
-    choice is the one a per-set loop makes, bit-equal ties included.
+    A row's batched score is :func:`expected_kmax` of its set bit for bit,
+    so the choice is the one a per-set loop makes, bit-equal ties included.
     """
     cdfs = _as_matrix(dists)
     scores = _kmax_scores(cdfs, rows)
-    # a set's score and its expected_kmax each round within (K + 1) len(V) eps of the exact sum,
-    # so a row scoring more than 2 err below the best cannot have the best expected_kmax
-    err = 2 * (rows.shape[1] + 1) * len(cdfs.values) * np.finfo(float).eps
-    shortlist = rows[scores >= scores.max() - 2 * err]
-    m = len(cdfs)
-    sets = [SuperArm(row[row < m]) for row in shortlist]
-    return min(sets, key=lambda S: (-expected_kmax(dists, S), S.members))
+    return min(SuperArm(row[row < len(cdfs)]) for row in rows[scores == scores.max()])
 
 
 def _support_table(dists):

@@ -6,13 +6,13 @@ Three reward families are supported:
 * ``utility_of_sum``: R(x, S) = u(sum_{i in S} x_i) for a monotone u,
 * ``linear_sum``: R(x, S) = sum_{i in S} x_i.
 
-Expected rewards r_D(S) are computed exactly for product distributions,
-one super arm at a time: the max via a CDF-product expansion (discrete) or
-piecewise polynomial quadrature (continuous), the sum-utility via exact
-support convolution.  The exhaustive oracle scores every candidate set of
-K-MAX and of a sum-utility on finite arms in batched passes of its own
-(:mod:`cmab.oracles`), and calls :func:`expected_reward` only for the sets
-within rounding of its best.
+Expected rewards r_D(S) are computed exactly for product distributions:
+the max via a CDF-product expansion (discrete: :func:`_kmax_scores` scores
+many sets at once, and :func:`expected_kmax` is it on one set) or piecewise
+polynomial quadrature (continuous), the sum-utility via exact support
+convolution.  The exhaustive oracle scores a sum-utility on finite arms in
+a batched pass of its own (:mod:`cmab.oracles`), and calls
+:func:`expected_reward` only for the sets within rounding of its best.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ UTILITY_OF_SUM = "utility_of_sum"
 LINEAR_SUM = "linear_sum"
 
 CONVOLUTION_GUARD = 10**6
+_SCORE_BLOCK = 1 << 16  # elements of one block of candidate scoring: (sets, members, values), or product points
 _SUM_GRID = 1e9  # sums are canonicalized to a 1e-9 grid during convolution
 
 
@@ -177,28 +178,37 @@ def utility_spec(utility, bound_M: float, lipschitz_C: float) -> RewardSpec:
     return RewardSpec(UTILITY_OF_SUM, utility=utility, bound_M=bound_M, lipschitz_C=lipschitz_C)
 
 
+def _kmax_scores(cdfs: CdfMatrix, rows: np.ndarray) -> np.ndarray:
+    """E[max] of the arms in each row, on the matrix; index m is an all-ones pad.
+
+    With P_k the product of the row's CDFs at v_k, Pr[max = v_k] is
+    P_k - P_{k-1}.  The terms v_k (P_k - P_{k-1}) are summed strictly left to
+    right, so a score does not depend on its block, and a column where none
+    of the row's arms has mass adds an exact +0.0: its arms' rows alone give
+    the same bits.
+    """
+    V = cdfs.values
+    C = np.vstack([cdfs.F, np.ones(len(V))])
+    step = max(1, _SCORE_BLOCK // (rows.shape[1] * len(V)))
+    terms = (np.diff(C[rows[a : a + step]].prod(1), prepend=0.0) * V for a in range(0, len(rows), step))
+    return np.concatenate([np.cumsum(t, axis=1)[:, -1] for t in terms])
+
+
 def expected_kmax(dists, S: SuperArm) -> float:
     """Exact E[max_{i in S} X_i] for finite-support member distributions.
 
-    ``dists`` is a list of laws, read through ``CdfMatrix.of`` of the
-    members, or a :class:`CdfMatrix`, read in place.  Over the values V
-    where some member has mass, Pr[max = v_k] is the difference between
-    the products of member CDFs at v_k (max at most v_k) and at v_{k-1}
-    (max strictly below v_k); the expectation sums v_k times that mass.
-    A singleton set is its own law's mean.
+    ``dists`` is a list of laws or a :class:`CdfMatrix`; only the members'
+    laws, through ``CdfMatrix.of``, or rows are read.  The value is the
+    batched score of S by :func:`_kmax_scores`, bit for bit.
     """
     if isinstance(dists, CdfMatrix):
-        if len(S) == 1:
-            return dists[S.members[0]].mean()
-        cdfs = CdfMatrix.trimmed(dists.values, dists.F[list(S.members)])
+        cdfs = CdfMatrix(dists.values, dists.F[list(S.members)])
     else:
         arms = [dists[i] for i in S.members]
         if not all(isinstance(a, FiniteDistribution) for a in arms):
             raise TypeError("expected_kmax requires finite-support distributions")
-        if len(arms) == 1:
-            return arms[0].mean()
         cdfs = CdfMatrix.of(arms)
-    return float(cdfs.values @ np.diff(cdfs.F.prod(0), prepend=0.0))
+    return float(_kmax_scores(cdfs, np.arange(len(S))[None])[0])
 
 
 @lru_cache(maxsize=32)

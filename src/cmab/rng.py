@@ -20,14 +20,18 @@ ARM_STREAM = 0
 POLICY_STREAM = 1
 
 
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    return int(seed)
+
+
 def run_seed(base: int, run: int) -> int:
-    """Seed for run number ``run`` (0-based) of a batch."""
-    return int(base) + int(run)
+    """Seed for run number ``run`` (0-based) of a batch; ``base`` must be nonnegative."""
+    return _check_seed(base) + int(run)
 
 
 def substream(seed: int, kind: int, index: int) -> np.random.Generator:
     """Independent generator for stream ``(kind, index)`` under ``seed``."""
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    seq = np.random.SeedSequence(int(seed), spawn_key=(int(kind), int(index)))
+    seq = np.random.SeedSequence(_check_seed(seed), spawn_key=(int(kind), int(index)))
     return np.random.default_rng(seq)

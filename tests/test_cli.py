@@ -298,12 +298,18 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.startswith(f"cmab: error: {message}")
         assert not out.exists()
 
-    def test_bad_horizon_starts_no_worker(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--T", "0"], "horizon T must be >= 1"), (["--seed", "-1"], "seed must be a nonnegative integer")],
+        ids=["horizon", "seed"],
+    )
+    def test_bad_argument_starts_no_worker(self, tmp_path, capsys, monkeypatch, flags, message):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # calling it would raise TypeError
         out = tmp_path / "t.csv"
-        argv = ["run", "--env", "dist1", "--policy", "cucb", "--T", "0", "--runs", "2", "--jobs", "2"]
+        argv = ["run", "--env", "dist1", "--policy", "cucb", "--T", "2", "--runs", "2", "--jobs", "2", *flags]
         assert main([*argv, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("cmab: error: horizon T must be >= 1")
+        assert capsys.readouterr().err.startswith(f"cmab: error: {message}")
+        assert not out.exists()
 
     def test_bad_alpha(self, capsys):
         assert main(["run", "--env", "dist1", "--policy", "sdcb", "--alpha", "1.5"]) == 1

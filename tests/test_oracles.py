@@ -19,7 +19,6 @@ from cmab.errors import GuardExceeded
 from cmab.harness import builtin_env
 from cmab.oracles import (
     FeasibleFamily,
-    _kmax_scores,
     _reachable_sets,
     _support_table,
     _utility_scores,
@@ -31,7 +30,16 @@ from cmab.oracles import (
     signature_cap,
 )
 from cmab.policies import Cucb
-from cmab.rewards import UTILITY_CURVES, SuperArm, expected_kmax, expected_reward, kmax_spec, linear_spec, utility_spec
+from cmab.rewards import (
+    UTILITY_CURVES,
+    SuperArm,
+    _kmax_scores,
+    expected_kmax,
+    expected_reward,
+    kmax_spec,
+    linear_spec,
+    utility_spec,
+)
 from util import (
     COARSE_GRID,
     count_matrix,
@@ -39,6 +47,7 @@ from util import (
     random_finite,
     reference_arm_signature,
     reference_exhaustive,
+    reference_expected_kmax,
     reference_greedy_matrix,
 )
 
@@ -198,18 +207,19 @@ class TestExhaustiveOracle:
 
     def test_scoring_blocks(self, monkeypatch):
         rng = np.random.default_rng(11)
-        dists = dominant_cdfs(*random_counts(rng, 8), 50)
+        dists = CdfMatrix.of([random_finite(rng) for _ in range(8)])
+        assert np.count_nonzero(np.count_nonzero(np.diff(dists.F, prepend=0.0), axis=1) > 1) == 7  # one point mass
         fam = FeasibleFamily.cardinality_at_most(4, 8)
         whole = _kmax_scores(dists, fam.index_rows())
         chosen = exhaustive_oracle(dists, fam, kmax_spec()), ptas_kmax(dists, 4, 0.3)
-        monkeypatch.setattr("cmab.oracles._SCORE_BLOCK", 3 * 4 * len(dists.values))  # three rows a block
-        np.testing.assert_allclose(_kmax_scores(dists, fam.index_rows()), whole, rtol=0, atol=1e-15)
+        monkeypatch.setattr("cmab.rewards._SCORE_BLOCK", 3 * 4 * len(dists.values))  # three rows a block
+        np.testing.assert_array_equal(_kmax_scores(dists, fam.index_rows()), whole)
         assert (exhaustive_oracle(dists, fam, kmax_spec()), ptas_kmax(dists, 4, 0.3)) == chosen
 
-    def test_matrix_laws_only_for_shortlisted_singletons(self, monkeypatch):
+    def test_matrix_laws_only_for_ptas_signatures(self, monkeypatch):
         # arms 1 and 3 put all their optimistic mass at 1, so every set holding one of them ties at 1;
-        # the rescore reads the matrix and builds only {1}'s and {3}'s laws, for their means, and ptas
-        # builds the m laws its signatures need (the iteration's call m + 1 raises IndexError)
+        # exhaustive picks from the matrix's batched scores and builds no law, and ptas builds the m
+        # laws its signatures need (the iteration's call m + 1 raises IndexError)
         values, counts = count_matrix([[0.2, 0.5]] * 5)
         cdfs = dominant_cdfs(values, counts, 2, radius=[0.1, 1.5, 0.1, 1.5, 0.1])
         fam = FeasibleFamily.cardinality_at_most(3, 5)
@@ -218,8 +228,7 @@ class TestExhaustiveOracle:
         getitem = CdfMatrix.__getitem__
         monkeypatch.setattr(CdfMatrix, "__getitem__", lambda self, i: calls.append(i) or getitem(self, i))
         assert exhaustive_oracle(cdfs, fam, kmax_spec()) == want == SuperArm([0, 1])
-        assert sorted(set(calls)) == [1, 3]
-        calls.clear()
+        assert calls == []
         ptas_kmax(cdfs, 3, 0.3)
         assert calls == list(range(6))
 
@@ -231,6 +240,35 @@ class TestExhaustiveOracle:
         dists = random_laws(rng, kind, m)
         fam = random_explicit(rng, m, K) if explicit else FeasibleFamily.cardinality_at_most(K, m)
         assert exhaustive_oracle(dists, fam, kmax_spec()) == reference_exhaustive(dists, fam, kmax_spec())
+
+
+class TestKmaxScores:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(LAW_KINDS),
+        st.integers(1, 7),
+        st.integers(1, 7),
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 64),
+    )
+    def test_rows_are_expected_kmax(self, seed, kind, m, K, explicit, as_matrix, block):
+        # every row's batched score, in blocks of any size, is expected_kmax of its set bit for bit,
+        # on a list of laws (only the members read) or on a matrix (only the member rows read)
+        rng = np.random.default_rng(seed)
+        K = min(K, m)
+        dists = random_laws(rng, kind, m)
+        if as_matrix and not isinstance(dists, CdfMatrix):
+            dists = CdfMatrix.of(dists)
+        rows = (random_explicit(rng, m, K) if explicit else FeasibleFamily.cardinality_at_most(K, m)).index_rows()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cmab.rewards._SCORE_BLOCK", block)
+            scores = _kmax_scores(dists if isinstance(dists, CdfMatrix) else CdfMatrix.of(dists), rows)
+        for row, score in zip(rows, scores.tolist()):
+            S = SuperArm(row[row < m])
+            assert score == expected_kmax(dists, S)
+            assert abs(score - reference_expected_kmax(dists, S)) <= EXACT
 
 
 def random_utility(rng, curve):
@@ -325,8 +363,11 @@ class TestExhaustiveUtility:
     def test_scoring_blocks_and_one_utility_call_per_sum(self, monkeypatch):
         calls = []
         spec = utility_spec(lambda y: calls.append(y) or math.sqrt(y), bound_M=2.0, lipschitz_C=1.0)
-        dists = dominant_cdfs(*random_counts(np.random.default_rng(11), 8), 50)
+        rng = np.random.default_rng(11)
+        dists = CdfMatrix.of([random_finite(rng) for _ in range(8)])
         fam = FeasibleFamily.cardinality_at_most(3, 8)
+        _, _, sizes = _support_table(dists)
+        assert np.count_nonzero(sizes[:-1] > 1) == 7 and (sizes[fam.index_rows()].prod(1) > 40).any()
         calls.clear()
         whole = _utility_scores(dists, fam.index_rows(), spec)
         sums = sorted(calls)

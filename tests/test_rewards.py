@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from cmab.distributions import CdfMatrix, PiecewiseDensity, dominant_cdfs, make_finite
 from cmab.errors import GuardExceeded
-from cmab.harness import builtin_env
+from cmab.harness import Environment, builtin_env
+from cmab.oracles import FeasibleFamily
 from cmab.rewards import (
     RewardSpec,
     SuperArm,
@@ -225,6 +226,17 @@ class TestExpectedReward:
         assert finite_only == pytest.approx(expected_kmax([a, a], SuperArm([0, 1])), abs=EXACT)
         mixed = expected_reward([a, u], SuperArm([0, 1]), kmax_spec())
         assert mixed == pytest.approx(expected_kmax_continuous([a, u], SuperArm([0, 1])), abs=EXACT)
+
+    def test_kmax_converts_only_the_members(self):
+        # a finite set among continuous arms is scored on its members' laws; the other arms are never read
+        a = make_finite([0.2, 0.8], [0.5, 0.5])
+        u = PiecewiseDensity([0.0, 1.0], [1.0])
+        got = expected_reward([a, u], SuperArm([0]), kmax_spec())
+        assert got == expected_kmax([a], SuperArm([0])) == pytest.approx(a.mean(), abs=EXACT)
+        env = Environment([a, u], FeasibleFamily.cardinality_at_most(2, 2), kmax_spec())
+        assert env.score(SuperArm([0])) == got
+        assert env.optimal_arm == SuperArm([0, 1])
+        assert env.optimal_value == pytest.approx(expected_kmax_continuous([a, u], SuperArm([0, 1])), abs=EXACT)
 
     def test_utility_matches_joint_enumeration(self):
         rng = np.random.default_rng(5)

@@ -15,6 +15,7 @@ import numpy as np
 from cmab.distributions import (
     MASS_TOL,
     VALUE_TOL,
+    CdfMatrix,
     FiniteDistribution,
     PiecewiseDensity,
     bernoulli_decomposition,
@@ -79,6 +80,22 @@ def joint_expected(dists, members, reward_fn) -> float:
             p *= pj
         total += p * reward_fn([v for v, _ in combo])
     return total
+
+
+def reference_expected_kmax(dists, S: SuperArm) -> float:
+    """``expected_kmax`` as it was before the batched scorer became it: a ``@`` on the member columns, a singleton's mean."""
+    if isinstance(dists, CdfMatrix):
+        if len(S) == 1:
+            return dists[S.members[0]].mean()
+        cdfs = CdfMatrix.trimmed(dists.values, dists.F[list(S.members)])
+    else:
+        arms = [dists[i] for i in S.members]
+        if not all(isinstance(a, FiniteDistribution) for a in arms):
+            raise TypeError("expected_kmax requires finite-support distributions")
+        if len(arms) == 1:
+            return arms[0].mean()
+        cdfs = CdfMatrix.of(arms)
+    return float(cdfs.values @ np.diff(cdfs.F.prod(0), prepend=0.0))
 
 
 def bruteforce_kmax(dists, members) -> float:
