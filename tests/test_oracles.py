@@ -191,7 +191,7 @@ class TestExhaustiveOracle:
 
     def test_rounding_never_decides(self):
         # arm 1 lies above both point masses, so {1}, {0, 1} and {1, 2} are equal in exact arithmetic;
-        # the batched scores round them one way and expected_kmax another, and expected_kmax decides
+        # the batched score is expected_kmax bit for bit, so exhaustive and the per-set loop pick one set
         arm = make_finite([0.375, 0.42, 0.575, 0.71, 0.82, 0.885], [0.16, 0.25, 0.2, 0.05, 0.22, 0.12])
         dists = [point(0.255), arm, point(0.185)]
         fam = FeasibleFamily.cardinality_at_most(2, 3)
