@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from .distributions import PiecewiseDensity, make_finite
+from .distributions import CdfMatrix, PiecewiseDensity, _finite_laws
 from .errors import GuardExceeded
 from .harness import (
     ORACLES,
@@ -33,7 +33,7 @@ from .harness import (
     write_csv,
 )
 from .oracles import FeasibleFamily
-from .rewards import SuperArm, expected_reward, kmax_spec, linear_spec, utility_spec
+from .rewards import KMAX, SuperArm, expected_reward, kmax_spec, linear_spec, utility_spec
 
 _RUN_DEFAULTS = {
     "env": None,
@@ -108,18 +108,44 @@ def _real_list(name: str, value) -> list[float]:
     return [_real_field(name, v) for v in value]
 
 
-def _parse_arm(doc, index: int):
+def _arm_fields(doc, index: int):
+    """(whether finite, first list, second list): an arm's support and probs, or its breakpoints and densities."""
     if not isinstance(doc, dict):
         raise _ConfigError(f"arm {index}: expected an object")
-    if "support" in doc or "probs" in doc:
-        if "support" not in doc or "probs" not in doc:
-            raise _ConfigError(f"arm {index}: finite arms need both 'support' and 'probs'")
-        return make_finite(*(_real_list(f"arm {index}: {key}", doc[key]) for key in ("support", "probs")))
-    if "breakpoints" in doc or "densities" in doc:
-        if "breakpoints" not in doc or "densities" not in doc:
-            raise _ConfigError(f"arm {index}: continuous arms need both 'breakpoints' and 'densities'")
-        return PiecewiseDensity(*(_real_list(f"arm {index}: {key}", doc[key]) for key in ("breakpoints", "densities")))
+    for kind, keys in (("finite", ("support", "probs")), ("continuous", ("breakpoints", "densities"))):
+        if keys[0] in doc or keys[1] in doc:
+            if keys[0] not in doc or keys[1] not in doc:
+                raise _ConfigError(f"arm {index}: {kind} arms need both {keys[0]!r} and {keys[1]!r}")
+            return kind == "finite", *(_real_list(f"arm {index}: {key}", doc[key]) for key in keys)
     raise _ConfigError(f"arm {index}: need 'support'/'probs' or 'breakpoints'/'densities'")
+
+
+def _parse_arms(docs) -> list:
+    """Each arm's law; the finite arms are checked and built in one batch.
+
+    The error reported is the first bad arm's in index order, whether a
+    finite arm's values or a later arm's fields are at fault.
+    """
+    laws, finite, supports, masses = [], [], [], []
+    try:
+        for i, doc in enumerate(docs):
+            is_finite, first, second = _arm_fields(doc, i)
+            if is_finite:
+                laws.append(None)
+                finite.append(i)
+                supports.append(first)
+                masses.append(second)
+                continue
+            try:
+                laws.append(PiecewiseDensity(first, second))
+            except ValueError as e:
+                raise _ConfigError(f"arm {i}: {e}") from None
+    except _ConfigError:
+        _finite_laws(supports, masses, [f"arm {j}: " for j in finite])  # an earlier arm's error comes first
+        raise
+    for i, law in zip(finite, _finite_laws(supports, masses, [f"arm {j}: " for j in finite])):
+        laws[i] = law
+    return laws
 
 
 def _parse_family(doc, m: int) -> FeasibleFamily:
@@ -175,7 +201,7 @@ def _parse_instance(doc):
         raise _ConfigError("instance: expected a JSON object")
     if "arms" not in doc or not isinstance(doc["arms"], list) or not doc["arms"]:
         raise _ConfigError("instance: need a nonempty 'arms' list")
-    arms = [_parse_arm(a, i) for i, a in enumerate(doc["arms"])]
+    arms = _parse_arms(doc["arms"])
     if "family" not in doc:
         raise _ConfigError("instance: missing 'family'")
     family = _parse_family(doc["family"], len(arms))
@@ -247,6 +273,8 @@ def cmd_offline(args) -> int:
     solve = _oracle_handle(args.solver, family, spec, _epsilon(args.epsilon))
     if args.solver == "ptas":
         _require_finite(arms, "the ptas solver")
+    if spec.kind == KMAX and not any(isinstance(a, PiecewiseDensity) for a in arms):
+        arms = CdfMatrix.of(arms)  # every solver and the value read this one matrix
     S = solve(arms)
     value = expected_reward(arms, S, spec)
     print("set:", " ".join(str(i) for i in S.members))

@@ -18,6 +18,7 @@ arrays and is meant for internal fast paths.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from bisect import bisect_left
@@ -45,8 +46,6 @@ class FiniteDistribution:
     def __init__(self, support, probs, cum=None):
         self.support = np.asarray(support, dtype=float)
         self.probs = np.asarray(probs, dtype=float)
-        if self.support.shape != self.probs.shape or self.support.ndim != 1:
-            raise ValueError("support and probs must be 1-d arrays of equal length")
         self.cum = np.cumsum(self.probs) if cum is None else np.asarray(cum, dtype=float)
         self._cum_list = None  # built on the first draw; oracle-side laws never sample
 
@@ -143,9 +142,9 @@ class CdfMatrix(Sequence):
     ``F[i, k]`` is arm i's CDF at ``values[k]``, exactly as
     :meth:`FiniteDistribution.cdf` reads it there, so ``F[:, -1]`` is 1.
     K-MAX scores, the oracles' and :func:`~cmab.rewards.expected_kmax`'s,
-    read ``F`` in place.  ``len()`` is m, and ``[i]`` builds arm i's
-    :class:`FiniteDistribution` on demand from row i, for the PTAS's
-    signatures and the utility rescore.  The constructor trusts its arrays.
+    read ``F`` in place, and so do the PTAS's signatures.  ``len()`` is m,
+    and ``[i]`` builds arm i's :class:`FiniteDistribution` on demand from
+    row i, for the utility rescore.  The constructor trusts its arrays.
     """
 
     __slots__ = ("values", "F")
@@ -156,10 +155,19 @@ class CdfMatrix(Sequence):
 
     @classmethod
     def of(cls, dists: Sequence[FiniteDistribution]) -> "CdfMatrix":
-        """The matrix of finite laws over the union of their supports."""
-        values = np.unique(np.concatenate([d.support for d in dists]))
-        at = [np.searchsorted(d.support, values, side="right") for d in dists]
-        return cls(values, np.vstack([np.append(0.0, d.cum)[k] for d, k in zip(dists, at)]))
+        """The matrix of finite laws over the union of their supports.
+
+        Each arm's ``cum`` is written at its support's columns and carried
+        right by a running maximum, which copies values and computes none:
+        ``cum`` ascends, and a row is 0 before its arm's first point.
+        """
+        support = np.concatenate([d.support for d in dists])
+        values = np.unique(support)
+        F = np.zeros((len(dists), len(values)))
+        F[np.repeat(np.arange(len(dists)), [len(d.support) for d in dists]), np.searchsorted(values, support)] = (
+            np.concatenate([d.cum for d in dists])
+        )
+        return cls(values, np.maximum.accumulate(F, axis=1, out=F))
 
     @classmethod
     def trimmed(cls, values: np.ndarray, F: np.ndarray) -> "CdfMatrix":
@@ -183,38 +191,83 @@ class CdfMatrix(Sequence):
 
 def make_finite(support: Sequence[float], probs: Sequence[float]) -> FiniteDistribution:
     """Validated finite distribution; duplicates merged, zero masses dropped."""
-    support = np.asarray(support, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    if support.ndim != 1 or len(support) == 0 or support.shape != probs.shape:
-        raise ValueError("support and probs must be nonempty lists of equal length")
-    # array methods, not np.all/np.any/np.sum: the same reductions at half the call cost
-    if not (np.isfinite(support).all() and np.isfinite(probs).all()):
-        raise ValueError("support values and masses must be finite")
-    if (support < 0.0).any() or (support > 1.0).any():
-        raise ValueError("support values must lie in [0, 1]")
-    if (probs < 0.0).any():
-        raise ValueError("masses must be nonnegative")
-    total = float(probs.sum())
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValueError(f"masses sum to {total!r}, expected 1 within {MASS_TOL}")
+    return _finite_laws([support], [probs], ("",))[0]
 
-    if (support[1:] > support[:-1]).all():  # already ascending without duplicates: nothing to merge
-        uniq, merged = support, probs
+
+# make_finite's value checks in the order it makes them, by code
+_FINITE_ERRORS = (
+    "support values and masses must be finite",
+    "support values must lie in [0, 1]",
+    "masses must be nonnegative",
+    f"masses sum to {{!r}}, expected 1 within {MASS_TOL}",
+    f"distinct support points closer than {VALUE_TOL}",
+)
+
+
+def _finite_laws(supports, masses, names: Sequence[str]) -> list[FiniteDistribution]:
+    """The validated finite law of each (support, masses) pair, checked and built in one pass.
+
+    Each arm is checked as :func:`make_finite` checks one: its shape, then
+    its values, then its mass total, which is the arm's ``probs.sum()`` bit
+    for bit, then, with duplicates merged and zero masses dropped, the gaps
+    of its support.  The error raised is the first bad arm's in index
+    order, its message prefixed by that arm's entry of ``names``.  (An arm
+    whose masses are all dropped as zero has failed its total.)
+    """
+    arrays = []
+    for s, p in zip(supports, masses):
+        s, p = np.asarray(s, dtype=float), np.asarray(p, dtype=float)
+        if s.ndim != 1 or len(s) == 0 or s.shape != p.shape:
+            break
+        arrays.append((s, p))
+    laws = _checked_laws(arrays, names) if arrays else []  # the arms before the first malformed one
+    if len(arrays) < len(supports):
+        raise ValueError(names[len(arrays)] + "support and probs must be nonempty lists of equal length")
+    return laws
+
+
+def _checked_laws(arrays, names) -> list[FiniteDistribution]:
+    """The laws of well-formed (support, masses) arrays, laid end to end, or the first bad arm's error."""
+    n = len(arrays)
+    sizes = [len(s) for s, _ in arrays]
+    ends = list(itertools.accumulate(sizes))
+    s, p = (np.concatenate(a) for a in zip(*arrays))  # copies: a law never shares the caller's arrays
+    lo, hi = np.minimum.reduce, np.maximum.reduce  # False on a NaN
+    if not (lo(s) >= 0.0 and hi(s) <= 1.0 and lo(p) >= 0.0 and hi(p) < math.inf):
+        entry = np.where(~(np.isfinite(s) & np.isfinite(p)), 0, np.where((s < 0.0) | (s > 1.0), 1, np.where(p < 0.0, 2, 3)))
+        code = np.minimum.reduceat(entry, [0, *ends[:-1]])
+        i = int(np.argmax(code < 3))
+        if i:
+            _checked_laws(arrays[:i], names)  # an earlier arm's error comes first
+        raise ValueError(names[i] + _FINITE_ERRORS[code[i]])
+    # arms of one size are the rows of one matrix, whose row sums are the arms' probs.sum()
+    if len(set(sizes)) == 1:
+        total = np.add.reduce(p.reshape(n, -1), axis=1).tolist()
     else:
-        order = np.argsort(support, kind="stable")
-        support = support[order]
-        probs = probs[order]
-        # merge exact duplicates
-        uniq, inverse = np.unique(support, return_inverse=True)
-        merged = np.zeros(len(uniq))
-        np.add.at(merged, inverse, probs)
-    keep = merged > 1e-15
-    uniq, merged = uniq[keep], merged[keep]
-    if len(uniq) == 0:
-        raise ValueError("all masses are zero")
-    if (uniq[1:] - uniq[:-1] < VALUE_TOL).any():
-        raise ValueError(f"distinct support points closer than {VALUE_TOL}")
-    return FiniteDistribution(uniq, merged)
+        total = [float(np.add.reduce(q)) for q in np.split(p, ends[:-1])]
+    code = [3 if abs(t - 1.0) > MASS_TOL else None for t in total]
+    gaps = s[1:] - s[:-1]
+    if n > 1:
+        gaps[np.array(ends[:-1]) - 1] = 1.0  # from one arm's last point to the next arm's first
+    if not lo(gaps, initial=1.0) >= VALUE_TOL:  # unsorted, duplicated or close points: sort and merge each arm
+        arm = np.repeat(np.arange(n), sizes)
+        order = np.lexsort((s, arm))
+        s, p = s[order], p[order]
+        new = np.ones(len(s), dtype=bool)
+        new[1:] = (s[1:] != s[:-1]) | (arm[1:] != arm[:-1])
+        merged = np.bincount(np.cumsum(new) - 1, p)  # duplicates summed in input order, from 0.0
+        keep = merged > 1e-15
+        s, p, arm = s[new][keep], merged[keep], arm[new][keep]
+        for i in arm[1:][(s[1:] - s[:-1] < VALUE_TOL) & (arm[1:] == arm[:-1])].tolist():
+            code[i] = code[i] or 4
+        ends = np.cumsum(np.bincount(arm, minlength=n)).tolist()
+    elif not (keep := p > 1e-15).all():
+        s, p = s[keep], p[keep]
+        ends = np.cumsum(np.add.reduceat(keep, [0, *ends[:-1]])).tolist()
+    for i, c in enumerate(code):
+        if c:
+            raise ValueError(names[i] + _FINITE_ERRORS[c].format(total[i]))
+    return [FiniteDistribution(s[a:b], p[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def sample(dist: Distribution, rng: np.random.Generator) -> float:

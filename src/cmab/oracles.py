@@ -6,9 +6,10 @@ Three solvers with different cost/guarantee trade-offs:
 * :func:`greedy_kmax` — marginal-gain greedy, a (1 - 1/e) approximation,
 * :func:`ptas_kmax` — the signature-based approximation scheme: move each
   arm's Bernoulli decomposition onto a value grid and quantize its
-  activation rates into an integer signature, enumerate the reachable set
-  signatures with a dynamic program that carries one candidate set per
-  signature, and score every candidate exactly.
+  activation rates into an integer signature, all arms in one pass over
+  the CDF matrix, enumerate the reachable set signatures with a dynamic
+  program that carries one candidate set per signature, and score every
+  candidate exactly.
 
 Each solver takes m arm laws: a list or a :class:`CdfMatrix`.  On finite
 arms all three score K-MAX on the CDF matrix (a list is converted once):
@@ -17,9 +18,9 @@ sets in one batched pass whose scores are :func:`expected_kmax`'s values
 bit for bit, so the best row is the answer.  Exhaustive scores a utility
 of the sum on finite arms in one batched pass over the sets' product
 points, then rescores the sets within rounding of the best with
-:func:`expected_reward`.  From a matrix, per-arm laws are built only for
-the scheme's signatures and the members of shortlisted utility sets.
-Linear rewards and continuous arms are scored one set at a time.
+:func:`expected_reward`.  From a matrix no K-MAX solver builds a per-arm
+law; only the members of shortlisted utility sets are built.  Linear
+rewards and continuous arms are scored one set at a time.
 
 Signatures use exact integer arithmetic so set equality is never a float
 comparison.
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import CdfMatrix, FiniteDistribution, bernoulli_decomposition
+from .distributions import CdfMatrix, FiniteDistribution
 from .errors import GuardExceeded
 from .rewards import (
     _SCORE_BLOCK,
@@ -355,43 +356,53 @@ def ptas_grid(eps: float, W: float) -> np.ndarray:
     return grid
 
 
-def arm_signature(dist: FiniteDistribution, W: float, eps: float, m: int) -> tuple[int, ...]:
-    """Integer signature of one arm, one coordinate per point of ``ptas_grid(eps, W)``.
+def _signatures(cdfs: CdfMatrix, W: float, eps: float) -> np.ndarray:
+    """Every arm's integer signature: one row per arm, one column per point of ``ptas_grid(eps, W)``.
 
-    Each part (v, q) of the arm's Bernoulli decomposition moves to a grid
-    index: values above W/eps go to the top index with activation
+    Arm i's Bernoulli decomposition has a part (v, q) at each value v where
+    the arm has mass, q = (F_i(v) - F_i(v-)) / F_i(v).  Each part moves to a
+    grid index: values above W/eps go to the top index with activation
     q v eps / W (which keeps the mean), the rest round down to the eps W
-    grid, and parts rounding to value 0 drop out.  Independent parts at
-    one value fire with probability 1 - prod(1 - q), so the coordinate is
-    min(floor(sum(-ln(1 - q)) * m / eps^4), cap) over that value's parts.
+    grid, and parts rounding to value 0 drop out.  Independent parts at one
+    value fire with probability 1 - prod(1 - q), so the coordinate is
+    min(floor(sum(-ln(1 - q)) * m / eps^4), cap) over that value's parts,
+    summed in ascending value order.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     if W <= 0.0:
         raise ValueError("W must be positive")
+    V, F = cdfs.values, cdfs.F
+    m = len(F)
     top = len(ptas_grid(eps, W))
-    rates = [0.0] * (top + 1)  # summed -ln(1 - q) per grid index; index 0 is value 0
-    for v, q in bernoulli_decomposition(dist):
-        if v > W / eps:
-            k, q = top, q * v * eps / W
-        else:
-            k = math.floor(v / (eps * W) + VALUE_NUDGE)
-        rates[k] += math.inf if q >= 1.0 else -math.log1p(-q)
-    unit = eps**4 / m
-    cap = signature_cap(eps, m)
-    return tuple(math.floor(min(r / unit, cap)) for r in rates[1:])
+    step = F.copy()
+    step[:, 1:] -= F[:, :-1]
+    arm, col = np.nonzero(step > 0.0)  # row by row, each arm's values ascending
+    q, v = step[arm, col] / F[arm, col], V[col]
+    above = v > W / eps
+    index = np.where(above, top, np.floor(v / (eps * W) + VALUE_NUDGE)).astype(np.intp)
+    q = np.where(above, q * v * eps / W, q)
+    rates = np.zeros((m, top + 1))  # summed -ln(1 - q) per grid index; index 0 is value 0
+    # math.log1p, not np.log1p: numpy's may differ from it in the last bit
+    np.add.at(rates, (arm, index), [math.inf if x >= 1.0 else -math.log1p(-x) for x in q.tolist()])
+    return np.floor(np.minimum(rates[:, 1:] / (eps**4 / m), signature_cap(eps, m))).astype(np.int64)
 
 
-def _reachable_sets(signatures: Sequence[tuple[int, ...]], K: int) -> dict:
+def _reachable_sets(signatures, K: int) -> dict:
     """Every (chosen, units) state of at most K arms, mapped to the first set reaching it.
 
-    Arms enter in index order and a state keeps the set that reached it
-    first, so its largest member is as small as possible, then its next
-    largest, and so on.
+    ``signatures`` holds one row per arm.  A state's units are its sums over
+    the live columns only, those where some arm's signature is nonzero: a
+    column of zeros is 0 in every state, so dropping it maps the states one
+    to one.  Arms enter in index order and a state keeps the set that
+    reached it first, so its largest member is as small as possible, then
+    its next largest, and so on.
     """
-    reach = {(0, (0,) * len(signatures[0])): ()}
+    table = np.asarray(signatures)
+    live = [tuple(row) for row in table[:, table.any(axis=0)].tolist()]
+    reach = {(0, (0,) * len(live[0])): ()}
     total = 1
-    for j, sig in enumerate(signatures):
+    for j, sig in enumerate(live):
         for (chosen, units), members in list(reach.items()):
             if chosen == K:
                 continue
@@ -418,15 +429,17 @@ def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
     dominate the greedy seed, but its value is within an O(eps) fraction
     of the optimum.
     """
-    m = len(dists)
-    if not 1 <= K <= m:
+    if not 1 <= K <= len(dists):
         raise ValueError("need 1 <= K <= m")
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    seed = greedy_kmax(dists, K)
-    W = expected_kmax(dists, seed)
+    if not _finite(dists):
+        raise TypeError("ptas_kmax requires finite-support distributions")
+    cdfs = _as_matrix(dists)
+    seed = _greedy_kmax_finite(cdfs, K)
+    W = expected_kmax(cdfs, seed)
     if W <= 0.0:
         return seed
-    reach = _reachable_sets([arm_signature(d, W, eps, m) for d in dists], K)
+    reach = _reachable_sets(_signatures(cdfs, W, eps), K)
     rows = np.array([members for (chosen, _), members in reach.items() if chosen == K])
-    return _best_kmax(dists, rows)
+    return _best_kmax(cdfs, rows)

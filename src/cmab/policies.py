@@ -93,9 +93,7 @@ class Sdcb(_Policy):
     def _select(self, t: int) -> SuperArm:
         if t <= self.family.m:
             return self.family.smallest_containing(t - 1)
-        n = self.cum[:, -1]
-        if not n.all():
-            raise ValueError("every arm needs an observation before its optimistic CDF")
+        n = self.cum[:, -1]  # every arm was observed in its initialization round
         return self.oracle(_optimistic(self.values, self.cum, n, confidence_radius(t, n)))
 
     def _observe(self, outcomes) -> None:

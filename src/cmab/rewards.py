@@ -95,6 +95,23 @@ UTILITY_CURVES = {
 }
 
 
+def _check_curve(utility) -> None:
+    """Reject a utility curve that is not callable, or not finite and non-decreasing on a grid over [0, 16]."""
+    if not callable(utility):
+        raise ValueError("utility_of_sum requires a curve name or callable")
+    grid = np.linspace(0.0, 16.0, 257)
+    vals = [utility(y) for y in grid]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("utility curve must be finite on [0, 16]")
+    if any(b < a - 1e-12 for a, b in zip(vals, vals[1:])):
+        raise ValueError("utility curve must be non-decreasing")
+
+
+for _curve in UTILITY_CURVES.values():  # the named curves, checked once
+    _check_curve(_curve)
+del _curve
+
+
 class TabulatedUtility:
     """Piecewise-linear utility through the given (y, u) points."""
 
@@ -117,8 +134,8 @@ class RewardSpec:
     """Which reward function is in force, with its bound M and Lipschitz C.
 
     For ``kmax`` both constants are fixed at 1.  Utility curves must be
-    finite and non-decreasing; both are checked on a sampled grid at
-    construction.
+    finite and non-decreasing; both are checked on a sampled grid, for a
+    named curve once at import and for any other at construction.
     """
 
     __slots__ = ("kind", "utility", "bound_M", "lipschitz_C")
@@ -140,14 +157,8 @@ class RewardSpec:
                     utility = UTILITY_CURVES[utility]
                 except KeyError:
                     raise ValueError(f"unknown utility curve {utility!r}") from None
-            if not callable(utility):
-                raise ValueError("utility_of_sum requires a curve name or callable")
-            grid = np.linspace(0.0, 16.0, 257)
-            vals = [utility(y) for y in grid]
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("utility curve must be finite on [0, 16]")
-            if any(b < a - 1e-12 for a, b in zip(vals, vals[1:])):
-                raise ValueError("utility curve must be non-decreasing")
+            else:
+                _check_curve(utility)
         else:
             if utility is not None:
                 raise ValueError("linear_sum takes no utility curve")
@@ -187,11 +198,17 @@ def _kmax_scores(cdfs: CdfMatrix, rows: np.ndarray) -> np.ndarray:
     of the row's arms has mass adds an exact +0.0: its arms' rows alone give
     the same bits.
     """
-    V = cdfs.values
-    C = np.vstack([cdfs.F, np.ones(len(V))])
+    V, C = cdfs.values, cdfs.F
+    if rows.max() == len(C):  # a padded row reads the all-ones row m
+        C = np.vstack([C, np.ones(len(V))])
     step = max(1, _SCORE_BLOCK // (rows.shape[1] * len(V)))
-    terms = (np.diff(C[rows[a : a + step]].prod(1), prepend=0.0) * V for a in range(0, len(rows), step))
-    return np.concatenate([np.cumsum(t, axis=1)[:, -1] for t in terms])
+    scores = []
+    for a in range(0, len(rows), step):
+        P = C[rows[a : a + step]].prod(1)
+        P[:, 1:] -= P[:, :-1]  # P_k - P_{k-1}: the overlapping operand is read as it was
+        P *= V
+        scores.append(np.cumsum(P, axis=1)[:, -1])
+    return np.concatenate(scores)
 
 
 def expected_kmax(dists, S: SuperArm) -> float:
@@ -202,13 +219,11 @@ def expected_kmax(dists, S: SuperArm) -> float:
     batched score of S by :func:`_kmax_scores`, bit for bit.
     """
     if isinstance(dists, CdfMatrix):
-        cdfs = CdfMatrix(dists.values, dists.F[list(S.members)])
-    else:
-        arms = [dists[i] for i in S.members]
-        if not all(isinstance(a, FiniteDistribution) for a in arms):
-            raise TypeError("expected_kmax requires finite-support distributions")
-        cdfs = CdfMatrix.of(arms)
-    return float(_kmax_scores(cdfs, np.arange(len(S))[None])[0])
+        return float(_kmax_scores(dists, np.array([S.members]))[0])
+    arms = [dists[i] for i in S.members]
+    if not all(isinstance(a, FiniteDistribution) for a in arms):
+        raise TypeError("expected_kmax requires finite-support distributions")
+    return float(_kmax_scores(CdfMatrix.of(arms), np.arange(len(S))[None])[0])
 
 
 @lru_cache(maxsize=32)
@@ -267,7 +282,9 @@ def _sum_distribution(arms: Sequence[FiniteDistribution]) -> dict[int, float]:
 
 
 def expected_reward(dists: Sequence[Distribution], S: SuperArm, spec: RewardSpec) -> float:
-    """Exact expected reward r_D(S) of super arm S under the product law."""
+    """Exact expected reward r_D(S) of super arm S under the product law; K-MAX reads a matrix in place."""
+    if spec.kind == KMAX and isinstance(dists, CdfMatrix):
+        return expected_kmax(dists, S)
     arms = [dists[i] for i in S.members]
     if spec.kind == KMAX:
         if all(isinstance(a, FiniteDistribution) for a in arms):

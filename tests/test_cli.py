@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cmab import cli
 from cmab.cli import main
-from cmab.distributions import make_finite
+from cmab.distributions import CdfMatrix, make_finite
 from util import joint_expected
 
 
@@ -102,6 +102,27 @@ CONFIG_ERRORS = {
     "arm-without-probs": ("offline", {"arms": [{"support": [0.5]}]}, "arm 0: finite arms need both"),
     "arm-without-densities": ("offline", {"arms": [{"breakpoints": [0, 1]}]}, "arm 0: continuous arms need both"),
     "arm-without-fields": ("offline", {"arms": [{}]}, "arm 0: need 'support'/'probs' or 'breakpoints'/'densities'"),
+}
+
+# instances whose arms go bad in more than one place, and the error reported, the first bad arm's:
+# (arms, message); the finite arms' values are checked in one batch after every arm's fields are read
+BAD_MASS = {"support": [0.2, 0.8], "probs": [0.5, 0.4]}
+UNIFORM = {"breakpoints": [0.0, 1.0], "densities": [1.0]}
+FIRST_BAD_ARM = {
+    "mass-before-non-number": ([BAD_MASS, {"support": [0.5], "probs": ["1.0"]}], "arm 0: masses sum to 0.9, expected 1"),
+    "mass-before-malformed": ([BAD_MASS, {"support": [0.5], "probs": [0.5, 0.5]}], "arm 0: masses sum to 0.9,"),
+    "mass-before-bad-range": ([BAD_MASS, {"support": [1.5], "probs": [1.0]}], "arm 0: masses sum to 0.9,"),
+    "mass-before-bad-density": ([BAD_MASS, {"breakpoints": [0.0, 1.0], "densities": [0.5]}], "arm 0: masses sum to"),
+    "mass-before-missing-field": ([BAD_MASS, {"breakpoints": [0.0, 1.0]}], "arm 0: masses sum to 0.9,"),
+    "non-number-before-mass": ([{"support": [0.5], "probs": [None]}, BAD_MASS], "arm 0: probs: expected a finite"),
+    "bad-density-before-mass": ([{"breakpoints": [0.0, 1.0], "densities": [0.5]}, BAD_MASS], "arm 0: density integrates"),
+    "gap-before-mass": ([{"support": [0.5, 0.5 + 1e-10], "probs": [0.5, 0.5]}, BAD_MASS], "arm 0: distinct support"),
+    "malformed-before-mass": ([{"support": [], "probs": []}, BAD_MASS], "arm 0: support and probs must be nonempty"),
+    "mass-after-good": ([TINY_ARMS[0], BAD_MASS, {"support": [-0.5], "probs": [1.0]}], "arm 1: masses sum to 0.9,"),
+    "mass-after-continuous": ([UNIFORM, BAD_MASS], "arm 1: masses sum to 0.9,"),
+    "range-after-continuous": ([UNIFORM, TINY_ARMS[0], {"support": [1.5], "probs": [1.0]}], "arm 2: support values must"),
+    "too-few-breakpoints": ([TINY_ARMS[0], {"breakpoints": [0.0], "densities": []}], "arm 1: need at least two break"),
+    "density-per-segment": ([{"breakpoints": [0.0, 0.5, 1.0], "densities": [1.0]}], "arm 0: need one density per segm"),
 }
 
 # flags whose range the library checks, and the message it raises: (flags, message)
@@ -247,6 +268,25 @@ class TestOffline:
         assert out[0] == "set: 0 1"
         assert out[1] == "value: 0.7"
 
+    def test_reward_defaults_to_kmax(self, tmp_path, capsys):
+        doc = {key: value for key, value in TINY_INSTANCE.items() if key != "reward"}
+        for payload in (doc, TINY_INSTANCE):
+            assert main(["offline", "--instance", str(write_config(tmp_path, payload))]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == out[2:] == ["set: 0 2", "value: 0.75"]
+
+    @pytest.mark.parametrize("solver", ["exhaustive", "greedy", "ptas"])
+    def test_kmax_reads_one_matrix(self, tmp_path, capsys, monkeypatch, solver):
+        # the instance's CDF matrix is built once, and neither the solver nor the value builds a law from it
+        built, laws = [], []
+        of, getitem = CdfMatrix.of.__func__, CdfMatrix.__getitem__
+        monkeypatch.setattr(CdfMatrix, "of", classmethod(lambda cls, dists: built.append(len(dists)) or of(cls, dists)))
+        monkeypatch.setattr(CdfMatrix, "__getitem__", lambda self, i: laws.append(i) or getitem(self, i))
+        inst = write_config(tmp_path, TINY_INSTANCE, "inst.json")
+        assert main(["offline", "--instance", str(inst), "--solver", solver]) == 0
+        assert capsys.readouterr().out.splitlines() == ["set: 0 2", "value: 0.75"]
+        assert built == [3] and laws == []
+
     def test_greedy_rejects_explicit_family(self, tmp_path, capsys):
         payload = {
             "arms": TINY_INSTANCE["arms"][:2],
@@ -289,6 +329,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"cmab: error: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("arms, message", FIRST_BAD_ARM.values(), ids=FIRST_BAD_ARM.keys())
+    def test_first_bad_arm_reported(self, tmp_path, capsys, arms, message):
+        inst = write_config(tmp_path, {"arms": arms, "family": {"kind": "cardinality", "K": 1}})
+        assert main(["offline", "--instance", str(inst)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"cmab: error: {message}")
 
     @pytest.mark.parametrize("flags, message", COUNT_ERRORS.values(), ids=COUNT_ERRORS.keys())
     def test_count_rejected_by_library(self, tmp_path, capsys, flags, message):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmab.distributions import (
+    MASS_TOL,
     CdfMatrix,
     FiniteDistribution,
     PiecewiseDensity,
@@ -16,6 +17,7 @@ from cmab.distributions import (
     bin_value,
     confidence_radius,
     discretize_interval,
+    _finite_laws,
     dominant_cdfs,
     make_finite,
     sample,
@@ -29,6 +31,7 @@ from util import (
     random_counts,
     random_finite,
     random_piecewise,
+    reference_cdf_matrix,
     reference_dominant_cdfs,
     reference_inverse_cdf,
     reference_make_finite,
@@ -115,6 +118,50 @@ class TestMakeFinite:
             return [a.tobytes() for a in (d.support, d.probs, d.cum)]
 
         assert outcome(make_finite) == outcome(reference_make_finite)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_batch_matches_reference(self, seed, m):
+        # m arms: unsorted, with duplicates, zero masses, up to 12 points, totals within a few ulps of
+        # 1 +- MASS_TOL, gaps below VALUE_TOL, and now and then a bad value or a malformed pair; the
+        # batch gives each arm's reference law, or the first bad arm's reference error with its name
+        rng = np.random.default_rng(seed)
+        supports, masses = [], []
+        for _ in range(m):
+            support = rng.choice(value_pool(rng, rng.random() < 0.3), size=int(rng.integers(1, 13)))
+            if rng.random() < 0.3:
+                support = np.unique(support)
+            probs = rng.random(len(support)) * (rng.random(len(support)) < 0.8)
+            if probs.sum() > 0.0:
+                probs /= probs.sum()
+            if rng.random() < 0.3:
+                probs *= 1.0 + rng.choice([-1.0, 1.0]) * MASS_TOL + int(rng.integers(-4, 5)) * 2.0**-52
+            if rng.random() < 0.05:
+                probs[rng.integers(len(probs))] = rng.choice([math.nan, math.inf, -0.25])
+            if rng.random() < 0.05:
+                support[rng.integers(len(support))] = rng.choice([math.nan, -math.inf, 1.5, -0.25])
+            if rng.random() < 0.03:
+                support = support[1:]
+            supports.append(support)
+            masses.append(probs)
+        names = [f"arm {i}: " for i in range(m)]
+        want = []
+        for name, support, probs in zip(names, supports, masses):
+            try:
+                want.append(reference_make_finite(support, probs))
+            except ValueError as e:
+                want = name + str(e)
+                break
+        try:
+            got = _finite_laws(supports, masses, names)
+        except ValueError as e:
+            got = str(e)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert [[a.tobytes() for a in (d.support, d.probs, d.cum)] for d in got] == [
+                [a.tobytes() for a in (d.support, d.probs, d.cum)] for d in want
+            ]
 
 
 class TestFiniteDistribution:
@@ -326,6 +373,24 @@ class TestCdfMatrix:
         rebuilt = CdfMatrix.of(laws)
         assert np.array_equal(rebuilt.values, cdfs.values)
         assert np.array_equal(rebuilt.F, cdfs.F)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 30))
+    def test_of_matches_reference(self, seed, m, s):
+        # laws from make_finite, and laws with a supplied cum: binned finite and continuous laws, and
+        # the rows of an optimistic matrix
+        rng = np.random.default_rng(seed)
+        rows = dominant_cdfs(*random_counts(rng, m), int(rng.integers(2, 1000)))
+        kinds = [
+            lambda i: random_finite(rng, max_support=10),
+            lambda i: discretize_interval(random_finite(rng), s),
+            lambda i: discretize_interval(random_piecewise(rng), s),
+            lambda i: rows[i],
+        ]
+        laws = [kinds[int(rng.integers(len(kinds)))](i) for i in range(m)]
+        got, want = CdfMatrix.of(laws), reference_cdf_matrix(laws)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.F.tobytes() == want.F.tobytes()
 
     def test_exact_where_finite_cdf_merges(self):
         values, counts = count_matrix([[0.3, 0.3 + 4e-10]])

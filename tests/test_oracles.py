@@ -20,9 +20,9 @@ from cmab.harness import builtin_env
 from cmab.oracles import (
     FeasibleFamily,
     _reachable_sets,
+    _signatures,
     _support_table,
     _utility_scores,
-    arm_signature,
     exhaustive_oracle,
     greedy_kmax,
     ptas_grid,
@@ -45,10 +45,12 @@ from util import (
     count_matrix,
     random_counts,
     random_finite,
+    random_piecewise,
     reference_arm_signature,
     reference_exhaustive,
     reference_expected_kmax,
     reference_greedy_matrix,
+    reference_reachable_sets,
 )
 
 EXACT = 1e-12
@@ -216,10 +218,10 @@ class TestExhaustiveOracle:
         np.testing.assert_array_equal(_kmax_scores(dists, fam.index_rows()), whole)
         assert (exhaustive_oracle(dists, fam, kmax_spec()), ptas_kmax(dists, 4, 0.3)) == chosen
 
-    def test_matrix_laws_only_for_ptas_signatures(self, monkeypatch):
+    def test_matrix_builds_no_law(self, monkeypatch):
         # arms 1 and 3 put all their optimistic mass at 1, so every set holding one of them ties at 1;
-        # exhaustive picks from the matrix's batched scores and builds no law, and ptas builds the m
-        # laws its signatures need (the iteration's call m + 1 raises IndexError)
+        # from a matrix no K-MAX oracle builds a per-arm law: exhaustive and ptas score the matrix's
+        # batched rows, greedy its marginal gains, and the signatures read the matrix's steps
         values, counts = count_matrix([[0.2, 0.5]] * 5)
         cdfs = dominant_cdfs(values, counts, 2, radius=[0.1, 1.5, 0.1, 1.5, 0.1])
         fam = FeasibleFamily.cardinality_at_most(3, 5)
@@ -228,9 +230,10 @@ class TestExhaustiveOracle:
         getitem = CdfMatrix.__getitem__
         monkeypatch.setattr(CdfMatrix, "__getitem__", lambda self, i: calls.append(i) or getitem(self, i))
         assert exhaustive_oracle(cdfs, fam, kmax_spec()) == want == SuperArm([0, 1])
+        assert greedy_kmax(cdfs, 3) == SuperArm([0, 1, 2])
+        assert ptas_kmax(cdfs, 3, 0.3) == SuperArm([0, 1, 2])
+        assert expected_reward(cdfs, SuperArm([0, 1]), kmax_spec()) == 1.0
         assert calls == []
-        ptas_kmax(cdfs, 3, 0.3)
-        assert calls == list(range(6))
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(LAW_KINDS), st.integers(1, 7), st.integers(1, 7), st.booleans())
@@ -533,6 +536,11 @@ def units(q, eps, m):
     return math.floor(-math.log1p(-q) * m / eps**4)
 
 
+def arm_signature(dist, W, eps, m):
+    """One arm's signature: row 0 of the signatures of a matrix of m copies of it."""
+    return tuple(_signatures(CdfMatrix.of([dist] * m), W, eps)[0].tolist())
+
+
 class TestDiscretizeBernoullis:
     """Moving an arm's Bernoulli parts onto the grid, as seen in its signature."""
 
@@ -583,20 +591,27 @@ class TestDiscretizeBernoullis:
         st.floats(0.1, 0.45),
         st.integers(1, 8),
         st.floats(0.0, 1.0),
-        st.booleans(),
+        st.sampled_from(["finite", "optimistic", "low-mean"]),
     )
-    def test_matches_reference(self, seed, eps, m, w_frac, optimistic):
+    def test_matches_reference(self, seed, eps, m, w_frac, kind):
+        # every row of the matrix's signatures is the reference signature of that row's law; each
+        # arm's lowest part has q = 1, and low-mean arms with a small W put values above W/eps
         rng = np.random.default_rng(seed)
-        if optimistic:
+        if kind == "optimistic":
             obs = [rng.choice(np.round(rng.random(5), 3), size=int(rng.integers(1, 20))) for _ in range(m)]
-            arms = dominant_cdfs(*count_matrix(obs), int(rng.integers(2, 1000)))
-        else:
-            arms = [random_finite(rng, max_support=8) for _ in range(m)]
+            cdfs = dominant_cdfs(*count_matrix(obs), int(rng.integers(2, 1000)))
+        elif kind == "finite":
+            cdfs = CdfMatrix.of([random_finite(rng, max_support=8) for _ in range(m)])
+        else:  # most mass at 0, the rest spread up to 1
+            laws = [random_finite(rng, max_support=8) for _ in range(m)]
+            cdfs = CdfMatrix.of([make_finite(np.append(0.0, d.support), np.append(0.9, 0.1 * d.probs)) for d in laws])
         # ptas_kmax scales the grid by a greedy value, which is at least every arm's mean
-        mu = max(d.mean() for d in arms)
-        W = max(mu + w_frac * (1.0 - mu), 1e-3)
-        for d in arms:
-            assert arm_signature(d, W, eps, m) == reference_arm_signature(d, W, eps, m)
+        mu = max(d.mean() for d in cdfs)
+        W = max(mu + w_frac**2 * (1.0 - mu), 1e-3)
+        sig = _signatures(cdfs, W, eps)
+        assert sig.shape == (m, len(ptas_grid(eps, W)))
+        for i, d in enumerate(cdfs):
+            assert tuple(sig[i].tolist()) == reference_arm_signature(d, W, eps, m)
 
 
 class TestSignatureOfArm:
@@ -646,6 +661,18 @@ class TestDpFindSet:
         reach = _reachable_sets([(1,), (2,), (3,), (4,)], 2)
         assert reach[(2, (5,))] == (1, 2)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 12), st.integers(1, 8))
+    def test_live_columns_match_full_width(self, seed, m, width, K):
+        # most columns are zero in every row, and now and then all of them: the DP over the live
+        # columns holds the same states, with the same sets, in the same order
+        rng = np.random.default_rng(seed)
+        sig = rng.integers(0, 4, size=(m, width)) * (rng.random((m, width)) < rng.choice([0.0, 0.2, 0.6]))
+        live = sig.any(axis=0)
+        got = _reachable_sets(sig, min(K, m))
+        want = reference_reachable_sets([tuple(row) for row in sig.tolist()], min(K, m))
+        assert list(got.items()) == [((k, tuple(np.array(u)[live].tolist())), S) for (k, u), S in want.items()]
+
     def test_state_guard(self, monkeypatch):
         monkeypatch.setattr("cmab.oracles.SIGNATURE_DP_GUARD", 10)
         with pytest.raises(GuardExceeded):
@@ -659,7 +686,7 @@ def reference_ptas(dists, K, eps):
     W = expected_kmax(laws, seed)
     if W <= 0.0:
         return seed
-    reach = _reachable_sets([arm_signature(d, W, eps, len(laws)) for d in laws], K)
+    reach = _reachable_sets(_signatures(dists if isinstance(dists, CdfMatrix) else CdfMatrix.of(laws), W, eps), K)
     return reference_exhaustive(laws, [SuperArm(S) for (k, _), S in reach.items() if k == K], kmax_spec())
 
 
@@ -682,6 +709,10 @@ class TestPtasKmax:
             ptas_kmax([point(0.5)], 1, 0.6)
         with pytest.raises(ValueError):
             ptas_kmax([point(0.5)], 2, 0.25)
+
+    def test_continuous_arms_rejected(self):
+        with pytest.raises(TypeError):
+            ptas_kmax([point(0.5), random_piecewise(np.random.default_rng(0))], 1, 0.25)
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -14,9 +14,11 @@ from cmab.errors import GuardExceeded
 from cmab.harness import Environment, builtin_env
 from cmab.oracles import FeasibleFamily
 from cmab.rewards import (
+    UTILITY_CURVES,
     RewardSpec,
     SuperArm,
     TabulatedUtility,
+    _check_curve,
     expected_kmax,
     expected_kmax_continuous,
     expected_reward,
@@ -59,6 +61,12 @@ class TestRewardSpec:
         with pytest.raises(ValueError):
             RewardSpec("kmax", utility=lambda y: y)
 
+    def test_misplaced_or_uncallable_curve(self):
+        with pytest.raises(ValueError, match="linear_sum takes no utility curve"):
+            RewardSpec("linear_sum", utility=lambda y: y)
+        with pytest.raises(ValueError, match="requires a curve name or callable"):
+            utility_spec(0.5, bound_M=1.0, lipschitz_C=1.0)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             RewardSpec("median")
@@ -72,6 +80,19 @@ class TestRewardSpec:
         assert spec.utility(3.0) == 9.0
         with pytest.raises(ValueError):
             utility_spec("cubic", bound_M=1.0, lipschitz_C=1.0)
+
+    def test_named_curves_checked_once(self, monkeypatch):
+        # the named curves pass the check, which ran at import; a spec naming one does not run it again
+        for curve in UTILITY_CURVES.values():
+            _check_curve(curve)
+        calls = []
+        monkeypatch.setattr("cmab.rewards._check_curve", calls.append)
+        for name in UTILITY_CURVES:
+            utility_spec(name, bound_M=1.0, lipschitz_C=1.0)
+        assert calls == []
+        curve = lambda y: y  # noqa: E731
+        utility_spec(curve, bound_M=1.0, lipschitz_C=1.0)
+        assert calls == [curve]
 
     def test_rejects_decreasing_curve(self):
         with pytest.raises(ValueError):
@@ -193,6 +214,12 @@ class TestExpectedKmaxContinuous:
         # E[max(U, 0.5)] = 0.5 * 0.5 + int_{0.5}^{1} x dx
         got = expected_kmax_continuous([u, p], SuperArm([0, 1]))
         assert got == pytest.approx(0.625, abs=QUAD)
+
+    def test_point_mass_one_ulp_from_a_breakpoint(self):
+        # the segment between 0.5 and the point mass one ulp above it carries no weight and is skipped
+        u = PiecewiseDensity([0.0, 0.5, 1.0], [1.0, 1.0])
+        p = make_finite([float(np.nextafter(0.5, 1.0))], [1.0])
+        assert expected_kmax_continuous([u, p], SuperArm([0, 1])) == pytest.approx(0.625, abs=QUAD)
 
     def test_tilted_pair_against_quadrature(self):
         d = PiecewiseDensity([0.0, 0.5, 1.0], [1.2, 0.8])

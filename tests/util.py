@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -68,6 +69,26 @@ def reference_make_finite(support, probs) -> FiniteDistribution:
     if np.any(gaps < VALUE_TOL):
         raise ValueError(f"distinct support points closer than {VALUE_TOL}")
     return FiniteDistribution(uniq, merged)
+
+
+def reference_cdf_matrix(dists) -> CdfMatrix:
+    """``CdfMatrix.of`` as it was first written: each arm's CDF read at every union value by a search."""
+    values = np.unique(np.concatenate([d.support for d in dists]))
+    at = [np.searchsorted(d.support, values, side="right") for d in dists]
+    return CdfMatrix(values, np.vstack([np.append(0.0, d.cum)[k] for d, k in zip(dists, at)]))
+
+
+def reference_reachable_sets(signatures, K: int) -> dict:
+    """The PTAS's signature dynamic program as it was first written, over every signature coordinate."""
+    reach = {(0, (0,) * len(signatures[0])): ()}
+    for j, sig in enumerate(signatures):
+        for (chosen, units), members in list(reach.items()):
+            if chosen == K:
+                continue
+            state = (chosen + 1, tuple(map(operator.add, units, sig)))
+            if state not in reach:
+                reach[state] = members + (j,)
+    return reach
 
 
 def joint_expected(dists, members, reward_fn) -> float:
