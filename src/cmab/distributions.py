@@ -142,9 +142,10 @@ class CdfMatrix(Sequence):
     ``F[i, k]`` is arm i's CDF at ``values[k]``, exactly as
     :meth:`FiniteDistribution.cdf` reads it there, so ``F[:, -1]`` is 1.
     K-MAX scores, the oracles' and :func:`~cmab.rewards.expected_kmax`'s,
-    read ``F`` in place, and so do the PTAS's signatures.  ``len()`` is m,
-    and ``[i]`` builds arm i's :class:`FiniteDistribution` on demand from
-    row i, for the utility rescore.  The constructor trusts its arrays.
+    read ``F`` in place, and so do the PTAS's signatures and the utility
+    scores, which read its steps.  ``len()`` is m, and ``[i]`` builds arm
+    i's :class:`FiniteDistribution` on demand from row i; no K-MAX or
+    utility evaluation calls it.  The constructor trusts its arrays.
     """
 
     __slots__ = ("values", "F")

@@ -14,13 +14,11 @@ Three solvers with different cost/guarantee trade-offs:
 Each solver takes m arm laws: a list or a :class:`CdfMatrix`.  On finite
 arms all three score K-MAX on the CDF matrix (a list is converted once):
 greedy its marginal gains, exhaustive and the scheme all their candidate
-sets in one batched pass whose scores are :func:`expected_kmax`'s values
-bit for bit, so the best row is the answer.  Exhaustive scores a utility
-of the sum on finite arms in one batched pass over the sets' product
-points, then rescores the sets within rounding of the best with
-:func:`expected_reward`.  From a matrix no K-MAX solver builds a per-arm
-law; only the members of shortlisted utility sets are built.  Linear
-rewards and continuous arms are scored one set at a time.
+sets in one batched pass.  Exhaustive scores a utility of the sum on
+finite arms in one batched pass over the sets' product points.  Either
+batch's scores are :func:`expected_reward`'s values bit for bit, so the
+best row is the answer.  From a matrix no solver builds a per-arm law.
+Linear rewards and continuous arms are scored one set at a time.
 
 Signatures use exact integer arithmetic so set equality is never a float
 comparison.
@@ -35,17 +33,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import CdfMatrix, FiniteDistribution
+from .distributions import CdfMatrix
 from .errors import GuardExceeded
 from .rewards import (
-    _SCORE_BLOCK,
-    _SUM_GRID,
-    CONVOLUTION_GUARD,
     KMAX,
     UTILITY_OF_SUM,
     RewardSpec,
     SuperArm,
+    _finite,
     _kmax_scores,
+    _utility_scores,
     expected_kmax,
     expected_reward,
     kmax_spec,
@@ -162,10 +159,8 @@ def exhaustive_oracle(dists, family: FeasibleFamily, spec: RewardSpec) -> SuperA
         )
     if len(dists) != family.m:
         raise ValueError(f"the family is over {family.m} arms, got {len(dists)} arm laws")
-    if spec.kind == KMAX and _finite(dists):
-        return _best_kmax(dists, family.index_rows())
-    if spec.kind == UTILITY_OF_SUM and _finite(dists):
-        return _best_utility(dists, family.index_rows(), spec)
+    if spec.kind in (KMAX, UTILITY_OF_SUM) and _finite(dists):
+        return _best_row(dists, family.index_rows(), spec)
     dists = list(dists)
     return min(family, key=lambda S: (-expected_reward(dists, S, spec), S.members))
 
@@ -198,129 +193,23 @@ def greedy_kmax(dists, K: int) -> SuperArm:
     return SuperArm(chosen)
 
 
-def _finite(dists) -> bool:
-    return isinstance(dists, CdfMatrix) or all(isinstance(d, FiniteDistribution) for d in dists)
-
-
 def _as_matrix(dists) -> CdfMatrix:
     return dists if isinstance(dists, CdfMatrix) else CdfMatrix.of(dists)
 
 
-def _best_kmax(dists, rows: np.ndarray) -> SuperArm:
-    """The row whose arms have the largest expected max; ties go to the smallest member set.
+def _best_row(dists, rows: np.ndarray, spec: RewardSpec) -> SuperArm:
+    """The row whose set has the largest K-MAX or utility score; ties go to the smallest member set.
 
-    A row's batched score is :func:`expected_kmax` of its set bit for bit,
-    so the choice is the one a per-set loop makes, bit-equal ties included.
+    A row's batched score is :func:`expected_reward` of its set bit for
+    bit, so the choice is the one a per-set loop makes, bit-equal ties
+    included.
     """
-    cdfs = _as_matrix(dists)
-    scores = _kmax_scores(cdfs, rows)
-    return min(SuperArm(row[row < len(cdfs)]) for row in rows[scores == scores.max()])
-
-
-def _support_table(dists):
-    """Each arm's support keys ``round(v * _SUM_GRID)`` and masses, left-aligned in (m + 1, S) arrays, and its size.
-
-    Row m is a point mass at 0, the index-m pad.  A matrix row's masses
-    are the positive steps of its CDF, as ``CdfMatrix.__getitem__`` reads
-    them; columns past an arm's size hold key 0 and mass 0.
-    """
-    if isinstance(dists, CdfMatrix):
-        steps = dists.F.copy()
-        steps[:, 1:] -= dists.F[:, :-1]
-        arm, col = np.nonzero(steps > 0.0)
-        keys, masses = np.rint(dists.values * _SUM_GRID)[col], steps[arm, col]
+    if spec.kind == KMAX:
+        dists = _as_matrix(dists)
+        scores = _kmax_scores(dists, rows)
     else:
-        arm = np.repeat(np.arange(len(dists)), [len(d.support) for d in dists])
-        keys = np.rint(np.concatenate([d.support for d in dists]) * _SUM_GRID)
-        masses = np.concatenate([d.probs for d in dists])
-    arm, keys, masses = np.append(arm, len(dists)), np.append(keys, 0.0), np.append(masses, 1.0)
-    sizes = np.bincount(arm)
-    at = np.arange(len(arm)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # arm entries are contiguous
-    key_table = np.zeros((len(sizes), sizes.max()), dtype=np.int64)
-    mass_table = np.zeros(key_table.shape)
-    key_table[arm, at] = keys
-    mass_table[arm, at] = masses
-    return key_table, mass_table, sizes
-
-
-def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Expected utility of the sum of the arms in each row, and a bound on its distance from ``expected_reward``.
-
-    Every row expands into its product points, one member at a time in
-    member order, each point carrying its sum key and its mass, the
-    product of the member masses.  The utility is evaluated once per
-    distinct key, and a row scores the sum of mass times utility over its
-    points, in blocks of at most ``_SCORE_BLOCK`` points; a row with more
-    points is summed over chunks of that many, in the same sequence.  Raises
-    :class:`GuardExceeded` before any product point is built when a row
-    has ``CONVOLUTION_GUARD`` points or more.
-    """
-    keys, masses, sizes = _support_table(dists)
-    n_points = sizes[rows].prod(axis=1, dtype=float)  # exact below the guard, and at least the guard above it
-    over = np.flatnonzero(n_points >= CONVOLUTION_GUARD)
-    if len(over):
-        row = rows[over[0]]
-        raise GuardExceeded(
-            f"sum-support convolution of super arm {row[row < len(dists)].tolist()} needs "
-            f"{math.prod(sizes[row].tolist())} product points; the guard is {CONVOLUTION_GUARD}"
-        )
-    n_points = n_points.astype(np.int64)
-    ends = np.cumsum(n_points)
-    utility: dict[int, float] = {}
-    scores, magnitudes = np.zeros(len(rows)), np.zeros(len(rows))
-    start = 0
-    while start < len(rows):
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - n_points[start] + _SCORE_BLOCK, side="right")))
-        block = rows[start:stop]
-        if n_points[start] > _SCORE_BLOCK:  # a row alone: its points in chunks, the first member slowest
-            row, total, B = block[:1].T, int(n_points[start]), _SCORE_BLOCK
-            ats = (np.unravel_index(np.arange(a, min(a + B, total)), sizes[block[0]]) for a in range(0, total, B))
-            # keys summed and masses multiplied member by member, as the one-chunk expansion below does
-            points = ((0, sum(keys[row, at]), math.prod(masses[row, at])) for at in map(np.array, ats))
-        else:
-            owner = np.arange(len(block))
-            key = np.zeros(len(block), dtype=np.int64)
-            mass = np.ones(len(block))
-            for j in range(block.shape[1]):
-                arm = block[owner, j]
-                n = sizes[arm]
-                at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-                owner, arm = np.repeat(owner, n), np.repeat(arm, n)
-                key = np.repeat(key, n) + keys[arm, at]
-                mass = np.repeat(mass, n) * masses[arm, at]
-            points = [(owner, key, mass)]
-        for owner, key, mass in points:
-            distinct, inverse = np.unique(key, return_inverse=True)
-            for k in distinct.tolist():
-                if k not in utility:
-                    utility[k] = spec.utility(k / _SUM_GRID)
-            u = np.array([utility[k] for k in distinct.tolist()], dtype=float)[inverse]
-            # each row's running total enters first, so a row split over chunks sums its points in one sequence
-            bins = np.concatenate([np.arange(len(block)), np.broadcast_to(owner, key.shape)])
-            for out, terms in ((scores, mass * u), (magnitudes, mass * np.abs(u))):
-                out[start:stop] = np.bincount(bins, np.concatenate([out[start:stop], terms]), minlength=len(block))
-        start = stop
-    # Over a row of N points, a term of the batch is rounded at most K + N times (K products, one by
-    # u, N - 1 additions), one of expected_reward's at most (K + 1) N times (a product and up to N - 1
-    # merge additions in each of the K convolution steps, one by u, N - 1 additions).  So the two lie
-    # within (K + 2)(N + 1) eps times the row's sum of |mass u|; doubled for second-order terms
-    err = 2 * (rows.shape[1] + 2) * (n_points + 1) * np.finfo(float).eps * magnitudes
-    return scores, err
-
-
-def _best_utility(dists, rows: np.ndarray, spec: RewardSpec) -> SuperArm:
-    """The row whose arms' sum has the largest expected utility; ties go to the smallest member set.
-
-    Rows whose batched score lies within the two error bounds of the
-    best one are rescored with :func:`expected_reward` on ``dists`` as the
-    caller passed them, so the choice is the one a per-set loop makes,
-    bit-equal ties included.
-    """
-    scores, err = _utility_scores(dists, rows, spec)
-    shortlist = rows[scores + err >= (scores - err).max()]
-    m = len(dists)
-    sets = [SuperArm(row[row < m]) for row in shortlist]
-    return min(sets, key=lambda S: (-expected_reward(dists, S, spec), S.members))
+        scores = _utility_scores(dists, rows, spec)
+    return min(SuperArm(row[row < len(dists)]) for row in rows[scores == scores.max()])
 
 
 def _greedy_kmax_finite(cdfs: CdfMatrix, K: int) -> SuperArm:
@@ -442,4 +331,4 @@ def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
         return seed
     reach = _reachable_sets(_signatures(cdfs, W, eps), K)
     rows = np.array([members for (chosen, _), members in reach.items() if chosen == K])
-    return _best_kmax(cdfs, rows)
+    return _best_row(cdfs, rows, kmax_spec())

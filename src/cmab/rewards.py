@@ -9,10 +9,11 @@ Three reward families are supported:
 Expected rewards r_D(S) are computed exactly for product distributions:
 the max via a CDF-product expansion (discrete: :func:`_kmax_scores` scores
 many sets at once, and :func:`expected_kmax` is it on one set) or piecewise
-polynomial quadrature (continuous), the sum-utility via exact support
-convolution.  The exhaustive oracle scores a sum-utility on finite arms in
-a batched pass of its own (:mod:`cmab.oracles`), and calls
-:func:`expected_reward` only for the sets within rounding of its best.
+polynomial quadrature (continuous), the sum-utility over each set's product
+points (:func:`_utility_scores` scores many sets at once, and
+:func:`expected_reward` is it on one set).  The exhaustive oracle and the
+approximation scheme (:mod:`cmab.oracles`) pick the best of their batched
+rows, whose scores are :func:`expected_reward`'s values bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ LINEAR_SUM = "linear_sum"
 
 CONVOLUTION_GUARD = 10**6
 _SCORE_BLOCK = 1 << 16  # elements of one block of candidate scoring: (sets, members, values), or product points
-_SUM_GRID = 1e9  # sums are canonicalized to a 1e-9 grid during convolution
+_SUM_GRID = 1e9  # support values are keyed round(v * 1e9), so sums of keys add exactly
 
 
 class SuperArm:
@@ -211,6 +212,13 @@ def _kmax_scores(cdfs: CdfMatrix, rows: np.ndarray) -> np.ndarray:
     return np.concatenate(scores)
 
 
+def _row(dists, S: SuperArm) -> np.ndarray:
+    """S as the one row of a batched scorer; an index of m or more is refused, as m would read the pad."""
+    if S.members[-1] >= len(dists):
+        raise IndexError(f"arm {S.members[-1]} out of range for {len(dists)} arm laws")
+    return np.array([S.members])
+
+
 def expected_kmax(dists, S: SuperArm) -> float:
     """Exact E[max_{i in S} X_i] for finite-support member distributions.
 
@@ -219,7 +227,7 @@ def expected_kmax(dists, S: SuperArm) -> float:
     batched score of S by :func:`_kmax_scores`, bit for bit.
     """
     if isinstance(dists, CdfMatrix):
-        return float(_kmax_scores(dists, np.array([S.members]))[0])
+        return float(_kmax_scores(dists, _row(dists, S))[0])
     arms = [dists[i] for i in S.members]
     if not all(isinstance(a, FiniteDistribution) for a in arms):
         raise TypeError("expected_kmax requires finite-support distributions")
@@ -259,41 +267,109 @@ def expected_kmax_continuous(dists: Sequence[Distribution], S: SuperArm) -> floa
     return total
 
 
-def _sum_distribution(arms: Sequence[FiniteDistribution]) -> dict[int, float]:
-    """Exact distribution of the sum, keyed by round(value * 1e9)."""
-    n_points = 1
-    for a in arms:
-        n_points *= len(a.support)
-        if n_points >= CONVOLUTION_GUARD:
-            raise GuardExceeded(
-                f"sum-support convolution needs {n_points} (or more) product points; "
-                f"the guard is {CONVOLUTION_GUARD}"
-            )
-    acc = {0: 1.0}
-    for a in arms:
-        keys = [round(v * _SUM_GRID) for v in a.support]
-        nxt: dict[int, float] = {}
-        for k0, p0 in acc.items():
-            for k1, p1 in zip(keys, a.probs):
-                k = k0 + k1
-                nxt[k] = nxt.get(k, 0.0) + p0 * p1
-        acc = nxt
-    return acc
+def _finite(dists) -> bool:
+    return isinstance(dists, CdfMatrix) or all(isinstance(d, FiniteDistribution) for d in dists)
+
+
+def _support_table(dists):
+    """Each arm's support keys ``round(v * _SUM_GRID)`` and masses, left-aligned in (m + 1, S) arrays, and its size.
+
+    Row m is a point mass at 0, the index-m pad.  A matrix row's masses
+    are the positive steps of its CDF, as ``CdfMatrix.__getitem__`` reads
+    them; columns past an arm's size hold key 0 and mass 0.
+    """
+    if isinstance(dists, CdfMatrix):
+        steps = dists.F.copy()
+        steps[:, 1:] -= dists.F[:, :-1]
+        arm, col = np.nonzero(steps > 0.0)
+        keys, masses = np.rint(dists.values * _SUM_GRID)[col], steps[arm, col]
+    else:
+        arm = np.repeat(np.arange(len(dists)), [len(d.support) for d in dists])
+        keys = np.rint(np.concatenate([d.support for d in dists]) * _SUM_GRID)
+        masses = np.concatenate([d.probs for d in dists])
+    arm, keys, masses = np.append(arm, len(dists)), np.append(keys, 0.0), np.append(masses, 1.0)
+    sizes = np.bincount(arm)
+    at = np.arange(len(arm)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # arm entries are contiguous
+    key_table = np.zeros((len(sizes), sizes.max()), dtype=np.int64)
+    mass_table = np.zeros(key_table.shape)
+    key_table[arm, at] = keys
+    mass_table[arm, at] = masses
+    return key_table, mass_table, sizes
+
+
+def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
+    """Expected utility of the sum of the arms in each row; index m is the pad.
+
+    Every row expands into its product points, one member at a time in
+    member order, each point carrying its sum key and its mass, the
+    product of the member masses.  The utility is evaluated once per
+    distinct key, and a row scores the sum of mass times utility over its
+    points, in blocks of at most ``_SCORE_BLOCK`` points; a row with more
+    points is summed over chunks of that many, in the same sequence.  A
+    row's sum starts at 0.0 and runs over its points in one order whatever
+    its block or chunk, so its score is :func:`expected_reward` of its set
+    bit for bit.  Raises :class:`GuardExceeded` before any product point is
+    built when a row has ``CONVOLUTION_GUARD`` points or more.
+    """
+    keys, masses, sizes = _support_table(dists)
+    n_points = sizes[rows].prod(axis=1, dtype=float)  # exact below the guard, and at least the guard above it
+    over = np.flatnonzero(n_points >= CONVOLUTION_GUARD)
+    if len(over):
+        row = rows[over[0]]
+        raise GuardExceeded(
+            f"sum-support convolution of super arm {row[row < len(dists)].tolist()} needs "
+            f"{math.prod(sizes[row].tolist())} product points; the guard is {CONVOLUTION_GUARD}"
+        )
+    n_points = n_points.astype(np.int64)
+    ends = np.cumsum(n_points)
+    utility: dict[int, float] = {}
+    scores = np.zeros(len(rows))
+    start = 0
+    while start < len(rows):
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - n_points[start] + _SCORE_BLOCK, side="right")))
+        block = rows[start:stop]
+        if n_points[start] > _SCORE_BLOCK:  # a row alone: its points in chunks, the first member slowest
+            row, total, B = block[:1].T, int(n_points[start]), _SCORE_BLOCK
+            ats = (np.unravel_index(np.arange(a, min(a + B, total)), sizes[block[0]]) for a in range(0, total, B))
+            # keys summed and masses multiplied member by member, as the one-chunk expansion below does
+            points = ((0, sum(keys[row, at]), math.prod(masses[row, at])) for at in map(np.array, ats))
+        else:
+            owner = np.arange(len(block))
+            key = np.zeros(len(block), dtype=np.int64)
+            mass = np.ones(len(block))
+            for j in range(block.shape[1]):
+                arm = block[owner, j]
+                n = sizes[arm]
+                at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+                owner, arm = np.repeat(owner, n), np.repeat(arm, n)
+                key = np.repeat(key, n) + keys[arm, at]
+                mass = np.repeat(mass, n) * masses[arm, at]
+            points = [(owner, key, mass)]
+        for owner, key, mass in points:
+            distinct, inverse = np.unique(key, return_inverse=True)
+            for k in distinct.tolist():
+                if k not in utility:
+                    utility[k] = spec.utility(k / _SUM_GRID)
+            u = np.array([utility[k] for k in distinct.tolist()], dtype=float)[inverse]
+            # each row's running total enters first, so a row split over chunks sums its points in one sequence
+            bins = np.concatenate([np.arange(len(block)), np.broadcast_to(owner, key.shape)])
+            scores[start:stop] = np.bincount(bins, np.concatenate([scores[start:stop], mass * u]), minlength=len(block))
+        start = stop
+    return scores
 
 
 def expected_reward(dists: Sequence[Distribution], S: SuperArm, spec: RewardSpec) -> float:
-    """Exact expected reward r_D(S) of super arm S under the product law; K-MAX reads a matrix in place."""
-    if spec.kind == KMAX and isinstance(dists, CdfMatrix):
-        return expected_kmax(dists, S)
-    arms = [dists[i] for i in S.members]
+    """Exact expected reward r_D(S) of super arm S under the product law.
+
+    K-MAX and a utility of the sum read a matrix in place; on finite arms
+    each is its batched scorer run on the one row of S.
+    """
     if spec.kind == KMAX:
-        if all(isinstance(a, FiniteDistribution) for a in arms):
+        if isinstance(dists, CdfMatrix) or all(isinstance(dists[i], FiniteDistribution) for i in S.members):
             return expected_kmax(dists, S)
         return expected_kmax_continuous(dists, S)
-    if spec.kind == LINEAR_SUM:
-        return float(sum(a.mean() for a in arms))
-    for a in arms:
-        if not isinstance(a, FiniteDistribution):
+    if spec.kind == UTILITY_OF_SUM:
+        if not _finite(dists):
             raise TypeError("utility_of_sum requires finite-support distributions")
-    law = _sum_distribution(arms)
-    return float(sum(p * spec.utility(k / _SUM_GRID) for k, p in sorted(law.items())))
+        return float(_utility_scores(dists, _row(dists, S), spec)[0])
+    return float(sum(dists[i].mean() for i in S.members))

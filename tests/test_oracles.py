@@ -21,8 +21,6 @@ from cmab.oracles import (
     FeasibleFamily,
     _reachable_sets,
     _signatures,
-    _support_table,
-    _utility_scores,
     exhaustive_oracle,
     greedy_kmax,
     ptas_grid,
@@ -34,6 +32,8 @@ from cmab.rewards import (
     UTILITY_CURVES,
     SuperArm,
     _kmax_scores,
+    _support_table,
+    _utility_scores,
     expected_kmax,
     expected_reward,
     kmax_spec,
@@ -43,12 +43,14 @@ from cmab.rewards import (
 from util import (
     COARSE_GRID,
     count_matrix,
+    joint_expected,
     random_counts,
     random_finite,
     random_piecewise,
     reference_arm_signature,
     reference_exhaustive,
     reference_expected_kmax,
+    reference_expected_utility,
     reference_greedy_matrix,
     reference_reachable_sets,
 )
@@ -219,13 +221,17 @@ class TestExhaustiveOracle:
         assert (exhaustive_oracle(dists, fam, kmax_spec()), ptas_kmax(dists, 4, 0.3)) == chosen
 
     def test_matrix_builds_no_law(self, monkeypatch):
-        # arms 1 and 3 put all their optimistic mass at 1, so every set holding one of them ties at 1;
-        # from a matrix no K-MAX oracle builds a per-arm law: exhaustive and ptas score the matrix's
-        # batched rows, greedy its marginal gains, and the signatures read the matrix's steps
+        # arms 1 and 3 put all their optimistic mass at 1, so every set holding one of them ties at 1, and
+        # for the utility arms 0, 2 and 4 are one law, so {0, 1, 3}, {1, 2, 3} and {1, 3, 4} tie; from a
+        # matrix no oracle builds a per-arm law: exhaustive and ptas score the matrix's batched rows (a
+        # utility's from the CDF steps), greedy its marginal gains, and the signatures read the steps
         values, counts = count_matrix([[0.2, 0.5]] * 5)
         cdfs = dominant_cdfs(values, counts, 2, radius=[0.1, 1.5, 0.1, 1.5, 0.1])
         fam = FeasibleFamily.cardinality_at_most(3, 5)
+        utility = utility_spec("sqrt", bound_M=2.0, lipschitz_C=1.0)
         want = reference_exhaustive(cdfs, fam, kmax_spec())
+        want_utility = reference_exhaustive(cdfs, fam, utility)
+        worth = reference_expected_utility(cdfs, want_utility, utility)
         calls = []
         getitem = CdfMatrix.__getitem__
         monkeypatch.setattr(CdfMatrix, "__getitem__", lambda self, i: calls.append(i) or getitem(self, i))
@@ -233,6 +239,8 @@ class TestExhaustiveOracle:
         assert greedy_kmax(cdfs, 3) == SuperArm([0, 1, 2])
         assert ptas_kmax(cdfs, 3, 0.3) == SuperArm([0, 1, 2])
         assert expected_reward(cdfs, SuperArm([0, 1]), kmax_spec()) == 1.0
+        assert exhaustive_oracle(cdfs, fam, utility) == want_utility == SuperArm([0, 1, 3])
+        assert expected_reward(cdfs, want_utility, utility) == pytest.approx(worth, abs=EXACT)
         assert calls == []
 
     @settings(derandomize=True, max_examples=300, deadline=None)
@@ -306,7 +314,8 @@ UTILITY_CASES = st.builds(
 class TestExhaustiveUtility:
     def test_rounding_never_decides(self):
         # arm 1 has mean 0.3 like the point mass 2, so {0, 1} and {0, 2} tie in exact arithmetic;
-        # the batched scores round them one way and expected_reward another, and expected_reward decides
+        # the batched score is expected_reward bit for bit (1.2058823529411764 for {0, 1}, one ulp below
+        # 1.2058823529411766 for {0, 2}), so exhaustive and the per-set loop pick one set
         dists = [
             make_finite([0.7, 0.8, 1.0], [2 / 17, 5 / 17, 10 / 17]),
             make_finite([0.1, 0.7], [2 / 3, 1 / 3]),
@@ -314,7 +323,7 @@ class TestExhaustiveUtility:
         ]
         fam = FeasibleFamily.cardinality_at_most(2, 3)
         spec = utility_spec("identity", bound_M=2.0, lipschitz_C=1.0)
-        assert exhaustive_oracle(dists, fam, spec) == reference_exhaustive(dists, fam, spec) == SuperArm([0, 1])
+        assert exhaustive_oracle(dists, fam, spec) == reference_exhaustive(dists, fam, spec) == SuperArm([0, 2])
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(UTILITY_CASES)
@@ -323,13 +332,25 @@ class TestExhaustiveUtility:
         assert exhaustive_oracle(dists, fam, spec) == reference_exhaustive(dists, fam, spec)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(UTILITY_CASES)
-    def test_scores_within_bound(self, case):
+    @given(UTILITY_CASES, st.integers(1, 64))
+    def test_rows_are_expected_reward(self, case, block):
+        # every row's batched score, in blocks of any size and over chunks past a block's points, is
+        # expected_reward of its set bit for bit, and lies within rounding of the dict convolution: over a
+        # row of K members and N points a batch term rounds at most K + N times, a convolution term at most
+        # (K + 1) N times, so the two lie within (K + 2)(N + 1) eps times the row's sum of |mass u|,
+        # doubled for second-order terms
         dists, fam, spec = case
         rows = fam.index_rows()
-        scores, err = _utility_scores(dists, rows, spec)
-        want = [expected_reward(dists, SuperArm(row[row < len(dists)]), spec) for row in rows]
-        assert np.all(np.abs(scores - want) <= err)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cmab.rewards._SCORE_BLOCK", block)
+            scores = _utility_scores(dists, rows, spec)
+        _, _, sizes = _support_table(dists)
+        for row, score in zip(rows, scores.tolist()):
+            S = SuperArm(row[row < len(dists)])
+            assert score == expected_reward(dists, S, spec)
+            magnitude = joint_expected(dists, S.members, lambda vals: abs(spec.utility(sum(vals))))
+            bound = 2 * (len(row) + 2) * (math.prod(sizes[row].tolist()) + 1) * np.finfo(float).eps * magnitude
+            assert abs(score - reference_expected_utility(dists, S, spec)) <= bound
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(UTILITY_CASES)
@@ -345,7 +366,6 @@ class TestExhaustiveUtility:
             return False
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("cmab.oracles.CONVOLUTION_GUARD", 20)
             mp.setattr("cmab.rewards.CONVOLUTION_GUARD", 20)
             batch = trips(lambda dists, fam, spec: _utility_scores(dists, fam.index_rows(), spec))
             assert batch == trips(reference_exhaustive)
@@ -357,9 +377,9 @@ class TestExhaustiveUtility:
         dists = CdfMatrix.of(arms) if as_matrix else arms
         rows = FeasibleFamily.explicit([[0, 1]], 2).index_rows()
         spec = utility_spec("sqrt", bound_M=2.0, lipschitz_C=1.0)
-        monkeypatch.setattr("cmab.oracles.CONVOLUTION_GUARD", 21)
+        monkeypatch.setattr("cmab.rewards.CONVOLUTION_GUARD", 21)
         _utility_scores(dists, rows, spec)
-        monkeypatch.setattr("cmab.oracles.CONVOLUTION_GUARD", 20)
+        monkeypatch.setattr("cmab.rewards.CONVOLUTION_GUARD", 20)
         with pytest.raises(GuardExceeded, match=r"super arm \[0, 1\] needs 20 product points"):
             _utility_scores(dists, rows, spec)
 
@@ -376,17 +396,16 @@ class TestExhaustiveUtility:
         sums = sorted(calls)
         assert len(sums) == len(set(sums))
         chosen = exhaustive_oracle(dists, fam, spec)
-        monkeypatch.setattr("cmab.oracles._SCORE_BLOCK", 40)  # a few rows a block, or one row past 40 points
+        monkeypatch.setattr("cmab.rewards._SCORE_BLOCK", 40)  # a few rows a block, or one row past 40 points
         calls.clear()
         blocked = _utility_scores(dists, fam.index_rows(), spec)
         assert sorted(calls) == sums
-        np.testing.assert_array_equal(blocked[0], whole[0])
-        np.testing.assert_array_equal(blocked[1], whole[1])
+        np.testing.assert_array_equal(blocked, whole)
         assert exhaustive_oracle(dists, fam, spec) == chosen
 
     def test_oversized_rows_scored_in_chunks(self, monkeypatch):
         # at a block of 5 points, every row past 5 product points is scored in chunks of at most 5, each
-        # carrying the row's running total into the next, so scores and bounds keep their bits
+        # carrying the row's running total into the next, so scores keep their bits
         spec = utility_spec("sqrt", bound_M=3.0, lipschitz_C=1.0)
         rng = np.random.default_rng(11)
         dists = [random_finite(rng) for _ in range(6)]
@@ -398,11 +417,10 @@ class TestExhaustiveUtility:
         sized = []
         unique = np.unique
         monkeypatch.setattr(np, "unique", lambda keys, **kw: sized.append(len(keys)) or unique(keys, **kw))
-        monkeypatch.setattr("cmab.oracles._SCORE_BLOCK", 5)
+        monkeypatch.setattr("cmab.rewards._SCORE_BLOCK", 5)
         chunked = _utility_scores(dists, fam.index_rows(), spec)
         assert max(sized) <= 5
-        np.testing.assert_array_equal(chunked[0], whole[0])
-        np.testing.assert_array_equal(chunked[1], whole[1])
+        np.testing.assert_array_equal(chunked, whole)
         assert exhaustive_oracle(dists, fam, spec) == chosen
 
 

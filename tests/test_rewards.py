@@ -285,9 +285,21 @@ class TestExpectedReward:
         with pytest.raises(TypeError):
             expected_reward([u], SuperArm([0]), utility_spec("identity", bound_M=1.0, lipschitz_C=1.0))
 
+    @pytest.mark.parametrize("as_matrix", [False, True], ids=["list", "matrix"])
+    def test_arm_past_the_laws(self, as_matrix):
+        # index m is the batched scorers' pad, so a set naming arm m or more is refused, not scored without it
+        dists = [make_finite([0.2, 0.5], [0.5, 0.5])] * 3
+        dists = CdfMatrix.of(dists) if as_matrix else dists
+        for spec in (kmax_spec(), utility_spec("sqrt", bound_M=2.0, lipschitz_C=1.0)):
+            for arm in (3, 4):
+                with pytest.raises(IndexError):
+                    expected_reward(dists, SuperArm([0, arm]), spec)
+
     def test_convolution_guard(self):
+        # the message names the set and its exact count of product points, 101^3
         support = np.linspace(0.0, 1.0, 101)
         probs = np.full(101, 1 / 101)
-        dists = [make_finite(support, probs) for _ in range(3)]
-        with pytest.raises(GuardExceeded):
-            expected_reward(dists, SuperArm([0, 1, 2]), utility_spec("identity", bound_M=3.0, lipschitz_C=1.0))
+        dists = [make_finite([0.5], [1.0])] + [make_finite(support, probs) for _ in range(3)]
+        message = r"super arm \[1, 2, 3\] needs 1030301 product points; the guard is 1000000$"
+        with pytest.raises(GuardExceeded, match=message):
+            expected_reward(dists, SuperArm([1, 2, 3]), utility_spec("identity", bound_M=3.0, lipschitz_C=1.0))

@@ -119,6 +119,24 @@ def reference_expected_kmax(dists, S: SuperArm) -> float:
     return float(cdfs.values @ np.diff(cdfs.F.prod(0), prepend=0.0))
 
 
+def reference_expected_utility(dists, S: SuperArm, spec) -> float:
+    """``expected_reward`` of a utility of the sum as it was before the batched scorer became it.
+
+    The members' laws are convolved exactly in a dict keyed by round(value * 1e9), and the
+    utility is summed over the keys in ascending order.
+    """
+    acc = {0: 1.0}
+    for a in [dists[i] for i in S.members]:
+        keys = [round(v * 1e9) for v in a.support]
+        nxt: dict[int, float] = {}
+        for k0, p0 in acc.items():
+            for k1, p1 in zip(keys, a.probs):
+                k = k0 + k1
+                nxt[k] = nxt.get(k, 0.0) + p0 * p1
+        acc = nxt
+    return float(sum(p * spec.utility(k / 1e9) for k, p in sorted(acc.items())))
+
+
 def bruteforce_kmax(dists, members) -> float:
     return joint_expected(dists, members, max)
 
