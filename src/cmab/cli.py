@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from .distributions import CdfMatrix, PiecewiseDensity, _finite_laws
+from .distributions import PiecewiseDensity, _finite_laws
 from .errors import GuardExceeded
 from .harness import (
     ORACLES,
@@ -33,7 +33,7 @@ from .harness import (
     write_csv,
 )
 from .oracles import FeasibleFamily
-from .rewards import KMAX, SuperArm, expected_reward, kmax_spec, linear_spec, utility_spec
+from .rewards import UTILITY_OF_SUM, SuperArm, _cdfs, expected_reward, kmax_spec, linear_spec, utility_spec
 
 _RUN_DEFAULTS = {
     "env": None,
@@ -206,7 +206,7 @@ def _parse_instance(doc):
         raise _ConfigError("instance: missing 'family'")
     family = _parse_family(doc["family"], len(arms))
     spec = _parse_reward(doc.get("reward"))
-    if spec.kind == "utility_of_sum":
+    if spec.kind == UTILITY_OF_SUM:
         _require_finite(arms, "a utility reward")
     return arms, family, spec
 
@@ -273,8 +273,8 @@ def cmd_offline(args) -> int:
     solve = _oracle_handle(args.solver, family, spec, _epsilon(args.epsilon))
     if args.solver == "ptas":
         _require_finite(arms, "the ptas solver")
-    if spec.kind == KMAX and not any(isinstance(a, PiecewiseDensity) for a in arms):
-        arms = CdfMatrix.of(arms)  # every solver and the value read this one matrix
+    if spec.kind != UTILITY_OF_SUM:  # a utility reads the finite arms' masses, not their CDFs
+        arms = _cdfs(arms)  # every solver and the value read this one matrix
     S = solve(arms)
     value = expected_reward(arms, S, spec)
     print("set:", " ".join(str(i) for i in S.members))

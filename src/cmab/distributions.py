@@ -368,6 +368,19 @@ def discretize_interval(dist: Distribution, s: int) -> FiniteDistribution:
     return FiniteDistribution(grid[keep], probs[keep], cum=cumg[keep])
 
 
+def _bernoulli_parts(cdfs: CdfMatrix):
+    """(arm, value, q) of every part of every row's Bernoulli decomposition, row by row, values ascending.
+
+    Row i has a part at each value v where it has mass, with activation
+    q = (F_i(v) - F_i(v-)) / F_i(v).
+    """
+    F = cdfs.F
+    step = F.copy()
+    step[:, 1:] -= F[:, :-1]
+    arm, col = np.nonzero(step > 0.0)
+    return arm, cdfs.values[col], step[arm, col] / F[arm, col]
+
+
 def bernoulli_decomposition(dist: FiniteDistribution) -> list[tuple[float, float]]:
     """Rewrite ``dist`` as the max of independent two-point variables.
 
@@ -375,5 +388,5 @@ def bernoulli_decomposition(dist: FiniteDistribution) -> list[tuple[float, float
     ascending value order: q_j = p_j / (p_1 + ... + p_j).  The maximum of
     independent B(v_j, q_j) variables has exactly the input distribution.
     """
-    q = dist.probs / dist.cum
-    return [(float(v), float(qj)) for v, qj in zip(dist.support, q)]
+    _, values, q = _bernoulli_parts(CdfMatrix.of([dist]))
+    return list(zip(values.tolist(), q.tolist()))

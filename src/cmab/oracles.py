@@ -11,14 +11,12 @@ Three solvers with different cost/guarantee trade-offs:
   program that carries one candidate set per signature, and score every
   candidate exactly.
 
-Each solver takes m arm laws: a list or a :class:`CdfMatrix`.  On finite
-arms all three score K-MAX on the CDF matrix (a list is converted once):
-greedy its marginal gains, exhaustive and the scheme all their candidate
-sets in one batched pass.  Exhaustive scores a utility of the sum on
-finite arms in one batched pass over the sets' product points.  Either
-batch's scores are :func:`expected_reward`'s values bit for bit, so the
-best row is the answer.  From a matrix no solver builds a per-arm law.
-Linear rewards and continuous arms are scored one set at a time.
+Each solver takes m arm laws, a list or a :class:`CdfMatrix`, and scores
+on the list's one matrix: greedy its marginal gains, the scheme its
+candidate sets, and exhaustive, for any reward, every feasible set, each
+in one batch whose scores are :func:`expected_reward`'s values bit for
+bit, so the best row is the answer.  From a matrix no solver builds a
+per-arm law.
 
 Signatures use exact integer arithmetic so set equality is never a float
 comparison.
@@ -33,20 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import CdfMatrix
+from .distributions import CdfMatrix, _bernoulli_parts
 from .errors import GuardExceeded
-from .rewards import (
-    KMAX,
-    UTILITY_OF_SUM,
-    RewardSpec,
-    SuperArm,
-    _finite,
-    _kmax_scores,
-    _utility_scores,
-    expected_kmax,
-    expected_reward,
-    kmax_spec,
-)
+from .rewards import RewardSpec, SuperArm, _cdfs, _scores, expected_kmax, kmax_spec
 
 ENUMERATION_GUARD = 10**6
 SIGNATURE_DP_GUARD = 10**7
@@ -148,9 +135,8 @@ class FeasibleFamily:
 def exhaustive_oracle(dists, family: FeasibleFamily, spec: RewardSpec) -> SuperArm:
     """Exact argmax of expected reward over the family (enumeration guard).
 
-    Ties go to the lexicographically smallest member set.  On finite
-    arms every set is scored at once: K-MAX on the CDF matrix, a utility
-    of the sum over each set's product points.
+    Every set is scored at once, and ties go to the lexicographically
+    smallest member set.
     """
     n = family.count()
     if n > ENUMERATION_GUARD:
@@ -159,10 +145,7 @@ def exhaustive_oracle(dists, family: FeasibleFamily, spec: RewardSpec) -> SuperA
         )
     if len(dists) != family.m:
         raise ValueError(f"the family is over {family.m} arms, got {len(dists)} arm laws")
-    if spec.kind in (KMAX, UTILITY_OF_SUM) and _finite(dists):
-        return _best_row(dists, family.index_rows(), spec)
-    dists = list(dists)
-    return min(family, key=lambda S: (-expected_reward(dists, S, spec), S.members))
+    return _best_row(dists, family.index_rows(), spec)
 
 
 def greedy_kmax(dists, K: int) -> SuperArm:
@@ -172,51 +155,17 @@ def greedy_kmax(dists, K: int) -> SuperArm:
     lowest arm index only when the computed gains are bit-equal (gains
     equal in exact arithmetic may round apart).  The objective is
     monotone submodular, so the value is at least (1 - 1/e) times the
-    optimum over K-subsets.  Finite arms are scored on their CDF matrix,
-    read as given or built once.
+    optimum over K-subsets.  The gains are one matrix-vector product a
+    step on the arm list's matrix.
     """
-    m = len(dists)
-    if not 1 <= K <= m:
+    if not 1 <= K <= len(dists):
         raise ValueError("need 1 <= K <= m")
-    if _finite(dists):
-        return _greedy_kmax_finite(_as_matrix(dists), K)
-    chosen: list[int] = []
-    for _ in range(K):
-        best_j, best_val = -1, -math.inf
-        for j in range(m):
-            if j in chosen:
-                continue
-            v = expected_reward(dists, SuperArm(chosen + [j]), kmax_spec())
-            if v > best_val:
-                best_j, best_val = j, v
-        chosen.append(best_j)
-    return SuperArm(chosen)
-
-
-def _as_matrix(dists) -> CdfMatrix:
-    return dists if isinstance(dists, CdfMatrix) else CdfMatrix.of(dists)
-
-
-def _best_row(dists, rows: np.ndarray, spec: RewardSpec) -> SuperArm:
-    """The row whose set has the largest K-MAX or utility score; ties go to the smallest member set.
-
-    A row's batched score is :func:`expected_reward` of its set bit for
-    bit, so the choice is the one a per-set loop makes, bit-equal ties
-    included.
-    """
-    if spec.kind == KMAX:
-        dists = _as_matrix(dists)
-        scores = _kmax_scores(dists, rows)
-    else:
-        scores = _utility_scores(dists, rows, spec)
-    return min(SuperArm(row[row < len(dists)]) for row in rows[scores == scores.max()])
-
-
-def _greedy_kmax_finite(cdfs: CdfMatrix, K: int) -> SuperArm:
-    V = cdfs.values
+    cdfs = _cdfs(dists)
     C = cdfs.F
-    # E[max] = sum_k V_k (P_k - P_{k-1}) = P @ w with w_k = V_k - V_{k+1}, w_last = V_last
-    w = np.append(V[:-1] - V[1:], V[-1])
+    if isinstance(cdfs, CdfMatrix):  # E[max] = sum_k V_k (P_k - P_{k-1}) = P @ w, w_k = V_k - V_{k+1}, w_last = V_last
+        w = np.append(cdfs.values[:-1] - cdfs.values[1:], cdfs.values[-1])
+    else:  # E[max] = sum_n w_n (1 - P_n) is largest where P @ -w is
+        w = -cdfs.weights
     avail = list(range(len(C)))
     chosen = [avail.pop(int((C @ w).argmax()))]
     prod = C[chosen[0]]
@@ -225,6 +174,22 @@ def _greedy_kmax_finite(cdfs: CdfMatrix, K: int) -> SuperArm:
         chosen.append(avail.pop(int((C[avail] * prod @ w).argmax())))
         prod = prod * C[chosen[-1]]
     return SuperArm(chosen)
+
+
+def _best_row(dists, rows: np.ndarray, spec: RewardSpec) -> SuperArm:
+    """The row whose set has the largest expected reward; ties go to the smallest member set.
+
+    A row's batched score is :func:`expected_reward` of its set bit for
+    bit, so the choice is the one a per-set loop makes, bit-equal ties
+    included.  With the pad m read as -1, a set sorts before its
+    extensions, so one ``lexsort`` of the tied rows puts the smallest
+    member tuple first.
+    """
+    scores = _scores(dists, rows, spec)
+    tied = rows[scores == scores.max()].astype(np.intp)
+    tied[tied == len(dists)] = -1
+    best = tied[np.lexsort(tied.T[::-1])[0]]
+    return SuperArm(best[best >= 0])
 
 
 def signature_cap(eps: float, m: int) -> int:
@@ -261,13 +226,9 @@ def _signatures(cdfs: CdfMatrix, W: float, eps: float) -> np.ndarray:
         raise ValueError("eps must lie in (0, 1/2)")
     if W <= 0.0:
         raise ValueError("W must be positive")
-    V, F = cdfs.values, cdfs.F
-    m = len(F)
+    m = len(cdfs)
     top = len(ptas_grid(eps, W))
-    step = F.copy()
-    step[:, 1:] -= F[:, :-1]
-    arm, col = np.nonzero(step > 0.0)  # row by row, each arm's values ascending
-    q, v = step[arm, col] / F[arm, col], V[col]
+    arm, v, q = _bernoulli_parts(cdfs)
     above = v > W / eps
     index = np.where(above, top, np.floor(v / (eps * W) + VALUE_NUDGE)).astype(np.intp)
     q = np.where(above, q * v * eps / W, q)
@@ -322,10 +283,10 @@ def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
         raise ValueError("need 1 <= K <= m")
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    if not _finite(dists):
+    cdfs = _cdfs(dists)
+    if not isinstance(cdfs, CdfMatrix):
         raise TypeError("ptas_kmax requires finite-support distributions")
-    cdfs = _as_matrix(dists)
-    seed = _greedy_kmax_finite(cdfs, K)
+    seed = greedy_kmax(cdfs, K)
     W = expected_kmax(cdfs, seed)
     if W <= 0.0:
         return seed

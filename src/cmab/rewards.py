@@ -6,14 +6,14 @@ Three reward families are supported:
 * ``utility_of_sum``: R(x, S) = u(sum_{i in S} x_i) for a monotone u,
 * ``linear_sum``: R(x, S) = sum_{i in S} x_i.
 
-Expected rewards r_D(S) are computed exactly for product distributions:
-the max via a CDF-product expansion (discrete: :func:`_kmax_scores` scores
-many sets at once, and :func:`expected_kmax` is it on one set) or piecewise
-polynomial quadrature (continuous), the sum-utility over each set's product
-points (:func:`_utility_scores` scores many sets at once, and
-:func:`expected_reward` is it on one set).  The exhaustive oracle and the
-approximation scheme (:mod:`cmab.oracles`) pick the best of their batched
-rows, whose scores are :func:`expected_reward`'s values bit for bit.
+Expected rewards r_D(S) are exact for product distributions.
+:func:`_scores` scores many sets at once and :func:`expected_reward` is it
+on one set's row, so a set's batched score is its value bit for bit.
+K-MAX and linear rewards read the arm list's one matrix from
+:func:`_cdfs`: the CDFs of finite laws, whose products give the max law,
+or once a law is continuous a Gauss-Legendre quadrature of the integral
+of 1 - prod_i F_i; a linear row sums means.  A utility of the sum is
+summed over each set's product points, on finite laws.
 """
 
 from __future__ import annotations
@@ -190,24 +190,72 @@ def utility_spec(utility, bound_M: float, lipschitz_C: float) -> RewardSpec:
     return RewardSpec(UTILITY_OF_SUM, utility=utility, bound_M=bound_M, lipschitz_C=lipschitz_C)
 
 
-def _kmax_scores(cdfs: CdfMatrix, rows: np.ndarray) -> np.ndarray:
-    """E[max] of the arms in each row, on the matrix; index m is an all-ones pad.
+@lru_cache(maxsize=32)
+def _gauss_legendre(n: int):
+    return np.polynomial.legendre.leggauss(n)  # numpy.polynomial is imported on first use
 
-    With P_k the product of the row's CDFs at v_k, Pr[max = v_k] is
-    P_k - P_{k-1}.  The terms v_k (P_k - P_{k-1}) are summed strictly left to
-    right, so a score does not depend on its block, and a column where none
-    of the row's arms has mass adds an exact +0.0: its arms' rows alone give
-    the same bits.
+
+class _Quadrature:
+    """m arm laws, one of them continuous or more, as their CDFs at quadrature nodes.
+
+    ``F[i, n]`` is arm i's CDF at node n, and ``weights[n]`` the node's
+    weight.  Each segment between consecutive breakpoints and atoms of all
+    m arms wider than 2e-15 holds ceil((m + 1)/2) Gauss-Legendre nodes.
+    There every CDF is constant or linear, so any set's CDF product has
+    degree at most m, and sum_n weights[n] (1 - prod_i F[i, n]) integrates
+    1 - prod_i F_i over [0, 1] exactly: it is the set's E[max].
     """
-    V, C = cdfs.values, cdfs.F
+
+    __slots__ = ("F", "weights")
+
+    def __init__(self, dists):
+        pts = [d.breakpoints if isinstance(d, PiecewiseDensity) else d.support for d in dists]
+        edges = np.unique(np.concatenate([[0.0, 1.0], *pts]))
+        half = (edges[1:] - edges[:-1]) / 2.0
+        keep = half > 1e-15
+        mid, half = ((edges[:-1] + edges[1:]) / 2.0)[keep, None], half[keep, None]
+        nodes, weights = _gauss_legendre(math.ceil((len(dists) + 1) / 2))
+        xs = (mid + half * nodes).ravel()
+        self.F = np.vstack([np.interp(xs, d.breakpoints, d.cum) if isinstance(d, PiecewiseDensity) else d.cdf(xs) for d in dists])
+        self.weights = (half * weights).ravel()
+
+    def __len__(self) -> int:
+        return len(self.F)
+
+
+def _cdfs(dists):
+    """The arm laws as one matrix, a function of the list alone: their :class:`CdfMatrix` when all are
+    finite, else their :class:`_Quadrature`.  A matrix is passed through."""
+    if isinstance(dists, (CdfMatrix, _Quadrature)):
+        return dists
+    if all(isinstance(d, FiniteDistribution) for d in dists):
+        return CdfMatrix.of(dists)
+    return _Quadrature(dists)
+
+
+def _kmax_scores(cdfs, rows: np.ndarray) -> np.ndarray:
+    """E[max] of the arms in each row, on a matrix from :func:`_cdfs`; index m is an all-ones pad.
+
+    On a :class:`CdfMatrix`, with P_k the product of the row's CDFs at v_k,
+    Pr[max = v_k] is P_k - P_{k-1} and E[max] sums v_k (P_k - P_{k-1}); a
+    column where none of the row's arms has mass adds an exact +0.0, so its
+    arms' rows alone give the same bits.  On a :class:`_Quadrature`, E[max]
+    sums w_n (1 - P_n) over the nodes.  Either's terms are summed strictly
+    left to right, so a score does not depend on its block.
+    """
+    C = cdfs.F
     if rows.max() == len(C):  # a padded row reads the all-ones row m
-        C = np.vstack([C, np.ones(len(V))])
-    step = max(1, _SCORE_BLOCK // (rows.shape[1] * len(V)))
+        C = np.vstack([C, np.ones(C.shape[1])])
+    step = max(1, _SCORE_BLOCK // (rows.shape[1] * C.shape[1]))
     scores = []
     for a in range(0, len(rows), step):
         P = C[rows[a : a + step]].prod(1)
-        P[:, 1:] -= P[:, :-1]  # P_k - P_{k-1}: the overlapping operand is read as it was
-        P *= V
+        if isinstance(cdfs, CdfMatrix):
+            P[:, 1:] -= P[:, :-1]  # P_k - P_{k-1}: the overlapping operand is read as it was
+            P *= cdfs.values
+        else:
+            np.subtract(1.0, P, out=P)
+            P *= cdfs.weights
         scores.append(np.cumsum(P, axis=1)[:, -1])
     return np.concatenate(scores)
 
@@ -220,55 +268,22 @@ def _row(dists, S: SuperArm) -> np.ndarray:
 
 
 def expected_kmax(dists, S: SuperArm) -> float:
-    """Exact E[max_{i in S} X_i] for finite-support member distributions.
+    """Exact E[max_{i in S} X_i] for finite-support laws, a list of them or a :class:`CdfMatrix`.
 
-    ``dists`` is a list of laws or a :class:`CdfMatrix`; only the members'
-    laws, through ``CdfMatrix.of``, or rows are read.  The value is the
-    batched score of S by :func:`_kmax_scores`, bit for bit.
+    The value is the batched score of S by :func:`_kmax_scores`, bit for bit.
     """
-    if isinstance(dists, CdfMatrix):
-        return float(_kmax_scores(dists, _row(dists, S))[0])
-    arms = [dists[i] for i in S.members]
-    if not all(isinstance(a, FiniteDistribution) for a in arms):
+    cdfs = _cdfs(dists)
+    if not isinstance(cdfs, CdfMatrix):
         raise TypeError("expected_kmax requires finite-support distributions")
-    return float(_kmax_scores(CdfMatrix.of(arms), np.arange(len(S))[None])[0])
-
-
-@lru_cache(maxsize=32)
-def _gauss_legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    return float(_kmax_scores(cdfs, _row(cdfs, S))[0])
 
 
 def expected_kmax_continuous(dists: Sequence[Distribution], S: SuperArm) -> float:
-    """Exact E[max_{i in S} X_i] via integral of 1 - prod_i F_i(x) on [0, 1].
+    """Exact E[max_{i in S} X_i] for any arm laws, finite or with piecewise-constant density.
 
-    All breakpoints (and atoms of any finite members) split [0, 1] into
-    segments on which the CDF product is a polynomial of degree at most
-    |S|; Gauss-Legendre quadrature with ceil((|S|+1)/2) nodes integrates
-    each segment exactly.
+    The value is the batched score of S by :func:`_kmax_scores` on the list's matrix, bit for bit.
     """
-    arms = [dists[i] for i in S.members]
-    pts = [np.array([0.0, 1.0])]
-    for a in arms:
-        pts.append(a.breakpoints if isinstance(a, PiecewiseDensity) else a.support)
-    edges = np.unique(np.concatenate(pts))
-    edges = edges[(edges >= 0.0) & (edges <= 1.0)]
-    nodes, weights = _gauss_legendre(math.ceil((len(arms) + 1) / 2))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = (b - a) / 2.0
-        if half <= 1e-15:
-            continue
-        xs = (a + b) / 2.0 + half * nodes
-        prod = np.ones(len(xs))
-        for arm in arms:
-            prod *= arm.cdf(xs)
-        total += half * float(weights @ (1.0 - prod))
-    return total
-
-
-def _finite(dists) -> bool:
-    return isinstance(dists, CdfMatrix) or all(isinstance(d, FiniteDistribution) for d in dists)
+    return float(_kmax_scores(_cdfs(dists), _row(dists, S))[0])
 
 
 def _support_table(dists):
@@ -284,6 +299,8 @@ def _support_table(dists):
         arm, col = np.nonzero(steps > 0.0)
         keys, masses = np.rint(dists.values * _SUM_GRID)[col], steps[arm, col]
     else:
+        if not all(isinstance(d, FiniteDistribution) for d in dists):
+            raise TypeError("utility_of_sum requires finite-support distributions")
         arm = np.repeat(np.arange(len(dists)), [len(d.support) for d in dists])
         keys = np.rint(np.concatenate([d.support for d in dists]) * _SUM_GRID)
         masses = np.concatenate([d.probs for d in dists])
@@ -358,18 +375,23 @@ def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
     return scores
 
 
-def expected_reward(dists: Sequence[Distribution], S: SuperArm, spec: RewardSpec) -> float:
-    """Exact expected reward r_D(S) of super arm S under the product law.
+def _scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
+    """Every row's expected reward in one batch; index m is the pad.
 
-    K-MAX and a utility of the sum read a matrix in place; on finite arms
-    each is its batched scorer run on the one row of S.
+    A utility of the sum reads the finite laws' masses; K-MAX and linear
+    rewards read the list's matrix from :func:`_cdfs`.  A linear row sums
+    its members' means left to right, each the K-MAX score of its arm
+    alone; the pad's mean is 0 and adds an exact +0.0.
     """
-    if spec.kind == KMAX:
-        if isinstance(dists, CdfMatrix) or all(isinstance(dists[i], FiniteDistribution) for i in S.members):
-            return expected_kmax(dists, S)
-        return expected_kmax_continuous(dists, S)
     if spec.kind == UTILITY_OF_SUM:
-        if not _finite(dists):
-            raise TypeError("utility_of_sum requires finite-support distributions")
-        return float(_utility_scores(dists, _row(dists, S), spec)[0])
-    return float(sum(dists[i].mean() for i in S.members))
+        return _utility_scores(dists, rows, spec)
+    cdfs = _cdfs(dists)
+    if spec.kind == KMAX:
+        return _kmax_scores(cdfs, rows)
+    means = np.append(_kmax_scores(cdfs, np.arange(len(cdfs))[:, None]), 0.0)
+    return np.cumsum(means[rows], axis=1)[:, -1]
+
+
+def expected_reward(dists: Sequence[Distribution], S: SuperArm, spec: RewardSpec) -> float:
+    """Exact expected reward r_D(S) of super arm S under the product law: :func:`_scores` of its one row."""
+    return float(_scores(dists, _row(dists, S), spec)[0])

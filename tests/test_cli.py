@@ -12,13 +12,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmab import cli
 from cmab.cli import main
-from cmab.distributions import CdfMatrix, make_finite
-from util import joint_expected
+from cmab.distributions import CdfMatrix, PiecewiseDensity, make_finite
+from cmab.rewards import SuperArm
+from util import joint_expected, reference_expected_kmax_continuous
 
 
 def run_csv_lines(path):
@@ -98,6 +99,7 @@ CONFIG_ERRORS = {
     "family-without-K": ("offline", {"arms": TINY_ARMS, "family": {"kind": "cardinality"}}, "family: cardinality needs"),
     "family-without-sets": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit"}}, "family: explicit needs"),
     "family-unknown-kind": ("offline", {"arms": TINY_ARMS, "family": {"kind": "matroid"}}, "family: unknown kind"),
+    "reward-not-object": ("offline", {"arms": TINY_ARMS, "family": CARD, "reward": "kmax"}, "reward: expected an object"),
     "arm-not-object": ("offline", {"arms": [[0.5]], "family": CARD}, "arm 0: expected an object"),
     "arm-without-probs": ("offline", {"arms": [{"support": [0.5]}]}, "arm 0: finite arms need both"),
     "arm-without-densities": ("offline", {"arms": [{"breakpoints": [0, 1]}]}, "arm 0: continuous arms need both"),
@@ -474,6 +476,16 @@ TABLE = [[0.0, 0.0], [1.0, 0.8], [4.0, 1.0]]
 
 @st.composite
 def arm_docs(draw):
+    """A finite arm on GRID, or one time in four a continuous one with breakpoints on GRID and no density near 1.5."""
+    if draw(st.integers(0, 3)) == 0:
+        inner = draw(st.lists(st.sampled_from(GRID[1:-1]), max_size=3, unique=True))
+        breakpoints = [0.0, *sorted(inner), 1.0]
+        weights = draw(st.lists(st.integers(0, 9), min_size=len(breakpoints) - 1, max_size=len(breakpoints) - 1))
+        total = sum(w * (b - a) for w, a, b in zip(weights, breakpoints, breakpoints[1:]))
+        assume(total > 0)
+        densities = [w / total for w in weights]
+        assume(all(abs(d - 1.5) > 1e-6 for d in densities))  # a JUNK entry of 1.5 must unbalance the total
+        return {"breakpoints": breakpoints, "densities": densities}
     support = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=4, unique=True))
     weights = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
     return {"support": support, "probs": [w / sum(weights) for w in weights]}
@@ -498,7 +510,7 @@ def instance_docs(draw):
     doc = {"arms": arms, "family": family, "reward": reward}
     solver = draw(st.sampled_from(["exhaustive", "greedy", "ptas"]))
     # one field the program reads: an arm array or one entry of it, K or a set member, or a utility table entry
-    sites = [("arm", i, key) for i in range(m) for key in ("support", "probs")]
+    sites = [("arm", i, key) for i in range(m) for key in arms[i]]
     sites += [("family",)] + [("reward",)] * isinstance(reward.get("utility"), list)
     if draw(st.booleans()):
         return doc, solver, False
@@ -521,8 +533,16 @@ def instance_docs(draw):
 
 
 def brute_force_value(doc, members):
-    dists = [make_finite(a["support"], a["probs"]) for a in doc["arms"]]
     reward = doc["reward"]
+    if any("breakpoints" in a for a in doc["arms"]):  # a K-MAX or linear reward: utility rejects continuous arms
+        dists = [
+            PiecewiseDensity(a["breakpoints"], a["densities"]) if "breakpoints" in a else make_finite(a["support"], a["probs"])
+            for a in doc["arms"]
+        ]
+        if reward["kind"] == "kmax":
+            return reference_expected_kmax_continuous(dists, SuperArm(members))
+        return sum(dists[i].mean() for i in members)
+    dists = [make_finite(a["support"], a["probs"]) for a in doc["arms"]]
     if reward["kind"] == "kmax":
         return joint_expected(dists, members, max)
     if reward["kind"] == "linear":
@@ -530,6 +550,11 @@ def brute_force_value(doc, members):
     u = reward["utility"]
     curve = CURVES[u] if isinstance(u, str) else lambda y: float(np.interp(y, *zip(*u)))
     return joint_expected(dists, members, lambda xs: curve(sum(xs)))
+
+
+def finite_only(doc, solver) -> bool:
+    """Whether the instance has a continuous arm that the reward or the solver cannot take."""
+    return any("breakpoints" in a for a in doc["arms"]) and (doc["reward"]["kind"] == "utility" or solver == "ptas")
 
 
 def family_sets(doc):
@@ -541,7 +566,7 @@ def family_sets(doc):
 
 
 class TestOfflineFuzz:
-    @settings(derandomize=True, max_examples=400, deadline=None)
+    @settings(derandomize=True, max_examples=600, deadline=None)
     @given(instance_docs())
     def test_exit_contract(self, tmp_path_factory, case):
         doc, solver, bad = case
@@ -555,8 +580,9 @@ class TestOfflineFuzz:
             assert code == 1 and out.getvalue() == "" and err.getvalue().startswith("cmab: error:")
             return
         kmax_card = doc["family"]["kind"] == "cardinality" and doc["reward"]["kind"] == "kmax"
-        assert code == (0 if solver == "exhaustive" or kmax_card else 1)
+        assert code == (0 if (solver == "exhaustive" or kmax_card) and not finite_only(doc, solver) else 1)
         if code:
+            assert out.getvalue() == "" and err.getvalue().startswith("cmab: error:")
             return
         set_line, value_line = out.getvalue().splitlines()
         members = tuple(int(i) for i in set_line.split()[1:])
@@ -628,10 +654,11 @@ class TestRunFuzz:
         if bad:
             assert code == 1 and out.getvalue() == "" and err.getvalue().startswith("cmab: error:")
             return
-        if "env" not in doc:  # osm needs a cardinality family, greedy and ptas also the kmax reward
+        if "env" not in doc:  # osm needs a cardinality family, greedy and ptas also the kmax reward; utility finite arms
             cardinality = doc["family"]["kind"] == "cardinality"
             kmax_card = cardinality and doc["reward"]["kind"] == "kmax"
-            if not (cardinality if doc["policy"] == "osm" else doc["oracle"] == "exhaustive" or kmax_card):
+            usable = cardinality if doc["policy"] == "osm" else doc["oracle"] == "exhaustive" or kmax_card
+            if not usable or finite_only(doc, None):
                 assert code == 1 and out.getvalue() == "" and err.getvalue().startswith("cmab: error:")
                 return
         assert code == 0 and out.getvalue().startswith("wrote ")

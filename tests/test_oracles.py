@@ -19,6 +19,7 @@ from cmab.errors import GuardExceeded
 from cmab.harness import builtin_env
 from cmab.oracles import (
     FeasibleFamily,
+    _best_row,
     _reachable_sets,
     _signatures,
     exhaustive_oracle,
@@ -32,6 +33,7 @@ from cmab.rewards import (
     UTILITY_CURVES,
     SuperArm,
     _kmax_scores,
+    _scores,
     _support_table,
     _utility_scores,
     expected_kmax,
@@ -44,18 +46,21 @@ from util import (
     COARSE_GRID,
     count_matrix,
     joint_expected,
+    random_arm_list,
     random_counts,
     random_finite,
     random_piecewise,
     reference_arm_signature,
     reference_exhaustive,
     reference_expected_kmax,
+    reference_expected_kmax_continuous,
     reference_expected_utility,
     reference_greedy_matrix,
     reference_reachable_sets,
 )
 
 EXACT = 1e-12
+QUAD = 1e-9
 
 
 def point(v):
@@ -251,6 +256,50 @@ class TestExhaustiveOracle:
         dists = random_laws(rng, kind, m)
         fam = random_explicit(rng, m, K) if explicit else FeasibleFamily.cardinality_at_most(K, m)
         assert exhaustive_oracle(dists, fam, kmax_spec()) == reference_exhaustive(dists, fam, kmax_spec())
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["finite", "continuous", "mixed", *LAW_KINDS[1:]]),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_continuous_and_linear_match_reference_loop(self, seed, kind, m, K, explicit):
+        # K-MAX on lists with continuous arms and linear rewards on every kind of laws pick what a per-set loop
+        # over expected_reward picks; on continuous arms, the pick scores within QUAD of the kept loop's best
+        rng = np.random.default_rng(seed)
+        K = min(K, m)
+        dists = random_arm_list(rng, kind, m) if kind in ("continuous", "mixed") else random_laws(rng, kind, m)
+        fam = random_explicit(rng, m, K) if explicit else FeasibleFamily.cardinality_at_most(K, m)
+        for spec in (kmax_spec(), linear_spec()):
+            assert exhaustive_oracle(dists, fam, spec) == reference_exhaustive(dists, fam, spec)
+        if kind in ("continuous", "mixed"):
+            best = max(reference_expected_kmax_continuous(dists, S) for S in fam)
+            assert reference_expected_kmax_continuous(dists, exhaustive_oracle(dists, fam, kmax_spec())) >= best - QUAD
+
+
+class TestBestRow:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["explicit", "cardinality", "ptas"]), st.integers(1, 7), st.booleans())
+    def test_tie_break_is_smallest_member_tuple(self, seed, rows_kind, m, coarse):
+        # on tie-heavy rows (explicit families with pads, cardinality rows, the PTAS's candidates) and under
+        # optimism or with scores from {0, 1, 2}, one lexsort picks the set min() over the tied sets picks
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, m + 1))
+        dists = random_laws(rng, str(rng.choice(["optimistic", "cucb"])), m)
+        if rows_kind == "explicit":
+            rows = random_explicit(rng, m, K).index_rows()
+        elif rows_kind == "cardinality":
+            rows = FeasibleFamily.cardinality_at_most(K, m).index_rows()
+        else:
+            reach = _reachable_sets(_signatures(dists, 1.0, 0.3), K)
+            rows = np.array([members for (chosen, _), members in reach.items() if chosen == K])
+        scores = rng.integers(0, 3, len(rows)).astype(float) if coarse else _scores(dists, rows, kmax_spec())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cmab.oracles._scores", lambda *args: scores)
+            got = _best_row(dists, rows, kmax_spec())
+        assert got == min(SuperArm(row[row < m]) for row in rows[scores == scores.max()])
 
 
 class TestKmaxScores:
@@ -459,9 +508,24 @@ class TestGreedyKmax:
         with pytest.raises(ValueError):
             greedy_kmax([point(0.5)], 0)
 
-    def test_continuous_arms_use_generic_path(self):
+    def test_continuous_arms_on_quadrature(self):
         env = builtin_env("dist4")
         assert greedy_kmax(env.arms, 3) == SuperArm([0, 1, 2])
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["continuous", "mixed"]), st.integers(1, 6))
+    def test_continuous_matches_per_set_reference(self, seed, kind, m):
+        # each step's pick scores, by the per-segment loop, within QUAD of the best remaining arm's; the
+        # gains of continuous arms are a gemv with the quadrature weights, not one expected value per set
+        dists = random_arm_list(np.random.default_rng(seed), kind, m)
+        chosen = ()
+        for k in range(1, m + 1):  # greedy's answer for K = k adds one arm to its answer for k - 1
+            (pick,) = set(greedy_kmax(dists, k).members) - set(chosen)
+            gains = {
+                j: reference_expected_kmax_continuous(dists, SuperArm([*chosen, j])) for j in range(m) if j not in chosen
+            }
+            assert gains[pick] >= max(gains.values()) - QUAD
+            chosen += (pick,)
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans(), st.booleans())
@@ -746,6 +810,18 @@ class TestPtasKmax:
         fam = FeasibleFamily.cardinality_at_most(K, m)
         opt = expected_kmax(dists, exhaustive_oracle(dists, fam, kmax_spec()))
         assert got >= opt - 8 * eps * W - 1e-9
+        assert got <= opt + EXACT
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(LAW_KINDS), st.integers(1, 5), st.integers(1, 3), st.sampled_from([0.05, 0.1]))
+    def test_value_bound_bites(self, seed, kind, m, K, eps):
+        # below eps = 1/8, opt - 8 eps W > 0 since greedy's W is at most opt: the additive bound constrains the answer
+        dists = random_laws(np.random.default_rng(seed), kind, m)
+        K = min(K, m)
+        got = expected_kmax(dists, ptas_kmax(dists, K, eps))
+        W = expected_kmax(dists, greedy_kmax(dists, K))
+        opt = expected_kmax(dists, exhaustive_oracle(dists, FeasibleFamily.cardinality_at_most(K, m), kmax_spec()))
+        assert opt - EXACT <= got + 8 * eps * W
         assert got <= opt + EXACT
 
     @settings(derandomize=True, max_examples=300, deadline=None)

@@ -18,7 +18,10 @@ from cmab.rewards import (
     RewardSpec,
     SuperArm,
     TabulatedUtility,
+    _cdfs,
     _check_curve,
+    _kmax_scores,
+    _scores,
     expected_kmax,
     expected_kmax_continuous,
     expected_reward,
@@ -26,7 +29,16 @@ from cmab.rewards import (
     linear_spec,
     utility_spec,
 )
-from util import bruteforce_kmax, count_matrix, joint_expected, random_counts, random_finite, value_pool
+from util import (
+    bruteforce_kmax,
+    count_matrix,
+    joint_expected,
+    random_arm_list,
+    random_counts,
+    random_finite,
+    reference_expected_kmax_continuous,
+    value_pool,
+)
 
 EXACT = 1e-12
 QUAD = 1e-9
@@ -231,6 +243,32 @@ class TestExpectedKmaxContinuous:
         got = expected_kmax_continuous([d, d], SuperArm([0, 1]))
         assert got == pytest.approx(want, abs=QUAD)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["continuous", "mixed"]), st.integers(1, 6), st.integers(1, 64))
+    def test_batch_matches_kept_loop(self, seed, kind, m, block):
+        # every row of the batch, in blocks of any size, is expected_kmax_continuous of its set bit for bit
+        # and lies within QUAD of the per-segment loop over the members it replaced
+        rng = np.random.default_rng(seed)
+        dists = random_arm_list(rng, kind, m)
+        rows = FeasibleFamily.cardinality_at_most(m, m).index_rows()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cmab.rewards._SCORE_BLOCK", block)
+            scores = _kmax_scores(_cdfs(dists), rows)
+        for row, score in zip(rows, scores.tolist()):
+            S = SuperArm(row[row < m])
+            assert score == expected_kmax_continuous(dists, S) == expected_reward(dists, S, kmax_spec())
+            assert score == pytest.approx(reference_expected_kmax_continuous(dists, S), abs=QUAD)
+
+    def test_dist4_matches_kept_loop(self):
+        # all 129 sets of dist4 within QUAD of the per-segment loop, with the same best set
+        env = builtin_env("dist4")
+        sets = list(env.family)
+        scores = _kmax_scores(_cdfs(env.arms), env.family.index_rows())
+        want = [reference_expected_kmax_continuous(env.arms, S) for S in sets]
+        np.testing.assert_allclose(scores, want, rtol=0.0, atol=QUAD)
+        assert sets[int(np.argmax(scores))] == sets[int(np.argmax(want))] == env.optimal_arm == SuperArm([0, 1, 2])
+        assert env.optimal_value == scores.max()
+
     def test_matches_discrete_on_finite_members(self):
         a = make_finite([0.2, 0.9], [0.4, 0.6])
         b = make_finite([0.5, 1.0], [0.7, 0.3])
@@ -254,16 +292,35 @@ class TestExpectedReward:
         mixed = expected_reward([a, u], SuperArm([0, 1]), kmax_spec())
         assert mixed == pytest.approx(expected_kmax_continuous([a, u], SuperArm([0, 1])), abs=EXACT)
 
-    def test_kmax_converts_only_the_members(self):
-        # a finite set among continuous arms is scored on its members' laws; the other arms are never read
+    def test_kmax_on_a_mixed_list_is_its_batch_row(self):
+        # the list's matrix depends on the whole list: a finite set among continuous arms is scored on the
+        # list's quadrature, as its row of the batch, and equals its discrete value within EXACT
         a = make_finite([0.2, 0.8], [0.5, 0.5])
         u = PiecewiseDensity([0.0, 1.0], [1.0])
-        got = expected_reward([a, u], SuperArm([0]), kmax_spec())
-        assert got == expected_kmax([a], SuperArm([0])) == pytest.approx(a.mean(), abs=EXACT)
+        rows = np.array([[0, 2], [1, 2], [0, 1]])
+        batch = _kmax_scores(_cdfs([a, u]), rows).tolist()
+        for row, score in zip(rows, batch):
+            S = SuperArm(row[row < 2])
+            assert expected_reward([a, u], S, kmax_spec()) == expected_kmax_continuous([a, u], S) == score
+        assert batch[0] == pytest.approx(expected_kmax([a], SuperArm([0])), abs=EXACT)
         env = Environment([a, u], FeasibleFamily.cardinality_at_most(2, 2), kmax_spec())
-        assert env.score(SuperArm([0])) == got
+        assert env.score(SuperArm([0])) == batch[0]
         assert env.optimal_arm == SuperArm([0, 1])
-        assert env.optimal_value == pytest.approx(expected_kmax_continuous([a, u], SuperArm([0, 1])), abs=EXACT)
+        assert env.optimal_value == batch[2]
+        assert env.optimal_value == pytest.approx(reference_expected_kmax_continuous([a, u], SuperArm([0, 1])), abs=EXACT)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["finite", "matrix", "continuous", "mixed"]), st.integers(1, 6))
+    def test_linear_batch_is_sum_of_means(self, seed, kind, m):
+        # a linear row sums its members' means, each the K-MAX score of its arm alone, and the pad adds +0.0
+        rng = np.random.default_rng(seed)
+        dists = random_arm_list(rng, kind, m)
+        rows = FeasibleFamily.cardinality_at_most(min(m, 3), m).index_rows()
+        scores = _scores(dists, rows, linear_spec())
+        for row, score in zip(rows, scores.tolist()):
+            S = SuperArm(row[row < m])
+            assert score == expected_reward(dists, S, linear_spec())
+            assert score == pytest.approx(sum(dists[i].mean() for i in S.members), abs=EXACT)
 
     def test_utility_matches_joint_enumeration(self):
         rng = np.random.default_rng(5)

@@ -119,6 +119,32 @@ def reference_expected_kmax(dists, S: SuperArm) -> float:
     return float(cdfs.values @ np.diff(cdfs.F.prod(0), prepend=0.0))
 
 
+def reference_expected_kmax_continuous(dists, S: SuperArm) -> float:
+    """``expected_kmax_continuous`` as it was before the batched scorer became it: a per-segment loop over the members.
+
+    The members' breakpoints (and atoms of finite members) split [0, 1] into segments on which the CDF
+    product is a polynomial of degree at most |S|; ceil((|S|+1)/2) Gauss-Legendre nodes integrate each exactly.
+    """
+    arms = [dists[i] for i in S.members]
+    pts = [np.array([0.0, 1.0])]
+    for a in arms:
+        pts.append(a.breakpoints if isinstance(a, PiecewiseDensity) else a.support)
+    edges = np.unique(np.concatenate(pts))
+    edges = edges[(edges >= 0.0) & (edges <= 1.0)]
+    nodes, weights = np.polynomial.legendre.leggauss(math.ceil((len(arms) + 1) / 2))
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = (b - a) / 2.0
+        if half <= 1e-15:
+            continue
+        xs = (a + b) / 2.0 + half * nodes
+        prod = np.ones(len(xs))
+        for arm in arms:
+            prod *= arm.cdf(xs)
+        total += half * float(weights @ (1.0 - prod))
+    return total
+
+
 def reference_expected_utility(dists, S: SuperArm, spec) -> float:
     """``expected_reward`` of a utility of the sum as it was before the batched scorer became it.
 
@@ -319,6 +345,20 @@ def random_piecewise(rng: np.random.Generator, max_segments: int = 5) -> Piecewi
     dens[int(rng.integers(len(dens)))] += 0.5
     return PiecewiseDensity(bp, dens / float(np.sum(dens * np.diff(bp))))
 
+
+def random_arm_list(rng, kind, m):
+    """m arm laws: finite, their CdfMatrix, continuous, or a mix of finite and continuous with at least one of each
+    kind when m > 1."""
+    if kind in ("finite", "matrix"):
+        laws = [random_finite(rng, max_support=4) for _ in range(m)]
+        return CdfMatrix.of(laws) if kind == "matrix" else laws
+    if kind == "continuous":
+        return [random_piecewise(rng) for _ in range(m)]
+    continuous = rng.random(m) < 0.5
+    first, *second = rng.permutation(m)[:2]
+    continuous[first] = True
+    continuous[second] = False
+    return [random_piecewise(rng) if c else random_finite(rng, max_support=4) for c in continuous]
 
 class ReferenceOsm:
     """OSM as K separate Exp3 weight vectors, as it was first written.
