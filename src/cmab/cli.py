@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 
-from .distributions import PiecewiseDensity, _finite_laws
+import numpy as np
+
+from .distributions import _SHAPE_ERROR, PiecewiseDensity, _checked_laws
 from .errors import GuardExceeded
 from .harness import (
     ORACLES,
@@ -108,11 +111,14 @@ def _real_list(name: str, value) -> list[float]:
     return [_real_field(name, v) for v in value]
 
 
+_ARM_KEYS = (("finite", ("support", "probs")), ("continuous", ("breakpoints", "densities")))
+
+
 def _arm_fields(doc, index: int):
     """(whether finite, first list, second list): an arm's support and probs, or its breakpoints and densities."""
     if not isinstance(doc, dict):
         raise _ConfigError(f"arm {index}: expected an object")
-    for kind, keys in (("finite", ("support", "probs")), ("continuous", ("breakpoints", "densities"))):
+    for kind, keys in _ARM_KEYS:
         if keys[0] in doc or keys[1] in doc:
             if keys[0] not in doc or keys[1] not in doc:
                 raise _ConfigError(f"arm {index}: {kind} arms need both {keys[0]!r} and {keys[1]!r}")
@@ -121,31 +127,85 @@ def _arm_fields(doc, index: int):
 
 
 def _parse_arms(docs) -> list:
-    """Each arm's law; the finite arms are checked and built in one batch.
+    """Each arm's law, read in one pass over arrays.
 
-    The error reported is the first bad arm's in index order, whether a
-    finite arm's values or a later arm's fields are at fault.
+    Every arm's lists are gathered into flat lists whose numbers are
+    type-checked (``int`` or ``float``, not ``bool``), converted and
+    checked finite at once, and the finite arms are checked and built in
+    one batch.  Only when a check fails are the arms walked one by one to
+    report the first bad arm in index order, whether its fields, its
+    numbers or its values are at fault.
     """
-    laws, finite, supports, masses = [], [], [], []
-    try:
-        for i, doc in enumerate(docs):
-            is_finite, first, second = _arm_fields(doc, i)
-            if is_finite:
-                laws.append(None)
-                finite.append(i)
-                supports.append(first)
-                masses.append(second)
-                continue
-            try:
-                laws.append(PiecewiseDensity(first, second))
-            except ValueError as e:
-                raise _ConfigError(f"arm {i}: {e}") from None
-    except _ConfigError:
-        _finite_laws(supports, masses, [f"arm {j}: " for j in finite])  # an earlier arm's error comes first
-        raise
-    for i, law in zip(finite, _finite_laws(supports, masses, [f"arm {j}: " for j in finite])):
-        laws[i] = law
+    laws = _read_arms(docs)
+    if laws is None:
+        _raise_first_bad_arm(docs)
     return laws
+
+
+def _read_arms(docs):
+    """The arms' laws, or None when a field, a number, the shape of a finite arm or a continuous law is bad.
+
+    A bad finite law raises the first such arm's error, as the walk would.
+    """
+    supports, masses, breakpoints, densities = lists = ([], [], [], [])
+    finite, continuous = [], []
+    for i, doc in enumerate(docs):
+        if not isinstance(doc, dict):
+            return None
+        is_finite = "support" in doc or "probs" in doc
+        keys = _ARM_KEYS[not is_finite][1]
+        first, second = doc.get(keys[0]), doc.get(keys[1])
+        if not (isinstance(first, list) and isinstance(second, list)):
+            return None
+        if is_finite:
+            if not len(first) == len(second) > 0:
+                return None
+            finite.append(i)
+            supports += first
+            masses += second
+        else:
+            continuous.append((i, len(first), len(second)))
+            breakpoints += first
+            densities += second
+    numbers = list(itertools.chain(*lists))
+    if not set(map(type, numbers)) <= {int, float}:  # bool, str, None, list and dict are refused
+        return None
+    try:
+        values = np.array(numbers, dtype=float)
+    except OverflowError:  # an int too large for a float
+        return None
+    if not np.isfinite(values).all():
+        return None
+    laws = [None] * len(docs)
+    a = b = 2 * len(supports)  # the continuous arms' breakpoints, then their densities, follow the finite arms
+    b += len(breakpoints)
+    for i, n_bp, n_dens in continuous:
+        try:
+            laws[i] = PiecewiseDensity(values[a : a + n_bp], values[b : b + n_dens])
+        except ValueError:
+            return None
+        a, b = a + n_bp, b + n_dens
+    if finite:
+        n = len(supports)
+        sizes = [len(docs[i]["support"]) for i in finite]
+        for i, law in zip(finite, _checked_laws(values[:n], values[n : 2 * n], sizes, [f"arm {i}: " for i in finite])):
+            laws[i] = law
+    return laws
+
+
+def _raise_first_bad_arm(docs) -> None:
+    """Raise the first bad arm's error, checking each arm field by field and number by number."""
+    for i, doc in enumerate(docs):
+        is_finite, first, second = _arm_fields(doc, i)
+        try:
+            if not is_finite:
+                PiecewiseDensity(first, second)
+            elif len(first) != len(second) or not first:
+                raise ValueError(_SHAPE_ERROR)
+            else:
+                _checked_laws(np.array(first), np.array(second), [len(first)], ("",))
+        except ValueError as e:
+            raise _ConfigError(f"arm {i}: {e}") from None
 
 
 def _parse_family(doc, m: int) -> FeasibleFamily:
@@ -159,13 +219,30 @@ def _parse_family(doc, m: int) -> FeasibleFamily:
     if kind == "explicit":
         if "sets" not in doc or not isinstance(doc["sets"], list):
             raise _ConfigError("family: explicit needs a 'sets' list")
-        sets = []
-        for s in doc["sets"]:
-            if not isinstance(s, list):
-                raise _ConfigError(f"family: each explicit set must be a list of arms, got {s!r}")
-            sets.append(SuperArm([_int_field("family: set member", i) for i in s]))
-        return FeasibleFamily.explicit(sets, m)
+        return _parse_sets(doc["sets"], m)
     raise _ConfigError(f"family: unknown kind {kind!r}")
+
+
+def _parse_sets(sets: list, m: int) -> FeasibleFamily:
+    """An explicit family's sets, read as one int array.
+
+    Every set must be a nonempty list of JSON integers (not bools) within
+    [0, m); they are checked all at once.  Only when a check fails are the
+    sets walked one by one, member by member, to report the first error.
+    """
+    sizes = [len(s) if isinstance(s, list) else 0 for s in sets]
+    if sets and min(sizes) > 0:
+        members = list(itertools.chain.from_iterable(sets))
+        if set(map(type, members)) == {int} and 0 <= min(members) and max(members) < m:
+            table = np.full((len(sets), max(sizes)), m)
+            table[np.arange(table.shape[1]) < np.array(sizes)[:, None]] = members  # row by row, from the left
+            return FeasibleFamily._of_rows(table, m)
+    super_arms = []
+    for s in sets:
+        if not isinstance(s, list):
+            raise _ConfigError(f"family: each explicit set must be a list of arms, got {s!r}")
+        super_arms.append(SuperArm([_int_field("family: set member", i) for i in s]))
+    return FeasibleFamily.explicit(super_arms, m)
 
 
 def _parse_reward(doc):

@@ -192,9 +192,13 @@ class CdfMatrix(Sequence):
 
 def make_finite(support: Sequence[float], probs: Sequence[float]) -> FiniteDistribution:
     """Validated finite distribution; duplicates merged, zero masses dropped."""
-    return _finite_laws([support], [probs], ("",))[0]
+    s, p = np.array(support, dtype=float), np.array(probs, dtype=float)  # copies: a law never shares the caller's arrays
+    if s.ndim != 1 or len(s) == 0 or s.shape != p.shape:
+        raise ValueError(_SHAPE_ERROR)
+    return _checked_laws(s, p, [len(s)], ("",))[0]
 
 
+_SHAPE_ERROR = "support and probs must be nonempty lists of equal length"
 # make_finite's value checks in the order it makes them, by code
 _FINITE_ERRORS = (
     "support values and masses must be finite",
@@ -205,41 +209,29 @@ _FINITE_ERRORS = (
 )
 
 
-def _finite_laws(supports, masses, names: Sequence[str]) -> list[FiniteDistribution]:
-    """The validated finite law of each (support, masses) pair, checked and built in one pass.
+def _checked_laws(s: np.ndarray, p: np.ndarray, sizes: Sequence[int], names: Sequence[str]) -> list[FiniteDistribution]:
+    """The validated finite law of each arm, checked and built in one pass over flat arrays.
 
-    Each arm is checked as :func:`make_finite` checks one: its shape, then
-    its values, then its mass total, which is the arm's ``probs.sum()`` bit
-    for bit, then, with duplicates merged and zero masses dropped, the gaps
-    of its support.  The error raised is the first bad arm's in index
-    order, its message prefixed by that arm's entry of ``names``.  (An arm
-    whose masses are all dropped as zero has failed its total.)
+    Arm i's support and masses are the next ``sizes[i]`` entries of ``s``
+    and ``p``, one nonempty run each, laid end to end.  Each arm is checked
+    as :func:`make_finite` checks one: its values, then its mass total,
+    which is the arm's ``probs.sum()`` bit for bit, then, with duplicates
+    merged and zero masses dropped, the gaps of its support.  The error
+    raised is the first bad arm's in index order, its message prefixed by
+    that arm's entry of ``names``.  (An arm whose masses are all dropped as
+    zero has failed its total.)  The laws are views of ``s`` and ``p``, or
+    of their merged copies; each arm's ``cum`` is a row of one row-wise
+    ``cumsum``, which adds left to right as the arm's own ``cumsum`` does.
     """
-    arrays = []
-    for s, p in zip(supports, masses):
-        s, p = np.asarray(s, dtype=float), np.asarray(p, dtype=float)
-        if s.ndim != 1 or len(s) == 0 or s.shape != p.shape:
-            break
-        arrays.append((s, p))
-    laws = _checked_laws(arrays, names) if arrays else []  # the arms before the first malformed one
-    if len(arrays) < len(supports):
-        raise ValueError(names[len(arrays)] + "support and probs must be nonempty lists of equal length")
-    return laws
-
-
-def _checked_laws(arrays, names) -> list[FiniteDistribution]:
-    """The laws of well-formed (support, masses) arrays, laid end to end, or the first bad arm's error."""
-    n = len(arrays)
-    sizes = [len(s) for s, _ in arrays]
+    n = len(sizes)
     ends = list(itertools.accumulate(sizes))
-    s, p = (np.concatenate(a) for a in zip(*arrays))  # copies: a law never shares the caller's arrays
     lo, hi = np.minimum.reduce, np.maximum.reduce  # False on a NaN
     if not (lo(s) >= 0.0 and hi(s) <= 1.0 and lo(p) >= 0.0 and hi(p) < math.inf):
         entry = np.where(~(np.isfinite(s) & np.isfinite(p)), 0, np.where((s < 0.0) | (s > 1.0), 1, np.where(p < 0.0, 2, 3)))
         code = np.minimum.reduceat(entry, [0, *ends[:-1]])
         i = int(np.argmax(code < 3))
         if i:
-            _checked_laws(arrays[:i], names)  # an earlier arm's error comes first
+            _checked_laws(s[: ends[i - 1]], p[: ends[i - 1]], sizes[:i], names)  # an earlier arm's error comes first
         raise ValueError(names[i] + _FINITE_ERRORS[code[i]])
     # arms of one size are the rows of one matrix, whose row sums are the arms' probs.sum()
     if len(set(sizes)) == 1:
@@ -261,14 +253,22 @@ def _checked_laws(arrays, names) -> list[FiniteDistribution]:
         s, p, arm = s[new][keep], merged[keep], arm[new][keep]
         for i in arm[1:][(s[1:] - s[:-1] < VALUE_TOL) & (arm[1:] == arm[:-1])].tolist():
             code[i] = code[i] or 4
-        ends = np.cumsum(np.bincount(arm, minlength=n)).tolist()
+        sizes = np.bincount(arm, minlength=n).tolist()
     elif not (keep := p > 1e-15).all():
         s, p = s[keep], p[keep]
-        ends = np.cumsum(np.add.reduceat(keep, [0, *ends[:-1]])).tolist()
+        sizes = np.add.reduceat(keep, [0, *ends[:-1]]).tolist()
     for i, c in enumerate(code):
         if c:
             raise ValueError(names[i] + _FINITE_ERRORS[c].format(total[i]))
-    return [FiniteDistribution(s[a:b], p[a:b]) for a, b in zip([0, *ends], ends)]
+    ends = list(itertools.accumulate(sizes))
+    starts = [0, *ends[:-1]]
+    if len(set(sizes)) == 1:
+        cum = np.cumsum(p.reshape(n, -1), axis=1)
+    else:  # arm i's masses left-aligned in row i, zeros after them
+        cum = np.zeros((n, max(sizes)))
+        cum[np.arange(cum.shape[1]) < np.array(sizes)[:, None]] = p
+        np.cumsum(cum, axis=1, out=cum)
+    return [FiniteDistribution(s[a:b], p[a:b], cum[i, : b - a]) for i, (a, b) in enumerate(zip(starts, ends))]
 
 
 def sample(dist: Distribution, rng: np.random.Generator) -> float:

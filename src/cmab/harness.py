@@ -19,7 +19,7 @@ from .distributions import Distribution, PiecewiseDensity, make_finite, sample
 from .errors import check_count
 from .oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax, ptas_kmax
 from .policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
-from .rewards import RewardSpec, SuperArm, expected_reward, kmax_spec
+from .rewards import UTILITY_OF_SUM, RewardSpec, SuperArm, _cdfs, expected_reward, kmax_spec
 from .rng import ARM_STREAM, POLICY_STREAM, run_seed, substream
 
 POLICIES = ("sdcb", "lazy-sdcb", "lazy-sdcb-doubling", "cucb", "osm")
@@ -37,7 +37,9 @@ class Environment:
         self.spec = spec
         self.name = name
         self._scores: dict[tuple[int, ...], float] = {}
-        self.optimal_arm = exhaustive_oracle(self.arms, family, spec)
+        # K-MAX and linear rewards read the list's one matrix, built here once; a utility reads the laws' masses
+        self._laws = self.arms if spec.kind == UTILITY_OF_SUM else _cdfs(self.arms)
+        self.optimal_arm = exhaustive_oracle(self._laws, family, spec)
         self.optimal_value = self.score(self.optimal_arm)
 
     def score(self, S: SuperArm) -> float:
@@ -45,7 +47,7 @@ class Environment:
         key = S.members
         v = self._scores.get(key)
         if v is None:
-            v = expected_reward(self.arms, S, self.spec)
+            v = expected_reward(self._laws, S, self.spec)
             self._scores[key] = v
         return v
 

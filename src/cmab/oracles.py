@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
@@ -44,19 +43,19 @@ class FeasibleFamily:
     """The constraint family of playable super arms.
 
     Either every nonempty subset of at most K of the m arms
-    (``cardinality_at_most``) or an explicit list.  Every arm must belong
-    to at least one feasible super arm so that initialization rounds can
-    observe it.
+    (``cardinality_at_most``) or an explicit list, held as its index rows.
+    Every arm must belong to at least one feasible super arm so that
+    initialization rounds can observe it.
     """
 
-    __slots__ = ("kind", "m", "K", "sets", "_rows")
+    __slots__ = ("kind", "m", "K", "_sets", "_rows")
 
-    def __init__(self, kind, m, K, sets=None):
+    def __init__(self, kind, m, K, rows=None):
         self.kind = kind
         self.m = m
         self.K = K
-        self.sets = sets
-        self._rows = None
+        self._sets = None
+        self._rows = rows
 
     @classmethod
     def cardinality_at_most(cls, K: int, m: int) -> "FeasibleFamily":
@@ -69,21 +68,41 @@ class FeasibleFamily:
         sets = tuple(S if isinstance(S, SuperArm) else SuperArm(S) for S in super_arms)
         if not sets:
             raise ValueError("explicit family must be nonempty")
-        covered = set()
         for S in sets:
             if S.members[-1] >= m:
                 raise ValueError(f"arm {S.members[-1]} out of range for m={m}")
-            covered.update(S.members)
-        if covered != set(range(m)):
-            missing = sorted(set(range(m)) - covered)
-            raise ValueError(f"arms {missing} appear in no feasible super arm")
-        K = max(len(S) for S in sets)
-        return cls("explicit", m, K, sets)
+        pad = (m,) * max(map(len, sets))
+        family = cls._of_rows(np.array([(S.members + pad)[: len(pad)] for S in sets]), m)
+        family._sets = sets
+        return family
+
+    @classmethod
+    def _of_rows(cls, table: np.ndarray, m: int) -> "FeasibleFamily":
+        """The explicit family of the sets in ``table``'s rows: arm indices below m in any order, repeats
+        allowed, each row padded with m; at least one row, every row with an arm."""
+        table = np.sort(table, axis=1)
+        repeat = table[:, 1:] == table[:, :-1]
+        if repeat.any():  # a repeat becomes a pad, and the pads sort last
+            table[:, 1:][repeat] = m
+            table.sort(axis=1)
+        covered = np.zeros(m + 1, dtype=bool)
+        covered[table] = True
+        if not covered[:m].all():
+            raise ValueError(f"arms {np.flatnonzero(~covered[:m]).tolist()} appear in no feasible super arm")
+        K = int(np.count_nonzero(table < m, axis=1).max())
+        return cls("explicit", m, K, table[:, :K].astype(np.min_scalar_type(m)))
+
+    @property
+    def sets(self) -> tuple[SuperArm, ...] | None:
+        """An explicit family's super arms in row order, built from its rows on first use; None for a cardinality family."""
+        if self._sets is None and self.kind == "explicit":
+            self._sets = tuple(SuperArm(row[row < self.m].tolist()) for row in self._rows)
+        return self._sets
 
     def count(self) -> int:
         if self.kind == "cardinality":
             return sum(math.comb(self.m, k) for k in range(1, self.K + 1))
-        return len(self.sets)
+        return len(self._rows)
 
     def __iter__(self):
         if self.kind == "cardinality":
@@ -97,17 +116,13 @@ class FeasibleFamily:
         """Every feasible set as a row of K arm indices, shorter sets padded with m; built once."""
         if self._rows is None:
             dtype = np.min_scalar_type(self.m)
-            if self.kind == "cardinality":
-                blocks = []
-                for k in range(1, self.K + 1):
-                    combos = itertools.chain.from_iterable(itertools.combinations(range(self.m), k))
-                    block = np.full((math.comb(self.m, k), self.K), self.m, dtype=dtype)
-                    block[:, :k] = np.fromiter(combos, dtype=dtype).reshape(-1, k)
-                    blocks.append(block)
-                self._rows = np.concatenate(blocks)
-            else:
-                pad = (self.m,) * self.K
-                self._rows = np.array([(S.members + pad)[: self.K] for S in self.sets], dtype=dtype)
+            blocks = []
+            for k in range(1, self.K + 1):
+                combos = itertools.chain.from_iterable(itertools.combinations(range(self.m), k))
+                block = np.full((math.comb(self.m, k), self.K), self.m, dtype=dtype)
+                block[:, :k] = np.fromiter(combos, dtype=dtype).reshape(-1, k)
+                blocks.append(block)
+            self._rows = np.concatenate(blocks)
         return self._rows
 
     def is_feasible(self, S: SuperArm) -> bool:
@@ -238,34 +253,42 @@ def _signatures(cdfs: CdfMatrix, W: float, eps: float) -> np.ndarray:
     return np.floor(np.minimum(rates[:, 1:] / (eps**4 / m), signature_cap(eps, m))).astype(np.int64)
 
 
-def _reachable_sets(signatures, K: int) -> dict:
-    """Every (chosen, units) state of at most K arms, mapped to the first set reaching it.
+def _reachable_sets(signatures, K: int) -> list[dict]:
+    """Every state of at most K arms, level by level: ``levels[k]`` maps each k-arm state to the first set reaching it.
 
-    ``signatures`` holds one row per arm.  A state's units are its sums over
-    the live columns only, those where some arm's signature is nonzero: a
-    column of zeros is 0 in every state, so dropping it maps the states one
-    to one.  Arms enter in index order and a state keeps the set that
-    reached it first, so its largest member is as small as possible, then
-    its next largest, and so on.
+    ``signatures`` holds one row per arm.  A state is its units, the sums
+    of its arms' signatures over the live columns only, those where some
+    arm's signature is nonzero: a column of zeros is 0 in every state, so
+    dropping it maps the states one to one.  The units are packed into one
+    int, a field per live column, every field as wide as the largest
+    column sum over all arms, so a sum never carries into the next field
+    and adding a packed signature adds its units.  Arms enter in index order and a
+    state keeps the set that reached it first, so its largest member is as
+    small as possible, then its next largest, and so on.  An arm extends
+    the levels from K - 1 down to 0, so it never extends a state it made.
     """
     table = np.asarray(signatures)
-    live = [tuple(row) for row in table[:, table.any(axis=0)].tolist()]
-    reach = {(0, (0,) * len(live[0])): ()}
-    total = 1
-    for j, sig in enumerate(live):
-        for (chosen, units), members in list(reach.items()):
-            if chosen == K:
-                continue
-            state = (chosen + 1, tuple(map(operator.add, units, sig)))
-            if state not in reach:
-                reach[state] = members + (j,)
-        total += len(reach)
+    table = table[:, table.any(axis=0)]
+    width = int(table.sum(axis=0).max(initial=0)).bit_length()
+    keys = [sum(v << (width * c) for c, v in enumerate(row)) for row in table.tolist()]
+    levels = [{0: ()}] + [{} for _ in range(K)]
+    states = total = 1
+    for j, sig in enumerate(keys):
+        for k in range(min(j, K - 1), -1, -1):
+            above = levels[k + 1]
+            n = len(above)
+            for units, members in levels[k].items():
+                units += sig
+                if units not in above:
+                    above[units] = members + (j,)
+            states += len(above) - n
+        total += states
         if total > SIGNATURE_DP_GUARD:
             raise GuardExceeded(
                 f"signature dynamic program exceeded {SIGNATURE_DP_GUARD} states; "
                 "raise eps or reduce the number of arms"
             )
-    return reach
+    return levels
 
 
 def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
@@ -290,6 +313,6 @@ def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
     W = expected_kmax(cdfs, seed)
     if W <= 0.0:
         return seed
-    reach = _reachable_sets(_signatures(cdfs, W, eps), K)
-    rows = np.array([members for (chosen, _), members in reach.items() if chosen == K])
+    sets = _reachable_sets(_signatures(cdfs, W, eps), K)[K].values()
+    rows = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp, count=K * len(sets)).reshape(-1, K)
     return _best_row(cdfs, rows, kmax_spec())

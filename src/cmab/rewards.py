@@ -296,21 +296,21 @@ def _support_table(dists):
     if isinstance(dists, CdfMatrix):
         steps = dists.F.copy()
         steps[:, 1:] -= dists.F[:, :-1]
-        arm, col = np.nonzero(steps > 0.0)
-        keys, masses = np.rint(dists.values * _SUM_GRID)[col], steps[arm, col]
+        real = steps > 0.0
+        sizes = np.append(np.count_nonzero(real, axis=1), 1)
+        keys = np.append(np.broadcast_to(np.rint(dists.values * _SUM_GRID), real.shape)[real], 0.0)
+        masses = np.append(steps[real], 1.0)
     else:
         if not all(isinstance(d, FiniteDistribution) for d in dists):
             raise TypeError("utility_of_sum requires finite-support distributions")
-        arm = np.repeat(np.arange(len(dists)), [len(d.support) for d in dists])
-        keys = np.rint(np.concatenate([d.support for d in dists]) * _SUM_GRID)
-        masses = np.concatenate([d.probs for d in dists])
-    arm, keys, masses = np.append(arm, len(dists)), np.append(keys, 0.0), np.append(masses, 1.0)
-    sizes = np.bincount(arm)
-    at = np.arange(len(arm)) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # arm entries are contiguous
-    key_table = np.zeros((len(sizes), sizes.max()), dtype=np.int64)
-    mass_table = np.zeros(key_table.shape)
-    key_table[arm, at] = keys
-    mass_table[arm, at] = masses
+        sizes = np.array([len(d.support) for d in dists] + [1])
+        keys = np.rint(np.concatenate([d.support for d in dists] + [[0.0]]) * _SUM_GRID)
+        masses = np.concatenate([d.probs for d in dists] + [[1.0]])
+    real = np.arange(sizes.max()) < sizes[:, None]  # row-major, so an arm's entries fill its row from the left
+    key_table = np.zeros(real.shape, dtype=np.int64)
+    mass_table = np.zeros(real.shape)
+    key_table[real] = keys
+    mass_table[real] = masses
     return key_table, mass_table, sizes
 
 
@@ -330,37 +330,41 @@ def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
     """
     keys, masses, sizes = _support_table(dists)
     n_points = sizes[rows].prod(axis=1, dtype=float)  # exact below the guard, and at least the guard above it
-    over = np.flatnonzero(n_points >= CONVOLUTION_GUARD)
-    if len(over):
-        row = rows[over[0]]
+    if n_points.max() >= CONVOLUTION_GUARD:
+        row = rows[int(np.argmax(n_points >= CONVOLUTION_GUARD))]
         raise GuardExceeded(
             f"sum-support convolution of super arm {row[row < len(dists)].tolist()} needs "
             f"{math.prod(sizes[row].tolist())} product points; the guard is {CONVOLUTION_GUARD}"
         )
     n_points = n_points.astype(np.int64)
-    ends = np.cumsum(n_points)
+    width = keys.shape[1]
+    flat_keys, flat_masses = keys.ravel(), masses.ravel()  # (one flat take gathers faster than 2-d fancy indexing)
+    ends = n_points.cumsum()
     utility: dict[int, float] = {}
     scores = np.zeros(len(rows))
     start = 0
     while start < len(rows):
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - n_points[start] + _SCORE_BLOCK, side="right")))
+        stop = max(start + 1, int(ends.searchsorted(ends[start] - n_points[start] + _SCORE_BLOCK, side="right")))
         block = rows[start:stop]
         if n_points[start] > _SCORE_BLOCK:  # a row alone: its points in chunks, the first member slowest
             row, total, B = block[:1].T, int(n_points[start]), _SCORE_BLOCK
             ats = (np.unravel_index(np.arange(a, min(a + B, total)), sizes[block[0]]) for a in range(0, total, B))
             # keys summed and masses multiplied member by member, as the one-chunk expansion below does
-            points = ((0, sum(keys[row, at]), math.prod(masses[row, at])) for at in map(np.array, ats))
-        else:
+            points = (
+                (np.zeros(at.shape[1], dtype=np.intp), sum(keys[row, at]), math.prod(masses[row, at]))
+                for at in map(np.array, ats)
+            )
+        else:  # each point times each support point of its next member, read at flat table indices
             owner = np.arange(len(block))
             key = np.zeros(len(block), dtype=np.int64)
             mass = np.ones(len(block))
             for j in range(block.shape[1]):
-                arm = block[owner, j]
-                n = sizes[arm]
-                at = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-                owner, arm = np.repeat(owner, n), np.repeat(arm, n)
-                key = np.repeat(key, n) + keys[arm, at]
-                mass = np.repeat(mass, n) * masses[arm, at]
+                arm = block[:, j].take(owner)
+                n = sizes.take(arm)
+                at = (arm * width - (n.cumsum() - n)).repeat(n) + np.arange(n.sum())
+                key = key.repeat(n) + flat_keys.take(at)
+                mass = mass.repeat(n) * flat_masses.take(at)
+                owner = owner.repeat(n)
             points = [(owner, key, mass)]
         for owner, key, mass in points:
             distinct, inverse = np.unique(key, return_inverse=True)
@@ -369,7 +373,7 @@ def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
                     utility[k] = spec.utility(k / _SUM_GRID)
             u = np.array([utility[k] for k in distinct.tolist()], dtype=float)[inverse]
             # each row's running total enters first, so a row split over chunks sums its points in one sequence
-            bins = np.concatenate([np.arange(len(block)), np.broadcast_to(owner, key.shape)])
+            bins = np.concatenate([np.arange(len(block)), owner])
             scores[start:stop] = np.bincount(bins, np.concatenate([scores[start:stop], mass * u]), minlength=len(block))
         start = stop
     return scores

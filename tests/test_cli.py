@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from cmab import cli
 from cmab.cli import main
-from cmab.distributions import CdfMatrix, PiecewiseDensity, make_finite
-from cmab.rewards import SuperArm
-from util import joint_expected, reference_expected_kmax_continuous
+from cmab.distributions import MASS_TOL, CdfMatrix, FiniteDistribution, PiecewiseDensity, make_finite
+from cmab.harness import Environment, PolicyFactory, run_many, write_csv
+from cmab.oracles import FeasibleFamily
+from cmab.rewards import SuperArm, kmax_spec
+from util import joint_expected, reference_expected_kmax_continuous, reference_parse_arms, value_pool
 
 
 def run_csv_lines(path):
@@ -99,6 +101,12 @@ CONFIG_ERRORS = {
     "family-without-K": ("offline", {"arms": TINY_ARMS, "family": {"kind": "cardinality"}}, "family: cardinality needs"),
     "family-without-sets": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit"}}, "family: explicit needs"),
     "family-unknown-kind": ("offline", {"arms": TINY_ARMS, "family": {"kind": "matroid"}}, "family: unknown kind"),
+    "sets-empty": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": []}}, "explicit family must be"),
+    "set-empty": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[0, 1, 2], []]}}, "super arm must"),
+    "set-member-negative": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[0, -1]]}}, "arm indices"),
+    "set-member-past-m": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[2, 1, 0], [5, 3]]}}, "arm 5 out"),
+    "set-member-huge": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[0, 1, 2, 10**30]]}}, "arm 1000"),
+    "arm-uncovered": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[2, 0, 2]]}}, "arms [1] appear in"),
     "reward-not-object": ("offline", {"arms": TINY_ARMS, "family": CARD, "reward": "kmax"}, "reward: expected an object"),
     "arm-not-object": ("offline", {"arms": [[0.5]], "family": CARD}, "arm 0: expected an object"),
     "arm-without-probs": ("offline", {"arms": [{"support": [0.5]}]}, "arm 0: finite arms need both"),
@@ -215,6 +223,20 @@ class TestRun:
         capsys.readouterr()
         assert len(run_csv_lines(out)) == 7
 
+    def test_inline_explicit_family(self, tmp_path, capsys):
+        # sets read as one int array run as the same sets built one SuperArm at a time: the same trace
+        sets = [[2, 0, 2], [1], [1, 2]]
+        out = tmp_path / "trace.csv"
+        family = {"kind": "explicit", "sets": sets}
+        cfg = write_config(tmp_path, {**TINY_INSTANCE, "family": family, "policy": "sdcb", "T": 12, "runs": 2, "out": str(out)})
+        assert main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        arms = [make_finite(a["support"], a["probs"]) for a in TINY_ARMS]
+        env = Environment(arms, FeasibleFamily.explicit([SuperArm(S) for S in sets], 3), kmax_spec())
+        avg, _ = run_many(env, PolicyFactory("sdcb"), 12, 2, 42)
+        write_csv(avg, tmp_path / "library.csv")
+        assert run_csv_lines(out) == run_csv_lines(tmp_path / "library.csv")
+
     def test_env_name_beats_inline_arms(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         cfg = write_config(
@@ -244,6 +266,15 @@ class TestParserReuse:
 
 
 class TestOffline:
+    def test_explicit_sets_read_as_rows(self):
+        # members in any order and repeated: each set is a sorted, repeat-free row, padded with m, in document order
+        family = cli._parse_family({"kind": "explicit", "sets": [[2, 0, 2], [1], [3, 1]]}, 4)
+        assert family.K == 2 and family.count() == 3
+        assert family.index_rows().tolist() == [[0, 2], [1, 4], [1, 3]]
+        assert family.sets == (SuperArm([0, 2]), SuperArm([1]), SuperArm([1, 3]))
+        assert family.is_feasible(SuperArm([1, 3])) and not family.is_feasible(SuperArm([0, 1]))
+        assert family.smallest_containing(3) == SuperArm([1, 3])
+
     def test_exhaustive_set_and_value(self, tmp_path, capsys):
         inst = write_config(tmp_path, TINY_INSTANCE, "inst.json")
         assert main(["offline", "--instance", str(inst), "--solver", "exhaustive"]) == 0
@@ -297,6 +328,81 @@ class TestOffline:
         }
         inst = write_config(tmp_path, payload, "inst.json")
         assert main(["offline", "--instance", str(inst), "--solver", "greedy"]) == 1
+
+
+def random_arm_docs(rng, m):
+    """m arm documents as JSON gives them, and now and then one made bad.
+
+    Finite arms: unsorted supports with repeats and near repeats, zero masses, totals a few ulps off 1 +- MASS_TOL,
+    some entries JSON integers; continuous arms: densities that may not integrate to 1.  A bad arm has a junk entry
+    or array, a dropped key, an array inside an object, an entry inside a list, unequal or empty lists, or is not an
+    object.
+    """
+    docs = []
+    for _ in range(m):
+        if rng.random() < 0.25:
+            inner = np.sort(rng.choice(GRID[1:-1], size=int(rng.integers(0, 3)), replace=False))
+            breakpoints = [0, *inner.tolist(), 1]
+            weights = rng.integers(0, 5, size=len(breakpoints) - 1)
+            weights[int(rng.integers(len(weights)))] += 1
+            widths = np.diff(breakpoints)
+            densities = (weights / (weights @ widths) if rng.random() < 0.9 else weights).tolist()
+            doc = {"breakpoints": breakpoints, "densities": densities}
+        else:
+            support = rng.choice(value_pool(rng, rng.random() < 0.3), size=int(rng.integers(1, 7))).tolist()
+            probs = rng.random(len(support)) * (rng.random(len(support)) < 0.9)
+            probs = probs / probs.sum() if probs.sum() > 0.0 else probs
+            if rng.random() < 0.3:
+                probs = probs * (1.0 + rng.choice([-1.0, 1.0]) * MASS_TOL + int(rng.integers(-4, 5)) * 2.0**-52)
+            support = [int(v) if v in (0.0, 1.0) and rng.random() < 0.5 else v for v in support]
+            doc = {"support": support, "probs": probs.tolist()}
+        if rng.random() < 0.15:
+            key = str(rng.choice(sorted(doc)))
+            at = int(rng.integers(len(doc[key]))) if doc[key] else 0
+            how = int(rng.integers(8))
+            if how == 0 and doc[key]:
+                doc[key][at] = JUNK[int(rng.integers(len(JUNK)))]
+            elif how == 1:
+                doc[key] = JUNK[int(rng.integers(len(JUNK)))]
+            elif how == 2:
+                del doc[key]
+            elif how == 3:
+                doc[key] = {"0": doc[key]}
+            elif how == 4 and doc[key]:
+                doc[key][at] = [doc[key][at]]
+            elif how == 5:
+                doc[key] = doc[key][1:]
+            elif how == 6:
+                doc = {key: [] for key in doc}
+            else:
+                doc = [doc, None, "arm"][int(rng.integers(3))]
+        docs.append(doc)
+    return docs
+
+
+class TestArmReader:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_matches_reference(self, seed, m):
+        # where the reference reader, each number checked on its own and a law built per arm, gives laws, the
+        # one-pass reader gives the same laws bit for bit; where it raises, the reader raises its message
+        docs = random_arm_docs(np.random.default_rng(seed), m)
+        try:
+            want = reference_parse_arms(json.loads(json.dumps(docs)))
+        except (ValueError, cli._ConfigError) as e:
+            want = str(e)
+        try:
+            got = cli._parse_arms(json.loads(json.dumps(docs)))
+        except (ValueError, cli._ConfigError) as e:
+            got = str(e)
+        if isinstance(want, str):
+            assert got == want
+            return
+        fields = lambda law: [law.support, law.probs] if isinstance(law, FiniteDistribution) else [law.breakpoints, law.densities]
+        assert [type(law) for law in got] == [type(law) for law in want]
+        assert [[a.tobytes() for a in (*fields(law), law.cum)] for law in got] == [
+            [a.tobytes() for a in (*fields(law), law.cum)] for law in want
+        ]
 
 
 class TestExitCodes:
@@ -501,19 +607,28 @@ def instance_docs(draw):
     else:
         sets = [[i, *draw(st.lists(st.integers(0, m - 1), max_size=2))] for i in range(m)]
         family = {"kind": "explicit", "sets": sets + draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=3), max_size=3))}
-    reward = draw(
-        st.sampled_from(
-            [{"kind": "kmax"}, {"kind": "linear"}, {"kind": "utility", "utility": TABLE}]
-            + [{"kind": "utility", "utility": name} for name in CURVES]
+    reward = dict(  # a copy: a mutation must not reach the strategy's own dict
+        draw(
+            st.sampled_from(
+                [{"kind": "kmax"}, {"kind": "linear"}, {"kind": "utility", "utility": TABLE}]
+                + [{"kind": "utility", "utility": name} for name in CURVES]
+            )
         )
     )
     doc = {"arms": arms, "family": family, "reward": reward}
     solver = draw(st.sampled_from(["exhaustive", "greedy", "ptas"]))
-    # one field the program reads: an arm array or one entry of it, K or a set member, or a utility table entry
-    sites = [("arm", i, key) for i in range(m) for key in arms[i]]
-    sites += [("family",)] + [("reward",)] * isinstance(reward.get("utility"), list)
     if draw(st.booleans()):
         return doc, solver, False
+    mutate = draw(st.sampled_from([junk_value, junk_value, drop_key, wrong_container, unknown_kind]))
+    mutate(draw, doc)
+    return doc, solver, True
+
+
+def junk_value(draw, doc):
+    """One field the program reads made junk: an arm array or one entry of it, K or a set member, or a utility table entry."""
+    arms, family, reward = doc["arms"], doc["family"], doc["reward"]
+    sites = [("arm", i, key) for i in range(len(arms)) for key in arms[i]]
+    sites += [("family",)] + [("reward",)] * isinstance(reward.get("utility"), list)
     site = draw(st.sampled_from(sites))
     junk = draw(st.sampled_from(JUNK))
     if site[0] == "arm":
@@ -526,10 +641,49 @@ def instance_docs(draw):
         if family["kind"] == "cardinality":
             family["K"] = junk
         else:
-            family["sets"][draw(st.integers(0, m - 1))][0] = junk
+            family["sets"][draw(st.integers(0, len(arms) - 1))][0] = junk
     else:
         reward["utility"] = [*TABLE[:2], [4.0, junk]]
-    return doc, solver, True
+
+
+def drop_key(draw, doc):
+    """A required key deleted: an arm's array, the arms, the family, its kind, K or its sets."""
+    sites = [(arm, key) for arm in doc["arms"] for key in arm] + [(doc, "arms"), (doc, "family")]
+    sites += [(doc["family"], key) for key in doc["family"]]
+    owner, key = draw(st.sampled_from(sites))
+    del owner[key]
+
+
+def wrong_container(draw, doc):
+    """A value in the wrong container: an array as an object, an entry or K inside a list, a set as an object, the
+    arms or the family inside an object or a list, or the reward inside a list (inside an object it is a kmax reward
+    with an unread key)."""
+    arms, family = doc["arms"], doc["family"]
+    site = draw(st.sampled_from(["array", "entry", "family-field", "arms", "family", "reward"]))
+    if site in ("array", "entry"):
+        arm = draw(st.sampled_from(arms))
+        key = draw(st.sampled_from(sorted(arm)))
+        at = draw(st.integers(0, len(arm[key]) - 1))
+        if site == "array":
+            arm[key] = {str(at): arm[key][at]}
+        else:
+            arm[key][at] = [arm[key][at]]
+    elif site == "family-field":
+        if family["kind"] == "cardinality":
+            family["K"] = [family["K"]]
+        else:
+            at = draw(st.integers(0, len(family["sets"]) - 1))
+            family["sets"][at] = {str(j): i for j, i in enumerate(family["sets"][at])}
+    elif site == "reward":
+        doc["reward"] = [doc["reward"]]
+    else:
+        doc[site] = draw(st.sampled_from([{"0": doc[site]}, [doc[site]]]))
+
+
+def unknown_kind(draw, doc):
+    """The family's or the reward's kind a string that names no kind."""
+    owner = doc[draw(st.sampled_from(["family", "reward"]))]
+    owner["kind"] = draw(st.sampled_from(["", "matroid", "Kmax", "explicit-sets", "utility_of_sum"]))
 
 
 def brute_force_value(doc, members):

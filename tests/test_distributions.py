@@ -17,7 +17,7 @@ from cmab.distributions import (
     bin_value,
     confidence_radius,
     discretize_interval,
-    _finite_laws,
+    _checked_laws,
     dominant_cdfs,
     make_finite,
     sample,
@@ -33,6 +33,7 @@ from util import (
     random_piecewise,
     reference_cdf_matrix,
     reference_dominant_cdfs,
+    reference_finite_laws,
     reference_inverse_cdf,
     reference_make_finite,
     value_pool,
@@ -122,9 +123,10 @@ class TestMakeFinite:
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     def test_batch_matches_reference(self, seed, m):
-        # m arms: unsorted, with duplicates, zero masses, up to 12 points, totals within a few ulps of
-        # 1 +- MASS_TOL, gaps below VALUE_TOL, and now and then a bad value or a malformed pair; the
-        # batch gives each arm's reference law, or the first bad arm's reference error with its name
+        # m arms laid end to end: unsorted, with duplicates, zero masses, up to 12 points, totals within a
+        # few ulps of 1 +- MASS_TOL, gaps below VALUE_TOL, and now and then a bad value; the batch gives each
+        # arm's reference law, cum included, or the first bad arm's reference error with its name (a
+        # malformed arm is the reader's to find: see TestArmReader in test_cli.py)
         rng = np.random.default_rng(seed)
         supports, masses = [], []
         for _ in range(m):
@@ -140,20 +142,15 @@ class TestMakeFinite:
                 probs[rng.integers(len(probs))] = rng.choice([math.nan, math.inf, -0.25])
             if rng.random() < 0.05:
                 support[rng.integers(len(support))] = rng.choice([math.nan, -math.inf, 1.5, -0.25])
-            if rng.random() < 0.03:
-                support = support[1:]
             supports.append(support)
             masses.append(probs)
         names = [f"arm {i}: " for i in range(m)]
-        want = []
-        for name, support, probs in zip(names, supports, masses):
-            try:
-                want.append(reference_make_finite(support, probs))
-            except ValueError as e:
-                want = name + str(e)
-                break
         try:
-            got = _finite_laws(supports, masses, names)
+            want = reference_finite_laws(supports, masses, names)
+        except ValueError as e:
+            want = str(e)
+        try:
+            got = _checked_laws(np.concatenate(supports), np.concatenate(masses), [len(s) for s in supports], names)
         except ValueError as e:
             got = str(e)
         if isinstance(want, str):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cmab.distributions import make_finite
+from cmab.distributions import CdfMatrix, make_finite
 from cmab.harness import (
     Environment,
     PolicyFactory,
@@ -18,7 +18,7 @@ from cmab.harness import (
 )
 from cmab.oracles import FeasibleFamily, exhaustive_oracle
 from cmab.policies import Osm, lazy_sdcb_known_T
-from cmab.rewards import SuperArm, kmax_spec
+from cmab.rewards import SuperArm, _Quadrature, expected_reward, kmax_spec
 from cmab.rng import ARM_STREAM, substream
 
 EXACT = 1e-12
@@ -69,6 +69,19 @@ class TestEnvironment:
 
     def test_repr_mentions_name(self):
         assert "tiny" in repr(tiny_env())
+
+    @pytest.mark.parametrize("name", ["dist1", "dist4"])
+    def test_arm_list_converted_once(self, monkeypatch, name):
+        # the optimum and every score read the one matrix built from the arm list: a CdfMatrix of the
+        # finite arms of dist1, the quadrature of dist4's continuous ones
+        built = []
+        of, quadrature = CdfMatrix.of.__func__, _Quadrature.__init__
+        monkeypatch.setattr(CdfMatrix, "of", classmethod(lambda cls, dists: built.append(cls) or of(cls, dists)))
+        monkeypatch.setattr(_Quadrature, "__init__", lambda self, dists: built.append(self) or quadrature(self, dists))
+        env = builtin_env(name)
+        values = [env.score(S) for S in env.family]
+        assert len(built) == 1 and isinstance(env.arms, list)
+        assert values == [expected_reward(env.arms, S, env.spec) for S in env.family]
 
 
 class TestRunOne:

@@ -293,8 +293,7 @@ class TestBestRow:
         elif rows_kind == "cardinality":
             rows = FeasibleFamily.cardinality_at_most(K, m).index_rows()
         else:
-            reach = _reachable_sets(_signatures(dists, 1.0, 0.3), K)
-            rows = np.array([members for (chosen, _), members in reach.items() if chosen == K])
+            rows = np.array(list(_reachable_sets(_signatures(dists, 1.0, 0.3), K)[K].values()))
         scores = rng.integers(0, 3, len(rows)).astype(float) if coarse else _scores(dists, rows, kmax_spec())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("cmab.oracles._scores", lambda *args: scores)
@@ -718,42 +717,69 @@ class TestSignatureOfArm:
         assert sig == (0,) * len(grid)
 
 
+def states(levels) -> set:
+    """The DP's levels as (chosen, first set) pairs, one per state."""
+    return {(k, S) for k, level in enumerate(levels) for S in level.values()}
+
+
 class TestDpFindSet:
-    """The DP's state table: each reachable (chosen, units) state and the first set reaching it."""
+    """The DP's levels: each reachable state of k arms and the first set reaching it.
+
+    A state's first set determines its units, so two tables hold the same states with the same sets
+    exactly when they hold the same (chosen, set) pairs.
+    """
 
     def test_finds_identical_arm_sum(self):
         s = (3, 1)
-        assert _reachable_sets([s, s, s], 2)[(2, (6, 2))] == (0, 1)
+        assert list(_reachable_sets([s, s, s], 2)[2].values()) == [(0, 1)]
 
     def test_unreachable_returns_none(self):
-        assert (1, (1, 1)) not in _reachable_sets([(1, 0), (0, 1)], 1)
+        assert list(_reachable_sets([(1, 0), (0, 1)], 1)[1].values()) == [(0,), (1,)]
 
     def test_exact_cardinality_required(self):
-        reach = _reachable_sets([(2, 0), (0, 3)], 2)
-        assert reach[(2, (2, 3))] == (0, 1)
-        assert (2, (2, 0)) not in reach  # needs both arms
-        assert reach[(1, (2, 0))] == (0,)
+        levels = _reachable_sets([(2, 0), (0, 3)], 2)
+        assert list(levels[2].values()) == [(0, 1)]  # needs both arms
+        assert list(levels[1].values()) == [(0,), (1,)]
 
     def test_prefers_lexicographically_smallest(self):
         s = (5,)
-        assert _reachable_sets([s, s, s], 1)[(1, (5,))] == (0,)
+        assert list(_reachable_sets([s, s, s], 1)[1].values()) == [(0,)]
 
     def test_keeps_set_with_smallest_largest_member(self):
         # {0, 3} and {1, 2} both reach units 5; arms enter in index order, so {1, 2} is first
-        reach = _reachable_sets([(1,), (2,), (3,), (4,)], 2)
-        assert reach[(2, (5,))] == (1, 2)
+        levels = _reachable_sets([(1,), (2,), (3,), (4,)], 2)
+        assert (1, 2) in levels[2].values() and (0, 3) not in levels[2].values()
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 12), st.integers(1, 8))
     def test_live_columns_match_full_width(self, seed, m, width, K):
-        # most columns are zero in every row, and now and then all of them: the DP over the live
-        # columns holds the same states, with the same sets, in the same order
+        # most columns are zero in every row, and now and then all of them, and a column may sum past a
+        # small field: the DP over packed live columns holds the reference's states with the same first sets
         rng = np.random.default_rng(seed)
         sig = rng.integers(0, 4, size=(m, width)) * (rng.random((m, width)) < rng.choice([0.0, 0.2, 0.6]))
-        live = sig.any(axis=0)
-        got = _reachable_sets(sig, min(K, m))
+        sig[:, rng.random(width) < 0.1] *= int(rng.integers(1, 2**40))
+        levels = _reachable_sets(sig, min(K, m))
         want = reference_reachable_sets([tuple(row) for row in sig.tolist()], min(K, m))
-        assert list(got.items()) == [((k, tuple(np.array(u)[live].tolist())), S) for (k, u), S in want.items()]
+        assert [len(level) for level in levels] == [sum(k == c for c, _ in want) for k in range(min(K, m) + 1)]
+        assert states(levels) == {(k, S) for (k, _), S in want.items()}
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 6), st.integers(1, 8), st.integers(1, 80))
+    def test_guard_trips_after_the_same_arm(self, seed, m, width, K, guard):
+        # the guard adds up the states held after each arm: with the reference's table sizes after arms
+        # 0..j, the DP on the first j + 1 arms trips exactly when 1 + their sum passes the guard
+        rng = np.random.default_rng(seed)
+        sig = rng.integers(0, 3, size=(m, width)) * (rng.random((m, width)) < 0.7)
+        K = min(K, m)
+        sizes = [len(reference_reachable_sets([tuple(row) for row in sig[: j + 1].tolist()], K)) for j in range(m)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("cmab.oracles.SIGNATURE_DP_GUARD", guard)
+            for j in range(m):
+                if 1 + sum(sizes[: j + 1]) > guard:
+                    with pytest.raises(GuardExceeded):
+                        _reachable_sets(sig[: j + 1], K)
+                    break
+                _reachable_sets(sig[: j + 1], K)
 
     def test_state_guard(self, monkeypatch):
         monkeypatch.setattr("cmab.oracles.SIGNATURE_DP_GUARD", 10)
@@ -768,8 +794,8 @@ def reference_ptas(dists, K, eps):
     W = expected_kmax(laws, seed)
     if W <= 0.0:
         return seed
-    reach = _reachable_sets(_signatures(dists if isinstance(dists, CdfMatrix) else CdfMatrix.of(laws), W, eps), K)
-    return reference_exhaustive(laws, [SuperArm(S) for (k, _), S in reach.items() if k == K], kmax_spec())
+    levels = _reachable_sets(_signatures(dists if isinstance(dists, CdfMatrix) else CdfMatrix.of(laws), W, eps), K)
+    return reference_exhaustive(laws, [SuperArm(S) for S in levels[K].values()], kmax_spec())
 
 
 class TestPtasKmax:

@@ -13,6 +13,7 @@ import operator
 
 import numpy as np
 
+from cmab.cli import _ConfigError
 from cmab.distributions import (
     MASS_TOL,
     VALUE_TOL,
@@ -69,6 +70,69 @@ def reference_make_finite(support, probs) -> FiniteDistribution:
     if np.any(gaps < VALUE_TOL):
         raise ValueError(f"distinct support points closer than {VALUE_TOL}")
     return FiniteDistribution(uniq, merged)
+
+
+def reference_finite_laws(supports, masses, names) -> list[FiniteDistribution]:
+    """The finite laws of per-arm (support, masses) arrays, one ``reference_make_finite`` each: the first bad
+    arm's error, prefixed by its entry of ``names``."""
+    laws = []
+    for name, support, probs in zip(names, supports, masses):
+        try:
+            laws.append(reference_make_finite(support, probs))
+        except ValueError as e:
+            raise ValueError(name + str(e)) from None
+    return laws
+
+
+def _reference_real_field(name: str, value) -> float:
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an int too large for a float
+        pass
+    raise _ConfigError(f"{name}: expected a finite number, got {value!r}")
+
+
+def _reference_real_list(name: str, value) -> list[float]:
+    if not isinstance(value, list):
+        raise _ConfigError(f"{name}: expected a list of numbers, got {value!r}")
+    return [_reference_real_field(name, v) for v in value]
+
+
+def _reference_arm_fields(doc, index: int):
+    if not isinstance(doc, dict):
+        raise _ConfigError(f"arm {index}: expected an object")
+    for kind, keys in (("finite", ("support", "probs")), ("continuous", ("breakpoints", "densities"))):
+        if keys[0] in doc or keys[1] in doc:
+            if keys[0] not in doc or keys[1] not in doc:
+                raise _ConfigError(f"arm {index}: {kind} arms need both {keys[0]!r} and {keys[1]!r}")
+            return kind == "finite", *(_reference_real_list(f"arm {index}: {key}", doc[key]) for key in keys)
+    raise _ConfigError(f"arm {index}: need 'support'/'probs' or 'breakpoints'/'densities'")
+
+
+def reference_parse_arms(docs) -> list:
+    """``cli._parse_arms`` as it was before the one-pass reader: each number checked on its own, a finite law
+    built per arm (here by ``reference_make_finite``), the first bad arm's error in index order."""
+    laws, finite, supports, masses = [], [], [], []
+    try:
+        for i, doc in enumerate(docs):
+            is_finite, first, second = _reference_arm_fields(doc, i)
+            if is_finite:
+                laws.append(None)
+                finite.append(i)
+                supports.append(first)
+                masses.append(second)
+                continue
+            try:
+                laws.append(PiecewiseDensity(first, second))
+            except ValueError as e:
+                raise _ConfigError(f"arm {i}: {e}") from None
+    except _ConfigError:
+        reference_finite_laws(supports, masses, [f"arm {j}: " for j in finite])  # an earlier arm's error comes first
+        raise
+    for i, law in zip(finite, reference_finite_laws(supports, masses, [f"arm {j}: " for j in finite])):
+        laws[i] = law
+    return laws
 
 
 def reference_cdf_matrix(dists) -> CdfMatrix:
