@@ -36,7 +36,7 @@ from .harness import (
     write_csv,
 )
 from .oracles import FeasibleFamily
-from .rewards import UTILITY_OF_SUM, SuperArm, _cdfs, expected_reward, kmax_spec, linear_spec, utility_spec
+from .rewards import UTILITY_OF_SUM, SuperArm, _laws, expected_reward, kmax_spec, linear_spec, utility_spec
 
 _RUN_DEFAULTS = {
     "env": None,
@@ -350,8 +350,7 @@ def cmd_offline(args) -> int:
     solve = _oracle_handle(args.solver, family, spec, _epsilon(args.epsilon))
     if args.solver == "ptas":
         _require_finite(arms, "the ptas solver")
-    if spec.kind != UTILITY_OF_SUM:  # a utility reads the finite arms' masses, not their CDFs
-        arms = _cdfs(arms)  # every solver and the value read this one matrix
+    arms = _laws(arms, spec)  # every solver and the value read this one input
     S = solve(arms)
     value = expected_reward(arms, S, spec)
     print("set:", " ".join(str(i) for i in S.members))

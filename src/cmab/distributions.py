@@ -21,14 +21,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import Union
 
 import numpy as np
 
 MASS_TOL = 1e-12
 VALUE_TOL = 1e-9
+_DRAW_BLOCK = 256  # uniforms taken from a generator per call where draws come in blocks
 
 
 class FiniteDistribution:
@@ -41,13 +41,12 @@ class FiniteDistribution:
     the running sum of ``probs``.
     """
 
-    __slots__ = ("support", "probs", "cum", "_cum_list")
+    __slots__ = ("support", "probs", "cum")
 
     def __init__(self, support, probs, cum=None):
         self.support = np.asarray(support, dtype=float)
         self.probs = np.asarray(probs, dtype=float)
         self.cum = np.cumsum(self.probs) if cum is None else np.asarray(cum, dtype=float)
-        self._cum_list = None  # built on the first draw; oracle-side laws never sample
 
     def __repr__(self):
         pts = ", ".join(f"{v:g}: {p:g}" for v, p in zip(self.support, self.probs))
@@ -63,13 +62,11 @@ class FiniteDistribution:
     def mean(self) -> float:
         return float(self.support @ self.probs)
 
-    def inverse_cdf(self, u: float) -> float:
-        """Smallest support value whose CDF reaches ``u``."""
-        if self._cum_list is None:
-            self._cum_list = self.cum.tolist()
-        # bisect_left is np.searchsorted(cum, u, side="left") without its per-call overhead
-        idx = min(bisect_left(self._cum_list, u), len(self._cum_list) - 1)
-        return float(self.support[idx])
+    def inverse_cdf(self, u):
+        """Smallest support value whose CDF reaches ``u``, the last one above ``cum[-1]``; one per entry of an array
+        ``u``, a float for a scalar."""
+        x = self.support[self.cum[:-1].searchsorted(u)]
+        return float(x) if np.ndim(x) == 0 else x
 
 
 class PiecewiseDensity:
@@ -80,7 +77,7 @@ class PiecewiseDensity:
     The CDF is continuous piecewise-linear with F(0) = 0 and F(1) = 1.
     """
 
-    __slots__ = ("breakpoints", "densities", "cum", "_cum_list")
+    __slots__ = ("breakpoints", "densities", "cum")
 
     def __init__(self, breakpoints: Sequence[float], densities: Sequence[float]):
         bp = np.asarray(breakpoints, dtype=float)
@@ -103,7 +100,6 @@ class PiecewiseDensity:
         self.breakpoints = bp
         self.densities = dens
         self.cum = np.concatenate(([0.0], np.cumsum(dens * np.diff(bp))))
-        self._cum_list = None
 
     def __repr__(self):
         return f"PiecewiseDensity(breakpoints={self.breakpoints.tolist()}, densities={self.densities.tolist()})"
@@ -120,16 +116,16 @@ class PiecewiseDensity:
         b = self.breakpoints[1:]
         return float(np.sum(self.densities * (b * b - a * a) / 2.0))
 
-    def inverse_cdf(self, u: float) -> float:
-        if self._cum_list is None:
-            self._cum_list = self.cum.tolist()
-        # the first segment whose right-end CDF reaches u, as np.searchsorted(cum[1:], u, side="left")
-        seg = min(bisect_left(self._cum_list, u, 1) - 1, len(self.densities) - 1)
+    def inverse_cdf(self, u):
+        """The point where the CDF reaches ``u`` on the first segment whose right end reaches it, clipped to [0, 1],
+        or that segment's left end where its density is 0; one per entry of an array ``u``, a float for a scalar."""
+        u = np.asarray(u, dtype=float)
+        seg = self.cum[1:-1].searchsorted(u)  # the last segment takes every u above the others' right ends
         d = self.densities[seg]
-        if d <= 0.0:
-            return float(self.breakpoints[seg])
-        x = self.breakpoints[seg] + (u - self.cum[seg]) / d
-        return float(min(max(x, 0.0), 1.0))
+        q = np.zeros_like(d)  # stays 0 on a zero density, so x is the segment's left end
+        np.divide(u - self.cum[seg], d, out=q, where=d > 0.0)
+        x = np.minimum(np.maximum(self.breakpoints[seg] + q, 0.0), 1.0)
+        return float(x) if x.ndim == 0 else x
 
 
 Distribution = Union[FiniteDistribution, PiecewiseDensity]
@@ -169,15 +165,6 @@ class CdfMatrix(Sequence):
             np.concatenate([d.cum for d in dists])
         )
         return cls(values, np.maximum.accumulate(F, axis=1, out=F))
-
-    @classmethod
-    def trimmed(cls, values: np.ndarray, F: np.ndarray) -> "CdfMatrix":
-        """CDF rows ``F`` over ``values``, kept only at the columns where some row has mass."""
-        # a > b is a - b > 0 for finite doubles, without np.diff's prepend copy
-        keep = np.empty(len(values), dtype=bool)
-        keep[0] = (F[:, 0] > 0.0).any()
-        keep[1:] = (F[:, 1:] > F[:, :-1]).any(0)
-        return cls(values[keep], F[:, keep])
 
     def __len__(self) -> int:
         return len(self.F)
@@ -276,6 +263,16 @@ def sample(dist: Distribution, rng: np.random.Generator) -> float:
     return dist.inverse_cdf(rng.random())
 
 
+def _draws(dist: Distribution, rng: np.random.Generator) -> Iterator[float]:
+    """Endless :func:`sample` draws from ``dist``, one inverse CDF per ``_DRAW_BLOCK`` uniforms.
+
+    ``rng.random(n)`` yields the n uniforms that n single draws would, so
+    the k-th value is the k-th ``sample(dist, rng)``.
+    """
+    while True:
+        yield from dist.inverse_cdf(rng.random(_DRAW_BLOCK)).tolist()
+
+
 def confidence_radius(t: int, count):
     """sqrt(3 ln t / (2 count)), the uniform CDF confidence radius; ``count`` may be an array."""
     return np.sqrt(1.5 * math.log(t) / count)
@@ -321,13 +318,17 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
 
 
 def _optimistic(values: np.ndarray, cum: np.ndarray, n: np.ndarray, radius: np.ndarray) -> CdfMatrix:
-    """max{cum / n - radius, 0} and 1 at 1, over cumulative counts ``cum`` with totals ``n = cum[:, -1]`` > 0."""
+    """max{cum / n - radius, 0} and 1 at 1, over cumulative counts ``cum`` with totals ``n = cum[:, -1]`` > 0,
+    kept only at the columns where some row has mass."""
     low = cum / n[:, None]
     low -= radius[:, None]
     np.maximum(low, 0.0, out=low)
     low[:, -1] = 1.0
-    # a column no arm has mass at repeats the column before it in every row
-    return CdfMatrix.trimmed(values, low)
+    # a column no arm has mass at repeats the column before it in every row; a > b is a - b > 0 for finite doubles
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = (low[:, 0] > 0.0).any()
+    keep[1:] = (low[:, 1:] > low[:, :-1]).any(0)
+    return CdfMatrix(values[keep], low[:, keep])
 
 
 def bin_index(x: float, s: int) -> int:

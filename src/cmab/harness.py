@@ -15,11 +15,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, PiecewiseDensity, make_finite, sample
+from .distributions import Distribution, PiecewiseDensity, _draws, make_finite
 from .errors import check_count
 from .oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax, ptas_kmax
 from .policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
-from .rewards import UTILITY_OF_SUM, RewardSpec, SuperArm, _cdfs, expected_reward, kmax_spec
+from .rewards import RewardSpec, SuperArm, _laws, expected_reward, kmax_spec
 from .rng import ARM_STREAM, POLICY_STREAM, run_seed, substream
 
 POLICIES = ("sdcb", "lazy-sdcb", "lazy-sdcb-doubling", "cucb", "osm")
@@ -37,8 +37,7 @@ class Environment:
         self.spec = spec
         self.name = name
         self._scores: dict[tuple[int, ...], float] = {}
-        # K-MAX and linear rewards read the list's one matrix, built here once; a utility reads the laws' masses
-        self._laws = self.arms if spec.kind == UTILITY_OF_SUM else _cdfs(self.arms)
+        self._laws = _laws(self.arms, spec)  # the list's one input for its reward, built here once
         self.optimal_arm = exhaustive_oracle(self._laws, family, spec)
         self.optimal_value = self.score(self.optimal_arm)
 
@@ -115,13 +114,13 @@ def run_one(
     """One deterministic run: select, sample outcomes, observe, account.
 
     Outcomes are i.i.d. draws from the environment's arms restricted to
-    the played super arm; each arm consumes one uniform per pull from its
-    own substream, so the trace is a pure function of ``seed``.
+    the played super arm; arm i's j-th pull is ``sample`` of the j-th
+    uniform of its own substream, drawn a block at a time, so the trace is
+    a pure function of ``seed``.
     """
     check_count(T, "horizon T")
     t0 = time.perf_counter()
-    m = env.family.m
-    arm_rngs = [substream(seed, ARM_STREAM, i) for i in range(m)]
+    draws = [_draws(arm, substream(seed, ARM_STREAM, i)) for i, arm in enumerate(env.arms)]
     policy = policy_factory(env.family, env.spec, T, substream(seed, POLICY_STREAM, 0))
     rewards = np.empty(T)
     played: list[tuple[int, ...]] = []
@@ -129,7 +128,7 @@ def run_one(
         S = policy.select(t)
         if not env.family.is_feasible(S):
             raise RuntimeError(f"policy played infeasible super arm {S!r} in round {t}")
-        outcomes = {i: sample(env.arms[i], arm_rngs[i]) for i in S.members}
+        outcomes = {i: next(draws[i]) for i in S.members}
         policy.observe(t, S, outcomes)
         rewards[t - 1] = env.score(S)
         played.append(S.members)

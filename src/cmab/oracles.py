@@ -178,7 +178,10 @@ def greedy_kmax(dists, K: int) -> SuperArm:
     cdfs = _cdfs(dists)
     C = cdfs.F
     if isinstance(cdfs, CdfMatrix):  # E[max] = sum_k V_k (P_k - P_{k-1}) = P @ w, w_k = V_k - V_{k+1}, w_last = V_last
-        w = np.append(cdfs.values[:-1] - cdfs.values[1:], cdfs.values[-1])
+        V = cdfs.values
+        w = np.empty(len(V))
+        np.subtract(V[:-1], V[1:], out=w[:-1])
+        w[-1] = V[-1]
     else:  # E[max] = sum_n w_n (1 - P_n) is largest where P @ -w is
         w = -cdfs.weights
     avail = list(range(len(C)))
@@ -186,8 +189,11 @@ def greedy_kmax(dists, K: int) -> SuperArm:
     prod = C[chosen[0]]
     # score the remaining rows only, in index order: a gemv's bits depend on its row count
     for _ in range(K - 1):
-        chosen.append(avail.pop(int((C[avail] * prod @ w).argmax())))
-        prod = prod * C[chosen[-1]]
+        rest = C.take(avail, axis=0)
+        rest *= prod  # each remaining arm's CDF times the chosen arms' product
+        j = int((rest @ w).argmax())
+        chosen.append(avail.pop(j))
+        prod = rest[j]
     return SuperArm(chosen)
 
 

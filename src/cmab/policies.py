@@ -22,12 +22,13 @@ policy's own generator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 
 import numpy as np
 
-from .distributions import CdfMatrix, _optimistic, bin_value, confidence_radius
+from .distributions import _DRAW_BLOCK, CdfMatrix, _optimistic, bin_value, confidence_radius
 from .errors import check_count
 from .oracles import FeasibleFamily
 from .rewards import RewardSpec, SuperArm
@@ -211,20 +212,24 @@ class Osm(_Policy):
         self.gamma = 1.0 if m <= 1 else min(1.0, math.sqrt(m * math.log(m) / ((math.e - 1.0) * T)))
         self.weights = np.ones((family.K, m))
         self.last_draws: tuple[int, ...] = ()
+        # each round's K uniforms as a (K, 1) column: the B rows of a random((B, K)) block are B random(K) calls
+        self._uniforms = itertools.chain.from_iterable(map(rng.random, itertools.repeat((_DRAW_BLOCK, family.K, 1))))
 
     def probs(self) -> np.ndarray:
         """Each instance's exploration-mixed draw probabilities, one row per instance."""
         W = self.weights
-        return (1.0 - self.gamma) * W / W.sum(1, keepdims=True) + self.gamma / W.shape[1]
+        P = W * (1.0 - self.gamma)
+        P /= W.sum(1, keepdims=True)
+        P += self.gamma / W.shape[1]
+        return P
 
     def _select(self, t: int) -> SuperArm:
         self._probs = P = self.probs()
         # rng.choice(m, p=P[i]) per row: the same cumsum, division and
-        # right-side search, on a block of uniforms equal to K single draws
+        # right-side search, on uniforms equal to K single draws
         C = np.cumsum(P, 1)
         C /= C[:, -1:]
-        draws = (C <= self.rng.random(len(C))[:, None]).sum(1)
-        self.last_draws = tuple(draws.tolist())
+        self.last_draws = tuple((C <= next(self._uniforms)).sum(1).tolist())
         return SuperArm(self.last_draws)
 
     def _observe(self, outcomes) -> None:

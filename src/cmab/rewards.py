@@ -13,7 +13,8 @@ K-MAX and linear rewards read the arm list's one matrix from
 :func:`_cdfs`: the CDFs of finite laws, whose products give the max law,
 or once a law is continuous a Gauss-Legendre quadrature of the integral
 of 1 - prod_i F_i; a linear row sums means.  A utility of the sum is
-summed over each set's product points, on finite laws.
+summed over each set's product points, read from the list's support
+table; :func:`_laws` gives a list's one input for any reward.
 """
 
 from __future__ import annotations
@@ -286,32 +287,47 @@ def expected_kmax_continuous(dists: Sequence[Distribution], S: SuperArm) -> floa
     return float(_kmax_scores(_cdfs(dists), _row(dists, S))[0])
 
 
-def _support_table(dists):
-    """Each arm's support keys ``round(v * _SUM_GRID)`` and masses, left-aligned in (m + 1, S) arrays, and its size.
+class _SupportTable:
+    """m finite arm laws as each arm's support keys ``round(v * _SUM_GRID)`` and masses, the utility scorer's input.
 
-    Row m is a point mass at 0, the index-m pad.  A matrix row's masses
-    are the positive steps of its CDF, as ``CdfMatrix.__getitem__`` reads
-    them; columns past an arm's size hold key 0 and mass 0.
+    ``keys`` and ``masses`` are (m + 1, S), each row's ``sizes`` entries left-aligned and zeros after them; row m is
+    a point mass at 0, the index-m pad.  A list's masses are its laws' ``probs``, a matrix row's the positive steps
+    of its CDF, as ``CdfMatrix.__getitem__`` reads them (they may differ from ``probs`` in the last bit).
     """
-    if isinstance(dists, CdfMatrix):
-        steps = dists.F.copy()
-        steps[:, 1:] -= dists.F[:, :-1]
-        real = steps > 0.0
-        sizes = np.append(np.count_nonzero(real, axis=1), 1)
-        keys = np.append(np.broadcast_to(np.rint(dists.values * _SUM_GRID), real.shape)[real], 0.0)
-        masses = np.append(steps[real], 1.0)
-    else:
-        if not all(isinstance(d, FiniteDistribution) for d in dists):
-            raise TypeError("utility_of_sum requires finite-support distributions")
-        sizes = np.array([len(d.support) for d in dists] + [1])
-        keys = np.rint(np.concatenate([d.support for d in dists] + [[0.0]]) * _SUM_GRID)
-        masses = np.concatenate([d.probs for d in dists] + [[1.0]])
-    real = np.arange(sizes.max()) < sizes[:, None]  # row-major, so an arm's entries fill its row from the left
-    key_table = np.zeros(real.shape, dtype=np.int64)
-    mass_table = np.zeros(real.shape)
-    key_table[real] = keys
-    mass_table[real] = masses
-    return key_table, mass_table, sizes
+
+    __slots__ = ("keys", "masses", "sizes")
+
+    def __init__(self, dists):
+        if isinstance(dists, CdfMatrix):
+            steps = dists.F.copy()
+            steps[:, 1:] -= dists.F[:, :-1]
+            real = steps > 0.0
+            sizes = np.append(np.count_nonzero(real, axis=1), 1)
+            keys = np.append(np.broadcast_to(np.rint(dists.values * _SUM_GRID), real.shape)[real], 0.0)
+            masses = np.append(steps[real], 1.0)
+        else:
+            if not all(isinstance(d, FiniteDistribution) for d in dists):
+                raise TypeError("utility_of_sum requires finite-support distributions")
+            sizes = np.array([len(d.support) for d in dists] + [1])
+            keys = np.rint(np.concatenate([d.support for d in dists] + [[0.0]]) * _SUM_GRID)
+            masses = np.concatenate([d.probs for d in dists] + [[1.0]])
+        real = np.arange(sizes.max()) < sizes[:, None]  # row-major, so an arm's entries fill its row from the left
+        self.keys = np.zeros(real.shape, dtype=np.int64)
+        self.masses = np.zeros(real.shape)
+        self.keys[real] = keys
+        self.masses[real] = masses
+        self.sizes = sizes
+
+    def __len__(self) -> int:
+        return len(self.sizes) - 1
+
+
+def _laws(dists, spec: RewardSpec):
+    """The arm laws as the one input their reward is scored on, a function of the list alone: for a utility of the
+    sum their :class:`_SupportTable`, else their matrix from :func:`_cdfs`.  A converted input is passed through."""
+    if spec.kind != UTILITY_OF_SUM:
+        return _cdfs(dists)
+    return dists if isinstance(dists, _SupportTable) else _SupportTable(dists)
 
 
 def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
@@ -328,12 +344,13 @@ def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
     bit for bit.  Raises :class:`GuardExceeded` before any product point is
     built when a row has ``CONVOLUTION_GUARD`` points or more.
     """
-    keys, masses, sizes = _support_table(dists)
+    table = _laws(dists, spec)
+    keys, masses, sizes = table.keys, table.masses, table.sizes
     n_points = sizes[rows].prod(axis=1, dtype=float)  # exact below the guard, and at least the guard above it
     if n_points.max() >= CONVOLUTION_GUARD:
         row = rows[int(np.argmax(n_points >= CONVOLUTION_GUARD))]
         raise GuardExceeded(
-            f"sum-support convolution of super arm {row[row < len(dists)].tolist()} needs "
+            f"sum-support convolution of super arm {row[row < len(table)].tolist()} needs "
             f"{math.prod(sizes[row].tolist())} product points; the guard is {CONVOLUTION_GUARD}"
         )
     n_points = n_points.astype(np.int64)
@@ -382,10 +399,11 @@ def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
 def _scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
     """Every row's expected reward in one batch; index m is the pad.
 
-    A utility of the sum reads the finite laws' masses; K-MAX and linear
-    rewards read the list's matrix from :func:`_cdfs`.  A linear row sums
-    its members' means left to right, each the K-MAX score of its arm
-    alone; the pad's mean is 0 and adds an exact +0.0.
+    Each reward reads the list's one input from :func:`_laws`: a utility
+    of the sum the finite laws' support table, K-MAX and linear rewards
+    the list's matrix.  A linear row sums its members' means left to
+    right, each the K-MAX score of its arm alone; the pad's mean is 0 and
+    adds an exact +0.0.
     """
     if spec.kind == UTILITY_OF_SUM:
         return _utility_scores(dists, rows, spec)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config merging, exit codes."""
 
+import collections
 import concurrent.futures
 import contextlib
 import io
@@ -19,8 +20,8 @@ from cmab import cli
 from cmab.cli import main
 from cmab.distributions import MASS_TOL, CdfMatrix, FiniteDistribution, PiecewiseDensity, make_finite
 from cmab.harness import Environment, PolicyFactory, run_many, write_csv
-from cmab.oracles import FeasibleFamily
-from cmab.rewards import SuperArm, kmax_spec
+from cmab.oracles import FeasibleFamily, exhaustive_oracle
+from cmab.rewards import SuperArm, _SupportTable, expected_reward, kmax_spec
 from util import joint_expected, reference_expected_kmax_continuous, reference_parse_arms, value_pool
 
 
@@ -320,6 +321,20 @@ class TestOffline:
         assert capsys.readouterr().out.splitlines() == ["set: 0 2", "value: 0.75"]
         assert built == [3] and laws == []
 
+    def test_utility_reads_one_support_table(self, tmp_path, capsys, monkeypatch):
+        # the instance's support table is built once, from the laws' masses, for the solver and the value alike
+        arms = [make_finite(a["support"], a["probs"]) for a in TINY_INSTANCE["arms"]]
+        spec = cli._parse_reward(UTILITY)
+        S = exhaustive_oracle(arms, FeasibleFamily.cardinality_at_most(2, 3), spec)
+        want = [f"set: {' '.join(map(str, S.members))}", f"value: {expected_reward(arms, S, spec):.12g}"]
+        built = []
+        init = _SupportTable.__init__
+        monkeypatch.setattr(_SupportTable, "__init__", lambda self, dists: built.append(len(dists)) or init(self, dists))
+        inst = write_config(tmp_path, {**TINY_INSTANCE, "reward": UTILITY}, "inst.json")
+        assert main(["offline", "--instance", str(inst)]) == 0
+        assert capsys.readouterr().out.splitlines() == want
+        assert built == [3]
+
     def test_greedy_rejects_explicit_family(self, tmp_path, capsys):
         payload = {
             "arms": TINY_INSTANCE["arms"][:2],
@@ -580,10 +595,16 @@ CURVES = {"identity": lambda y: y, "sqrt": math.sqrt, "square": lambda y: y * y,
 TABLE = [[0.0, 0.0], [1.0, 0.8], [4.0, 1.0]]
 
 
+REWARDS = [{"kind": "kmax"}, {"kind": "linear"}, {"kind": "utility", "utility": TABLE}] + [
+    {"kind": "utility", "utility": name} for name in CURVES
+]
+
+
 @st.composite
-def arm_docs(draw):
-    """A finite arm on GRID, or one time in four a continuous one with breakpoints on GRID and no density near 1.5."""
-    if draw(st.integers(0, 3)) == 0:
+def arm_docs(draw, continuous=True):
+    """A finite arm on GRID, or, unless ``continuous`` is false, one time in four a continuous one with breakpoints
+    on GRID and no density near 1.5."""
+    if continuous and draw(st.integers(0, 3)) == 0:
         inner = draw(st.lists(st.sampled_from(GRID[1:-1]), max_size=3, unique=True))
         breakpoints = [0.0, *sorted(inner), 1.0]
         weights = draw(st.lists(st.integers(0, 9), min_size=len(breakpoints) - 1, max_size=len(breakpoints) - 1))
@@ -605,16 +626,8 @@ def instance_docs(draw):
     if draw(st.booleans()):
         family = {"kind": "cardinality", "K": draw(st.integers(1, m))}
     else:
-        sets = [[i, *draw(st.lists(st.integers(0, m - 1), max_size=2))] for i in range(m)]
-        family = {"kind": "explicit", "sets": sets + draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=3), max_size=3))}
-    reward = dict(  # a copy: a mutation must not reach the strategy's own dict
-        draw(
-            st.sampled_from(
-                [{"kind": "kmax"}, {"kind": "linear"}, {"kind": "utility", "utility": TABLE}]
-                + [{"kind": "utility", "utility": name} for name in CURVES]
-            )
-        )
-    )
+        family = explicit_family(draw, m)
+    reward = dict(draw(st.sampled_from(REWARDS)))  # a copy: a mutation must not reach the strategy's own dict
     doc = {"arms": arms, "family": family, "reward": reward}
     solver = draw(st.sampled_from(["exhaustive", "greedy", "ptas"]))
     if draw(st.booleans()):
@@ -622,6 +635,12 @@ def instance_docs(draw):
     mutate = draw(st.sampled_from([junk_value, junk_value, drop_key, wrong_container, unknown_kind]))
     mutate(draw, doc)
     return doc, solver, True
+
+
+def explicit_family(draw, m):
+    """An explicit family over m arms: one set holding each arm, then up to three more."""
+    sets = [[i, *draw(st.lists(st.integers(0, m - 1), max_size=2))] for i in range(m)]
+    return {"kind": "explicit", "sets": sets + draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=3), max_size=3))}
 
 
 def junk_value(draw, doc):
@@ -770,6 +789,11 @@ def run_docs(draw):
     if draw(st.booleans()):
         doc["env"] = draw(st.sampled_from(["dist1", "dist2", "dist3", "dist4"]))
         sites.append("env")
+    elif draw(st.integers(0, 3)) == 0:  # a run that completes on an explicit family: finite arms, no osm, exhaustive
+        arms = draw(st.lists(arm_docs(continuous=False), min_size=1, max_size=5))
+        doc.update(arms=arms, family=explicit_family(draw, len(arms)), reward=dict(draw(st.sampled_from(REWARDS))))
+        doc.update(policy=draw(st.sampled_from(["sdcb", "lazy-sdcb", "cucb"])), oracle="exhaustive")
+        sites += ["arms", "family", "reward"]
     else:
         instance, _, bad = draw(instance_docs())  # bad: an arm array or entry, K, a set member or a table entry
         doc.update(instance)
@@ -793,7 +817,9 @@ def run_docs(draw):
 
 
 class TestRunFuzz:
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    completed = collections.Counter()  # test_exit_contract's runs that exit 0: "env", or the inline family's kind
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
     @given(run_docs())
     def test_exit_contract(self, tmp_path_factory, case):
         doc, bad = case
@@ -818,6 +844,13 @@ class TestRunFuzz:
         assert code == 0 and out.getvalue().startswith("wrote ")
         lines = trace.read_text().splitlines()
         assert lines[0] == "round,expected_reward,cum_regret" and len(lines) == doc["T"] + 1
+        TestRunFuzz.completed["env" if "env" in doc else doc["family"]["kind"]] += 1
+
+    def test_exit_contract_completes_explicit_family_runs(self, tmp_path_factory):
+        # the fuzz plays some runs to their horizon on an inline explicit family, not only on cardinality families
+        if not self.completed:  # run on its own: draw the examples here
+            self.test_exit_contract(tmp_path_factory)
+        assert self.completed["explicit"] > 0
 
 
 class TestEntryPoints:

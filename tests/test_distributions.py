@@ -505,12 +505,17 @@ class TestSampling:
         rng = np.random.default_rng(seed)
         finite, dens = random_finite(rng), random_piecewise(rng)
         short = make_finite([0.3, 0.9], [0.4, 0.6 - 5e-13])
-        laws = (finite, dens, short, discretize_interval(finite, s), discretize_interval(dens, s))
+        gap = PiecewiseDensity([0.0, 0.2, 0.5, 0.8, 0.9, 1.0], [0.0, 2.0, 0.0, 4.0, 0.0])  # no mass on three segments
+        laws = (finite, dens, short, gap, discretize_interval(finite, s), discretize_interval(dens, s))
+        # and one call on all of them as an array gives the same values entry by entry
         for d in laws:
             cum = d.cum
             edges = np.concatenate([cum, np.nextafter(cum, -1.0), np.nextafter(cum, 2.0)])
-            for u in [0.0, 1.0 - 1e-13, 1.0 - 2.0**-53, *edges[(edges >= 0.0) & (edges <= 1.0)].tolist(), *rng.random(5).tolist(), *us]:
-                assert d.inverse_cdf(u) == reference_inverse_cdf(d, u), (d, u)
+            points = [0.0, 1.0 - 1e-13, 1.0 - 2.0**-53, *edges[(edges >= 0.0) & (edges <= 1.0)].tolist(), *rng.random(5).tolist(), *us]
+            want = [reference_inverse_cdf(d, u) for u in points]
+            got = [d.inverse_cdf(u) for u in points]
+            assert got == want and all(type(x) is float for x in got), d
+            assert d.inverse_cdf(np.array(points)).tolist() == want, d
 
 
 class TestBernoulliDecomposition:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cmab.distributions import CdfMatrix, make_finite
+from cmab.distributions import _DRAW_BLOCK, CdfMatrix, make_finite, sample
 from cmab.harness import (
     Environment,
     PolicyFactory,
@@ -120,14 +120,17 @@ class TestRunOne:
         assert a.super_arms != b.super_arms
 
     def test_arm_substreams_are_decoupled(self):
-        # an arm's draws depend only on its own pull count, not on other arms
-        env = tiny_env()
-        for members in ((0,), (0, 1)):
-            policy = FixedChoice(members)
-            run_one(env, policy, T=5, seed=11)
-            for i in members:
-                rng = substream(11, ARM_STREAM, i)
-                assert [x[i] for x in policy.outcomes] == [env.arms[i].inverse_cdf(rng.random()) for _ in range(5)]
+        # an arm's draws depend only on its own pull count, not on other arms: its j-th outcome is the j-th
+        # sample() on its substream, also past the first block of uniforms
+        cases = [(tiny_env(), [(0,), (0, 1)], 5)]
+        cases += [(env, [env.optimal_arm.members], _DRAW_BLOCK + 20) for env in map(builtin_env, ("dist1", "dist4"))]
+        for env, sets, T in cases:
+            for members in sets:
+                policy = FixedChoice(members)
+                run_one(env, policy, T=T, seed=11)
+                for i in members:
+                    rng = substream(11, ARM_STREAM, i)
+                    assert [x[i] for x in policy.outcomes] == [sample(env.arms[i], rng) for _ in range(T)]
 
     def test_infeasible_selection_raises(self):
         env = tiny_env()

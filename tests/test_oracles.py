@@ -34,7 +34,7 @@ from cmab.rewards import (
     SuperArm,
     _kmax_scores,
     _scores,
-    _support_table,
+    _SupportTable,
     _utility_scores,
     expected_kmax,
     expected_reward,
@@ -392,7 +392,7 @@ class TestExhaustiveUtility:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("cmab.rewards._SCORE_BLOCK", block)
             scores = _utility_scores(dists, rows, spec)
-        _, _, sizes = _support_table(dists)
+        sizes = _SupportTable(dists).sizes
         for row, score in zip(rows, scores.tolist()):
             S = SuperArm(row[row < len(dists)])
             assert score == expected_reward(dists, S, spec)
@@ -437,7 +437,7 @@ class TestExhaustiveUtility:
         rng = np.random.default_rng(11)
         dists = CdfMatrix.of([random_finite(rng) for _ in range(8)])
         fam = FeasibleFamily.cardinality_at_most(3, 8)
-        _, _, sizes = _support_table(dists)
+        sizes = _SupportTable(dists).sizes
         assert np.count_nonzero(sizes[:-1] > 1) == 7 and (sizes[fam.index_rows()].prod(1) > 40).any()
         calls.clear()
         whole = _utility_scores(dists, fam.index_rows(), spec)
@@ -460,7 +460,7 @@ class TestExhaustiveUtility:
         fam = FeasibleFamily.cardinality_at_most(3, 6)
         whole = _utility_scores(dists, fam.index_rows(), spec)
         chosen = exhaustive_oracle(dists, fam, spec)
-        _, _, sizes = _support_table(dists)
+        sizes = _SupportTable(dists).sizes
         assert np.mean(sizes[fam.index_rows()].prod(1) > 5) > 0.5
         sized = []
         unique = np.unique

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmab.distributions import bin_value, confidence_radius, dominant_cdfs, make_finite, sample
+from cmab.distributions import _DRAW_BLOCK, bin_value, confidence_radius, dominant_cdfs, make_finite, sample
 from cmab.harness import PolicyFactory, builtin_env
 from cmab.oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax
 from cmab.policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
 from cmab.rewards import SuperArm, expected_kmax, kmax_spec
 from cmab.rng import ARM_STREAM, POLICY_STREAM, substream
-from util import COARSE_GRID, ReferenceDoubling, ReferenceOsm, count_matrix
+from util import COARSE_GRID, ReferenceDoubling, ReferenceMatrixOsm, ReferenceOsm, count_matrix
 
 EXACT = 1e-12
 
@@ -522,19 +522,24 @@ class TestOsm:
     def test_matches_per_instance_reference(self, mK, T, seed, levels):
         # the weight matrix draws and updates bit for bit as K separate rng.choice/Exp3 instances;
         # outcomes come from a few levels, so equal outcomes and zero gains are common
+        # and as the matrix policy did with one random(K) per round, past the first block of uniforms
         m, K = mK
         pol = osm(K, m, T, seed)
         ref = ReferenceOsm(m, K, pol.gamma, substream(seed, 1, 0))
+        matrix_ref = ReferenceMatrixOsm(FeasibleFamily.cardinality_at_most(K, m), T, substream(seed, 1, 0))
         outcome_rng = np.random.default_rng(seed)
         duplicates = 0
-        for t in range(1, 301):
+        for t in range(1, _DRAW_BLOCK + 45):
             S = pol.select(t)
-            assert pol.last_draws == ref.select()
+            assert S == matrix_ref.select(t)
+            assert pol.last_draws == ref.select() == matrix_ref.last_draws
             duplicates += len(S) < K
             outcomes = {i: levels[int(outcome_rng.integers(len(levels)))] for i in S.members}
             pol.observe(t, S, outcomes)
             ref.observe(outcomes)
+            matrix_ref.observe(t, S, outcomes)
             assert np.array_equal(pol.weights, np.vstack(ref.weights))
+            assert np.array_equal(pol.weights, matrix_ref.weights)
         assert duplicates > 0 or K == 1
 
 

@@ -24,7 +24,7 @@ from cmab.distributions import (
     make_finite,
 )
 from cmab.oracles import ptas_grid, signature_cap
-from cmab.policies import lazy_sdcb_known_T
+from cmab.policies import Osm, lazy_sdcb_known_T
 from cmab.rewards import SuperArm, expected_reward
 
 COARSE_GRID = np.round(np.linspace(0.0, 1.0, 201), 6)
@@ -172,7 +172,9 @@ def reference_expected_kmax(dists, S: SuperArm) -> float:
     if isinstance(dists, CdfMatrix):
         if len(S) == 1:
             return dists[S.members[0]].mean()
-        cdfs = CdfMatrix.trimmed(dists.values, dists.F[list(S.members)])
+        F = dists.F[list(S.members)]
+        keep = (np.diff(F, axis=1, prepend=0.0) > 0.0).any(0)  # the columns where a member has mass
+        cdfs = CdfMatrix(dists.values[keep], F[:, keep])
     else:
         arms = [dists[i] for i in S.members]
         if not all(isinstance(a, FiniteDistribution) for a in arms):
@@ -455,6 +457,34 @@ class ReferenceOsm:
             w /= w.max()
             np.maximum(w, 1e-300, out=w)
             running += gain
+
+
+class ReferenceMatrixOsm(Osm):
+    """``Osm`` as it was before its uniforms came in blocks: one ``rng.random(K)`` per round, and the probabilities
+    as one expression."""
+
+    def probs(self) -> np.ndarray:
+        W = self.weights
+        return (1.0 - self.gamma) * W / W.sum(1, keepdims=True) + self.gamma / W.shape[1]
+
+    def _select(self, t: int) -> SuperArm:
+        self._probs = P = self.probs()
+        C = np.cumsum(P, 1)
+        C /= C[:, -1:]
+        draws = (C <= self.rng.random(len(C))[:, None]).sum(1)
+        self.last_draws = tuple(draws.tolist())
+        return SuperArm(self.last_draws)
+
+    def _observe(self, outcomes) -> None:
+        W, P, gamma = self.weights, self._probs, self.gamma
+        m = W.shape[1]
+        running = 0.0
+        for i, arm in enumerate(self.last_draws):
+            gain = max(running, outcomes[arm]) - running
+            W[i, arm] *= math.exp(gamma * (gain / P[i, arm]) / m)
+            running += gain
+        W /= W.max(1, keepdims=True)
+        np.maximum(W, 1e-300, out=W)
 
 
 class ReferenceDoubling:
