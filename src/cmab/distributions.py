@@ -131,6 +131,16 @@ class PiecewiseDensity:
 Distribution = Union[FiniteDistribution, PiecewiseDensity]
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a finite 1-d array, ascending: ``np.unique``'s values by a sort and an
+    adjacent-difference mask, without the ``numpy.ma`` import ``np.unique`` makes on its first call."""
+    x = np.sort(x)
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 class CdfMatrix(Sequence):
     """m finite arm laws as one CDF matrix over a shared value grid.
 
@@ -159,7 +169,7 @@ class CdfMatrix(Sequence):
         ``cum`` ascends, and a row is 0 before its arm's first point.
         """
         support = np.concatenate([d.support for d in dists])
-        values = np.unique(support)
+        values = _sorted_unique(support)
         F = np.zeros((len(dists), len(values)))
         F[np.repeat(np.arange(len(dists)), [len(d.support) for d in dists]), np.searchsorted(values, support)] = (
             np.concatenate([d.cum for d in dists])
@@ -293,7 +303,7 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
         values: ascending grid of observed values, last entry 1.0.
         counts: (m, len(values)) integer counts, every row nonzero.
         t: current round index (>= 2); sets radius_i = sqrt(3 ln t / 2 T_i).
-        radius: one radius for all arms, or one per arm, in place of that.
+        radius: one radius >= 0 for all arms, or one per arm, in place of that.
 
     Returns:
         The optimistic CDFs at the grid values where some arm has mass
@@ -304,8 +314,10 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
     counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[1] != len(values) or not len(values) or values[-1] != 1.0:
         raise ValueError("counts must be (m, len(values)) over a grid ending at 1")
-    cum = np.cumsum(counts, axis=1)
-    n = cum[:, -1]
+    # one run for the batch kernel, with the zero column it reads left of the grid
+    cum = np.zeros((1, len(counts), len(values) + 1), dtype=np.result_type(counts, np.int64))
+    np.cumsum(counts, axis=1, out=cum[0, :, 1:])
+    n = cum[..., -1]
     if np.any(n == 0):
         raise ValueError("dominant_cdfs requires at least one observation per arm")
     if radius is None:
@@ -313,22 +325,28 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
             raise ValueError("round index t must be >= 2")
         radius = confidence_radius(t, n)
     else:
-        radius = np.broadcast_to(np.asarray(radius, dtype=float), n.shape)
-    return _optimistic(values, cum, n, radius)
+        radius = np.broadcast_to(np.asarray(radius, dtype=float), n.shape[1:])[None]
+        if not np.all(radius >= 0.0):
+            raise ValueError("radius must be >= 0")
+    return _optimistic(np.concatenate(([[0.0]], values[None]), axis=1), cum, n, radius)[0]
 
 
-def _optimistic(values: np.ndarray, cum: np.ndarray, n: np.ndarray, radius: np.ndarray) -> CdfMatrix:
-    """max{cum / n - radius, 0} and 1 at 1, over cumulative counts ``cum`` with totals ``n = cum[:, -1]`` > 0,
-    kept only at the columns where some row has mass."""
-    low = cum / n[:, None]
-    low -= radius[:, None]
+def _optimistic(values: np.ndarray, cum: np.ndarray, n: np.ndarray, radius: np.ndarray) -> list[CdfMatrix]:
+    """Each run's max{cum / n - radius, 0} and 1 at 1, kept only at the columns where some row has mass.
+
+    Run r's cumulative counts ``cum[r]`` (R, m, w) are over its ascending grid ``values[r]`` (R, w), right-aligned
+    with totals ``n = cum[..., -1]`` > 0 and with zero counts at the columns left of the grid, one or more.  With
+    ``radius`` >= 0 those columns stay 0, and the mask drops them as it drops a column without mass.
+    """
+    low = cum / n[..., None]
+    low -= radius[..., None]
     np.maximum(low, 0.0, out=low)
-    low[:, -1] = 1.0
-    # a column no arm has mass at repeats the column before it in every row; a > b is a - b > 0 for finite doubles
-    keep = np.empty(len(values), dtype=bool)
-    keep[0] = (low[:, 0] > 0.0).any()
-    keep[1:] = (low[:, 1:] > low[:, :-1]).any(0)
-    return CdfMatrix(values[keep], low[:, keep])
+    low[..., -1] = 1.0
+    # a column no arm has mass at repeats the column before it in every row, and so do the zero columns left of
+    # the grid; a > b is a - b > 0 for finite doubles
+    keep = np.zeros(values.shape, dtype=bool)
+    np.logical_or.reduce(low[..., 1:] > low[..., :-1], axis=1, out=keep[:, 1:])
+    return [CdfMatrix(v[k], F[:, k]) for v, F, k in zip(values, low, keep)]
 
 
 def bin_index(x: float, s: int) -> int:

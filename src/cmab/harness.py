@@ -83,25 +83,78 @@ def _oracle_handle(kind: str, family: FeasibleFamily, spec: RewardSpec, epsilon:
 
 @dataclass
 class PolicyFactory:
-    """Builds a fresh policy instance per run; picklable for parallel runs."""
+    """Builds one fresh policy per batch of runs, from the batch's policy generators; picklable for parallel runs.
+
+    ``factory(family, spec, T, rngs)`` returns a policy stepping ``len(rngs)`` runs, run r drawing from
+    ``rngs[r]``: it has ``select_batch(t)`` and ``observe_batch(t, arms, outcomes)``.
+    """
 
     policy: str
     oracle: str = "exhaustive"
     epsilon: float = 0.25
 
-    def __call__(self, family: FeasibleFamily, spec: RewardSpec, T: int, rng: np.random.Generator):
+    def __call__(self, family: FeasibleFamily, spec: RewardSpec, T: int, rngs: Sequence[np.random.Generator]):
         if self.policy == "osm":
-            return Osm(family, T, rng)
+            return Osm(family, T, *rngs)
         oracle = _oracle_handle(self.oracle, family, spec, self.epsilon)
+        runs = len(rngs)
         if self.policy == "sdcb":
-            return Sdcb(family, spec, oracle)
+            return Sdcb(family, spec, oracle, runs=runs)
         if self.policy == "lazy-sdcb":
-            return lazy_sdcb_known_T(family, spec, oracle, T)
+            return lazy_sdcb_known_T(family, spec, oracle, T, runs=runs)
         if self.policy == "lazy-sdcb-doubling":
-            return LazySdcbDoubling(family, spec, oracle)
+            return LazySdcbDoubling(family, spec, oracle, runs=runs)
         if self.policy == "cucb":
-            return Cucb(family, spec, oracle)
+            return Cucb(family, spec, oracle, runs=runs)
         raise ValueError(f"unknown policy {self.policy!r}")
+
+
+def _run_batch(env: Environment, policy_factory, T: int, seeds: Sequence[int], alpha: float = 1.0) -> list[RegretTrace]:
+    """One deterministic run per seed, stepped in lockstep: select, sample outcomes, observe, account.
+
+    One policy holds every run's state and plays all runs each round.
+    Outcomes are i.i.d. draws from the environment's arms restricted to
+    a run's played super arm; arm i's j-th pull in a run is ``sample`` of
+    the j-th uniform of that run's own substream, drawn a block at a time,
+    so each trace is a pure function of its seed.  Each run's
+    ``runtime_s`` is the batch's wall time over its size.
+    """
+    check_count(T, "horizon T")
+    t0 = time.perf_counter()
+    draws = [[_draws(arm, substream(seed, ARM_STREAM, i)) for i, arm in enumerate(env.arms)] for seed in seeds]
+    policy = policy_factory(env.family, env.spec, T, [substream(seed, POLICY_STREAM, 0) for seed in seeds])
+    family = env.family
+    rounds = []  # each round's super arms, one per run
+    for t in range(1, T + 1):
+        arms = policy.select_batch(t)
+        outcomes = []
+        for S, run_draws in zip(arms, draws):
+            if not family.is_feasible(S):
+                raise RuntimeError(f"policy played infeasible super arm {S!r} in round {t}")
+            outcomes.append({i: next(run_draws[i]) for i in S.members})
+        policy.observe_batch(t, arms, outcomes)
+        rounds.append(arms)
+    played = [[S.members for S in run] for run in zip(*rounds)]
+    rewards = np.array([[env.score(S) for S in run] for run in zip(*rounds)])
+    cum_regret = np.cumsum(alpha * env.optimal_value - rewards, axis=1)
+    runtime_s = (time.perf_counter() - t0) / len(seeds)
+    name = getattr(policy_factory, "policy", type(policy).__name__)
+    return [
+        RegretTrace(
+            rewards[r],
+            cum_regret[r],
+            played[r],
+            {
+                "policy": name,
+                "oracle": getattr(policy_factory, "oracle", ""),
+                "alpha": alpha,
+                "seed": seed,
+                "T": T,
+                "runtime_s": runtime_s,
+            },
+        )
+        for r, seed in enumerate(seeds)
+    ]
 
 
 def run_one(
@@ -111,37 +164,8 @@ def run_one(
     seed: int,
     alpha: float = 1.0,
 ) -> RegretTrace:
-    """One deterministic run: select, sample outcomes, observe, account.
-
-    Outcomes are i.i.d. draws from the environment's arms restricted to
-    the played super arm; arm i's j-th pull is ``sample`` of the j-th
-    uniform of its own substream, drawn a block at a time, so the trace is
-    a pure function of ``seed``.
-    """
-    check_count(T, "horizon T")
-    t0 = time.perf_counter()
-    draws = [_draws(arm, substream(seed, ARM_STREAM, i)) for i, arm in enumerate(env.arms)]
-    policy = policy_factory(env.family, env.spec, T, substream(seed, POLICY_STREAM, 0))
-    rewards = np.empty(T)
-    played: list[tuple[int, ...]] = []
-    for t in range(1, T + 1):
-        S = policy.select(t)
-        if not env.family.is_feasible(S):
-            raise RuntimeError(f"policy played infeasible super arm {S!r} in round {t}")
-        outcomes = {i: next(draws[i]) for i in S.members}
-        policy.observe(t, S, outcomes)
-        rewards[t - 1] = env.score(S)
-        played.append(S.members)
-    cum_regret = np.cumsum(alpha * env.optimal_value - rewards)
-    meta = {
-        "policy": getattr(policy_factory, "policy", type(policy).__name__),
-        "oracle": getattr(policy_factory, "oracle", ""),
-        "alpha": alpha,
-        "seed": seed,
-        "T": T,
-        "runtime_s": time.perf_counter() - t0,
-    }
-    return RegretTrace(rewards, cum_regret, played, meta)
+    """One deterministic run: the lockstep batch of one seed."""
+    return _run_batch(env, policy_factory, T, [seed], alpha)[0]
 
 
 def run_many(
@@ -155,23 +179,26 @@ def run_many(
 ) -> tuple[RegretTrace, list[RegretTrace]]:
     """Averaged trace over ``runs`` independent runs plus the per-run traces.
 
-    Run r uses seed ``seed_base + r``; with ``n_jobs > 1`` the runs are
-    spread over that many worker processes (at most one per run), and the
-    results are identical to a serial execution.
+    Run r uses seed ``seed_base + r``.  The runs are split into
+    ``min(n_jobs, runs)`` contiguous chunks, each stepped in lockstep as
+    one batch; with ``n_jobs > 1`` each chunk runs in its own worker
+    process.  Every run's trace is the one ``run_one`` gives for its seed,
+    whatever the chunking.
     """
-    check_count(T, "horizon T")  # before any worker starts; run_one checks it again
+    check_count(T, "horizon T")  # before any worker starts; each batch checks it again
     check_count(runs, "runs")
     check_count(n_jobs, "n_jobs")
     seeds = [run_seed(seed_base, r) for r in range(runs)]  # checks the seed before any worker starts
-    worker = partial(run_one, env, policy_factory, T, alpha=alpha)
+    batch = partial(_run_batch, env, policy_factory, T, alpha=alpha)
     workers = min(n_jobs, runs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        chunks = [seeds[w * runs // workers : (w + 1) * runs // workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(worker, seeds))
+            traces = [trace for chunk in pool.map(batch, chunks) for trace in chunk]
     else:
-        traces = [worker(s) for s in seeds]
+        traces = batch(seeds)
     for r, trace in enumerate(traces):
         trace.metadata["run"] = r
     avg = RegretTrace(

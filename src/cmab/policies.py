@@ -1,23 +1,28 @@
-"""Online learning policies over combinatorial arm sets.
+"""Online learning policies over combinatorial arm sets, stepping a batch of runs in lockstep.
 
-Every policy keeps one round contract, owned by a private base class:
-``select(t)`` opens round t (rounds are 1-based and advance by exactly
-one) and returns the super arm to play, and ``observe(t, S, outcomes)``
-checks the outcome of every member of S (semi-bandit feedback, as a
-mapping arm -> value in [0, 1]) and then closes the round.  Rounds must
-alternate select/observe.  An ``observe`` that rejects its outcomes
-changes nothing, so a corrected retry of the same round is accepted.
-A policy itself implements only ``_select(t)`` and ``_observe(outcomes)``.
+A policy plays R independent runs at once (R = 1 by default): its state
+is held in arrays with a leading run axis, and every round is one call
+for all runs.  Every policy keeps one round contract, owned by a private
+base class: ``select_batch(t)`` opens round t for every run (rounds are
+1-based and advance by exactly one) and returns each run's super arm,
+and ``observe_batch(t, arms, outcomes)`` checks every run's outcomes
+(semi-bandit feedback: one mapping arm -> value in [0, 1] per run,
+covering exactly the members of that run's super arm) and only then
+closes the round.  Rounds must alternate select/observe.  An observe
+that rejects any run's outcomes changes no run, so a corrected retry of
+the same round is accepted.  ``select(t)`` and ``observe(t, S,
+outcomes)`` are the same calls for a one-run policy.  A policy itself
+implements only ``_select(t)`` and ``_observe(outcomes)``.
 
 Policies never see the true distributions or exact expected rewards;
 their only inputs are the feasible family, the reward spec, an offline
-oracle, and their own observations.  The oracle is called with m arm
-laws: a list or a :class:`CdfMatrix`; SDCB and CUCB both pass a
-:class:`CdfMatrix`.  Lazy SDCB is SDCB on binned outcomes; its
+oracle, and their own observations.  The oracle is called once per run
+with m arm laws: a list or a :class:`CdfMatrix`; SDCB and CUCB both pass
+a :class:`CdfMatrix`.  Lazy SDCB is SDCB on binned outcomes; its
 horizon-free variant is an ``Sdcb`` that restarts its own counts on
 doubling epochs.  OSM, the adversarial baseline, uses no oracle: its
-K Exp3 instances are the rows of one weight matrix, drawn from with the
-policy's own generator.
+K Exp3 instances per run are the rows of one weight matrix, drawn from
+with the run's own generator.
 """
 
 from __future__ import annotations
@@ -35,12 +40,15 @@ from .rewards import RewardSpec, SuperArm
 
 
 class _Policy:
-    """The round contract; a subclass implements ``_select(t)`` and ``_observe(outcomes)``."""
+    """The round contract over ``runs`` runs; a subclass implements ``_select(t)`` and ``_observe(outcomes)``."""
 
     _round = 0  # the last round selected
     _open = False  # whether that round still awaits its observe
 
-    def select(self, t: int) -> SuperArm:
+    def __init__(self, runs: int):
+        self.runs = check_count(runs, "runs")
+
+    def select_batch(self, t: int) -> list[SuperArm]:
         if self._open:
             raise ValueError("observe() for the previous round is missing")
         if t != self._round + 1:
@@ -48,73 +56,122 @@ class _Policy:
         self._round, self._open = t, True
         return self._select(t)
 
-    def observe(self, t: int, S: SuperArm, outcomes) -> None:
-        if set(outcomes) != set(S.members):
-            raise ValueError("outcomes must cover exactly the members of the played super arm")
-        for arm, x in outcomes.items():
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"outcome {x!r} for arm {arm} outside [0, 1]")
+    def observe_batch(self, t: int, arms, outcomes) -> None:
+        if len(arms) != self.runs or len(outcomes) != self.runs:
+            raise ValueError(f"expected {self.runs} super arms and outcome maps, got {len(arms)} and {len(outcomes)}")
+        for S, run_outcomes in zip(arms, outcomes):
+            if run_outcomes.keys() != set(S.members):
+                raise ValueError("outcomes must cover exactly the members of the played super arm")
+            for arm, x in run_outcomes.items():
+                if not 0.0 <= x <= 1.0:
+                    raise ValueError(f"outcome {x!r} for arm {arm} outside [0, 1]")
         if not self._open or t != self._round:
             raise ValueError(f"observe({t}) does not follow select({t})")
         self._open = False
         self._observe(outcomes)
 
+    def _one_run(self) -> None:
+        if self.runs != 1:
+            raise ValueError(f"a one-run call on a policy that steps {self.runs} runs")
+
+    def select(self, t: int) -> SuperArm:
+        """``select_batch`` of a one-run policy: its one super arm."""
+        self._one_run()
+        return self.select_batch(t)[0]
+
+    def observe(self, t: int, S: SuperArm, outcomes) -> None:
+        """``observe_batch`` of a one-run policy, on its one super arm and outcome map."""
+        self._one_run()
+        self.observe_batch(t, (S,), (outcomes,))
+
 
 class Sdcb(_Policy):
     """Stochastically dominant confidence bound policy.
 
-    Keeps one cumulative count matrix: ``cum[i, k]`` is how often arm i
-    returned a value at or below ``values[k]``, over the sorted grid of
-    every value observed so far plus 1; ``counts`` reads the per-value
-    counts off it.  The first m rounds initialize: round i plays the
-    lexicographically smallest feasible super arm containing arm i - 1.
-    Afterwards every arm's empirical CDF ``cum[i] / cum[i, -1]`` is shifted
-    down by the confidence radius sqrt(3 ln t / 2 T_i) (mass relocated to
-    1), and the offline oracle is asked for the best super arm under that
-    optimistic product law, built by :func:`dominant_cdfs`'s kernel.
+    Keeps one cumulative count array: ``cum[r, i, k]`` is how often arm i
+    of run r returned a value at or below that run's k-th grid value.  A
+    run's grid is the sorted list of every value it observed so far plus
+    1; the grids are right-aligned in ``cum`` and in ``grid_values``,
+    with at least one column of zero counts left of the longest, so a
+    run's cumulative counts start from 0 at the column before its grid.
+    The first m rounds initialize: round i plays the lexicographically
+    smallest feasible super arm containing arm i - 1.  Afterwards every
+    arm's empirical CDF ``cum[r, i] / cum[r, i, -1]`` is shifted down by
+    the confidence radius sqrt(3 ln t / 2 T_i) (mass relocated to 1), and
+    the offline oracle is asked, once per run, for the best super arm
+    under that optimistic product law, built by :func:`dominant_cdfs`'s
+    kernel.  ``values``, ``counts`` and ``pull_counts`` read a one-run
+    policy's grid, per-value counts and pulls.
 
     With ``outcome_bins=s`` every observation is snapped to the right
     endpoint of its interval under the s-fold split of [0, 1] before
-    storage, which keeps the grid at s points or fewer.
+    storage, which keeps each grid at s points or fewer.
     """
 
-    def __init__(self, family: FeasibleFamily, spec: RewardSpec, oracle, outcome_bins: int | None = None):
+    def __init__(
+        self, family: FeasibleFamily, spec: RewardSpec, oracle, outcome_bins: int | None = None, runs: int = 1
+    ):
+        super().__init__(runs)
         self.family = family
         self.spec = spec
         self.oracle = oracle
         self._restart(outcome_bins)
 
     def _restart(self, outcome_bins: int | None) -> None:
-        """Forget every observation; later ones are binned into ``outcome_bins`` intervals."""
+        """Forget every run's observations; later ones are binned into ``outcome_bins`` intervals."""
         self.outcome_bins = outcome_bins
-        self._grid = [1.0]  # ``values`` as a list, bisected per outcome
-        self.values = np.array(self._grid)
-        self.cum = np.zeros((self.family.m, 1), dtype=np.int64)
+        R = self.runs
+        self._grids = [[1.0] for _ in range(R)]  # each run's grid as a list, bisected per outcome
+        self.grid_values = np.ones((R, 2))  # column 0 is padding
+        self.cum = np.zeros((R, self.family.m, 2), dtype=np.int64)
 
-    def _select(self, t: int) -> SuperArm:
+    def _select(self, t: int) -> list[SuperArm]:
         if t <= self.family.m:
-            return self.family.smallest_containing(t - 1)
-        n = self.cum[:, -1]  # every arm was observed in its initialization round
-        return self.oracle(_optimistic(self.values, self.cum, n, confidence_radius(t, n)))
+            return [self.family.smallest_containing(t - 1)] * self.runs
+        n = self.cum[..., -1]  # every arm was observed in its initialization round
+        return list(map(self.oracle, _optimistic(self.grid_values, self.cum, n, confidence_radius(t, n))))
 
     def _observe(self, outcomes) -> None:
-        s, grid = self.outcome_bins, self._grid
-        for arm, x in outcomes.items():
-            v = float(x) if s is None else bin_value(x, s)
-            k = bisect_left(grid, v)
-            if grid[k] != v:  # a new value: rare once the grid has filled
-                grid.insert(k, v)
-                self.values = np.array(grid)
-                self.cum = np.insert(self.cum, k, self.cum[:, k - 1] if k else 0, axis=1)
-            self.cum[arm, k:] += 1
+        s = self.outcome_bins
+        for r, run_outcomes in enumerate(outcomes):
+            grid, cum = self._grids[r], self.cum[r]
+            for arm, x in run_outcomes.items():
+                v = float(x) if s is None else bin_value(x, s)
+                k = bisect_left(grid, v)
+                if grid[k] != v:  # a new value: rare once the grid has filled
+                    self._insert(r, k, v)
+                    cum = self.cum[r]
+                cum[arm, k - len(grid) :] += 1
+
+    def _insert(self, r: int, k: int, v: float) -> None:
+        """Insert ``v`` at index k of run r's grid, with the cumulative counts of its left neighbour."""
+        grid = self._grids[r]
+        grid.insert(k, v)
+        cum, vals = self.cum, self.grid_values
+        if len(grid) == cum.shape[-1]:  # run r reached the padding column: every run gets one more
+            self.cum = cum = np.concatenate((np.zeros_like(cum[..., :1]), cum), axis=-1)
+            self.grid_values = vals = np.concatenate((vals[:, :1], vals), axis=1)
+        # the grid's first k columns move one left; its old column k - 1 (or the zeros left of the grid) stays
+        # behind as the new value's, which holds the counts at or below its left neighbour
+        start = cum.shape[-1] - len(grid)
+        cum[r, :, start : start + k] = cum[r, :, start + 1 : start + k + 1]
+        vals[r, start : start + k] = vals[r, start + 1 : start + k + 1]
+        vals[r, start + k] = v
+
+    @property
+    def values(self) -> np.ndarray:
+        self._one_run()
+        return self.grid_values[0, -len(self._grids[0]) :].copy()
 
     @property
     def counts(self) -> np.ndarray:
-        return np.diff(self.cum, prepend=0)
+        self._one_run()
+        return np.diff(self.cum[0, :, -len(self._grids[0]) - 1 :])
 
     @property
     def pull_counts(self):
-        return self.cum[:, -1].tolist()
+        self._one_run()
+        return self.cum[0, :, -1].tolist()
 
 
 def _ceil_sqrt(T: int) -> int:
@@ -122,9 +179,9 @@ def _ceil_sqrt(T: int) -> int:
     return math.isqrt(T - 1) + 1
 
 
-def lazy_sdcb_known_T(family: FeasibleFamily, spec: RewardSpec, oracle, T: int) -> Sdcb:
+def lazy_sdcb_known_T(family: FeasibleFamily, spec: RewardSpec, oracle, T: int, runs: int = 1) -> Sdcb:
     """SDCB over outcomes binned to the grid {1/s, ..., 1}, s = ceil(sqrt(T))."""
-    return Sdcb(family, spec, oracle, outcome_bins=_ceil_sqrt(check_count(T, "horizon T")))
+    return Sdcb(family, spec, oracle, outcome_bins=_ceil_sqrt(check_count(T, "horizon T")), runs=runs)
 
 
 class LazySdcbDoubling(Sdcb):
@@ -136,14 +193,15 @@ class LazySdcbDoubling(Sdcb):
     from empty counts binned for its horizon, replays the initialization
     rounds, and runs on epoch-local round indices, which also set its
     confidence radius; ``pull_counts`` covers the current epoch only.
+    The epochs depend on t alone, so every run of a batch restarts at once.
     """
 
-    def __init__(self, family: FeasibleFamily, spec: RewardSpec, oracle):
+    def __init__(self, family: FeasibleFamily, spec: RewardSpec, oracle, runs: int = 1):
         end = 2 ** (family.m - 1).bit_length()
-        super().__init__(family, spec, oracle, outcome_bins=_ceil_sqrt(end))
+        super().__init__(family, spec, oracle, outcome_bins=_ceil_sqrt(end), runs=runs)
         self.epoch = (1, end)
 
-    def _select(self, t: int) -> SuperArm:
+    def _select(self, t: int) -> list[SuperArm]:
         start, end = self.epoch
         if t > end:  # the next epoch doubles the covered range, binned for horizon `end`
             self._restart(_ceil_sqrt(end))
@@ -154,66 +212,83 @@ class LazySdcbDoubling(Sdcb):
 class Cucb(_Policy):
     """Mean-based UCB baseline.
 
-    Tracks per-arm running means; after initialization it clamps
-    mu_hat + sqrt(3 ln t / 2 T_i) at 1 and feeds point masses at those
-    upper bounds, as a CDF matrix, to the same distribution oracle the
-    other policies use.
+    Tracks per-arm running means, one row of ``sums`` and ``counts`` per
+    run; after initialization it clamps mu_hat + sqrt(3 ln t / 2 T_i) at 1
+    and feeds point masses at those upper bounds, as a CDF matrix, to the
+    same distribution oracle the other policies use.
     For max-type rewards this is a deliberate mis-specification (the mean
     carries no tail information), which is exactly the ablation it
     exists to demonstrate.
     """
 
-    def __init__(self, family: FeasibleFamily, spec: RewardSpec, oracle):
+    def __init__(self, family: FeasibleFamily, spec: RewardSpec, oracle, runs: int = 1):
+        super().__init__(runs)
         self.family = family
         self.spec = spec
         self.oracle = oracle
-        self.sums = np.zeros(family.m)
-        self.counts = np.zeros(family.m, dtype=int)
+        self.sums = np.zeros((runs, family.m))
+        self.counts = np.zeros((runs, family.m), dtype=int)
 
-    def _select(self, t: int) -> SuperArm:
+    def _select(self, t: int) -> list[SuperArm]:
         if t <= self.family.m:
-            return self.family.smallest_containing(t - 1)
+            return [self.family.smallest_containing(t - 1)] * self.runs
         mu = self.sums / self.counts
         ucb = np.minimum(mu + confidence_radius(t, self.counts), 1.0)
-        values = np.unique(ucb)
-        # the point mass at u has CDF 1 from u on
-        return self.oracle(CdfMatrix(values, (ucb[:, None] <= values).astype(float)))
+        arms = []
+        for u in ucb:
+            values = np.unique(u)
+            # the point mass at u has CDF 1 from u on
+            arms.append(self.oracle(CdfMatrix(values, (u[:, None] <= values).astype(float))))
+        return arms
 
     def _observe(self, outcomes) -> None:
-        for arm, x in outcomes.items():
-            self.sums[arm] += x
-            self.counts[arm] += 1
+        sums, counts = self.sums, self.counts
+        for r, run_outcomes in enumerate(outcomes):
+            for arm, x in run_outcomes.items():
+                sums[r, arm] += x
+                counts[r, arm] += 1
 
     @property
     def pull_counts(self):
-        return self.counts.tolist()
+        self._one_run()
+        return self.counts[0].tolist()
+
+
+def _uniform_block(rngs, K: int) -> np.ndarray:
+    """The next ``_DRAW_BLOCK`` rounds' uniforms, ``(B, R K, 1)``: every run's ``random((B, K, 1))`` block, side by side.
+
+    The B rows of a run's block are that run's next B ``random(K)`` calls.
+    """
+    return np.concatenate([rng.random((_DRAW_BLOCK, K, 1)) for rng in rngs], axis=1)
 
 
 class Osm(_Policy):
     """Online greedy submodular maximization on adversarial-bandit instances.
 
-    Runs K Exp3 instances, one row each of the ``(K, m)`` weight matrix
-    ``weights``, with the exploration rate ``gamma`` =
-    min{1, sqrt(m ln m / ((e - 1) T))}.  Each round draws one arm from
-    every instance (duplicates allowed) and plays the union.  After
-    observing outcomes, instance i receives the marginal gain of its draw
-    in draw order: f(first i draws) - f(first i-1 draws), where f of a set
-    is the maximum observed outcome in it, and raises that draw's weight
-    by exp(gamma * gain / (p m)).
+    Runs K Exp3 instances per run, one row each of the ``(R K, m)``
+    weight matrix ``weights`` (run r's are rows r K .. r K + K - 1), with
+    the exploration rate ``gamma`` = min{1, sqrt(m ln m / ((e - 1) T))}.
+    Each round draws one arm from every instance (duplicates allowed) and
+    plays each run's union.  After observing outcomes, instance i of a run
+    receives the marginal gain of its draw in draw order: f(first i draws)
+    - f(first i-1 draws), where f of a set is the maximum observed outcome
+    in it, and raises that draw's weight by exp(gamma * gain / (p m)).
+    Run r draws with ``rngs[r]``: ``Osm(family, T, rng)`` is one run, with
+    the ``(K, m)`` matrix of one run.
     """
 
-    def __init__(self, family: FeasibleFamily, T: int, rng: np.random.Generator):
+    def __init__(self, family: FeasibleFamily, T: int, *rngs: np.random.Generator):
+        super().__init__(len(rngs))
         if family.kind != "cardinality":
             raise ValueError("this policy needs a cardinality constraint family")
         check_count(T, "horizon T")
         m = family.m
         self.family = family
-        self.rng = rng
         self.gamma = 1.0 if m <= 1 else min(1.0, math.sqrt(m * math.log(m) / ((math.e - 1.0) * T)))
-        self.weights = np.ones((family.K, m))
-        self.last_draws: tuple[int, ...] = ()
-        # each round's K uniforms as a (K, 1) column: the B rows of a random((B, K)) block are B random(K) calls
-        self._uniforms = itertools.chain.from_iterable(map(rng.random, itertools.repeat((_DRAW_BLOCK, family.K, 1))))
+        self.weights = np.ones((len(rngs) * family.K, m))
+        self.last_draws: list[list[int]] = []
+        # each round's (R K, 1) uniforms, a row of one block
+        self._uniforms = itertools.chain.from_iterable(map(_uniform_block, itertools.repeat(rngs), itertools.repeat(family.K)))
 
     def probs(self) -> np.ndarray:
         """Each instance's exploration-mixed draw probabilities, one row per instance."""
@@ -223,22 +298,25 @@ class Osm(_Policy):
         P += self.gamma / W.shape[1]
         return P
 
-    def _select(self, t: int) -> SuperArm:
+    def _select(self, t: int) -> list[SuperArm]:
         self._probs = P = self.probs()
         # rng.choice(m, p=P[i]) per row: the same cumsum, division and
-        # right-side search, on uniforms equal to K single draws
+        # right-side search, on uniforms equal to K single draws per run
         C = np.cumsum(P, 1)
         C /= C[:, -1:]
-        self.last_draws = tuple((C <= next(self._uniforms)).sum(1).tolist())
-        return SuperArm(self.last_draws)
+        self.last_draws = (C <= next(self._uniforms)).sum(1).reshape(self.runs, -1).tolist()  # each run's K draws
+        return list(map(SuperArm, self.last_draws))
 
     def _observe(self, outcomes) -> None:
         W, P, gamma = self.weights, self._probs, self.gamma
         m = W.shape[1]
-        running = 0.0
-        for i, arm in enumerate(self.last_draws):
-            gain = max(running, outcomes[arm]) - running
-            W[i, arm] *= math.exp(gamma * (gain / P[i, arm]) / m)
-            running += gain
+        row = 0
+        for draws, run_outcomes in zip(self.last_draws, outcomes):
+            running = 0.0
+            for arm in draws:
+                gain = max(running, run_outcomes[arm]) - running
+                W[row, arm] *= math.exp(gamma * (gain / P[row, arm]) / m)
+                running += gain
+                row += 1
         W /= W.max(1, keepdims=True)  # rescaling leaves probabilities unchanged
         np.maximum(W, 1e-300, out=W)  # keep strictly positive

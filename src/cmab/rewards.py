@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import CdfMatrix, Distribution, FiniteDistribution, PiecewiseDensity
+from .distributions import CdfMatrix, Distribution, FiniteDistribution, PiecewiseDensity, _sorted_unique
 from .errors import GuardExceeded
 
 KMAX = "kmax"
@@ -211,7 +211,7 @@ class _Quadrature:
 
     def __init__(self, dists):
         pts = [d.breakpoints if isinstance(d, PiecewiseDensity) else d.support for d in dists]
-        edges = np.unique(np.concatenate([[0.0, 1.0], *pts]))
+        edges = _sorted_unique(np.concatenate([[0.0, 1.0], *pts]))
         half = (edges[1:] - edges[:-1]) / 2.0
         keep = half > 1e-15
         mid, half = ((edges[:-1] + edges[1:]) / 2.0)[keep, None], half[keep, None]

@@ -862,6 +862,21 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "dist4" in proc.stdout
 
+    def test_cold_start_leaves_out_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call; the CLI and the four built-in environments do without it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import sys, cmab.cli\n"
+            "from cmab.harness import builtin_env\n"
+            "for name in ('dist1', 'dist2', 'dist3', 'dist4'):\n"
+            "    builtin_env(name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_console_script(self):
         proc = subprocess.run(["cmab", "envs"], capture_output=True, text=True)
         assert proc.returncode == 0

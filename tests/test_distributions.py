@@ -18,6 +18,7 @@ from cmab.distributions import (
     confidence_radius,
     discretize_interval,
     _checked_laws,
+    _sorted_unique,
     dominant_cdfs,
     make_finite,
     sample,
@@ -302,6 +303,12 @@ class TestDominantCdf:
             with pytest.raises(ValueError):
                 dominant_cdfs(values, counts, 5, radius=radius)
 
+    def test_rejects_negative_or_nan_radius(self):
+        values, counts = count_matrix([[0.2, 1.0], [0.5]])
+        for radius in (-0.1, math.nan, [0.1, -0.1]):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
+                dominant_cdfs(values, counts, 5, radius=radius)
+
     def test_rejects_grid_without_one_or_misshapen_counts(self):
         with pytest.raises(ValueError):
             dominant_cdfs(np.array([0.2, 0.5]), np.array([[1, 1]]), 5)
@@ -344,6 +351,15 @@ class TestDominantCdf:
 
 
 class TestCdfMatrix:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_sorted_unique_is_np_unique(self, seed, near_duplicates):
+        # the deduplication behind CdfMatrix.of and the quadrature edges keeps np.unique's values bit for bit
+        rng = np.random.default_rng(seed)
+        x = rng.choice(value_pool(rng, near_duplicates), size=int(rng.integers(1, 40)))
+        got, want = _sorted_unique(x), np.unique(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 10**6), st.sampled_from(["t", "scalar", "per-arm"]), st.booleans())
     def test_invariants(self, seed, t, radius_kind, near_duplicates):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cmab.distributions import _DRAW_BLOCK, CdfMatrix, make_finite, sample
+from cmab.distributions import _DRAW_BLOCK, CdfMatrix, PiecewiseDensity, make_finite, sample
 from cmab.harness import (
     Environment,
     PolicyFactory,
@@ -20,6 +20,7 @@ from cmab.oracles import FeasibleFamily, exhaustive_oracle
 from cmab.policies import Osm, lazy_sdcb_known_T
 from cmab.rewards import SuperArm, _Quadrature, expected_reward, kmax_spec
 from cmab.rng import ARM_STREAM, substream
+from util import reference_run_one
 
 EXACT = 1e-12
 
@@ -34,20 +35,22 @@ def tiny_env():
 
 
 class FixedChoice:
-    """Factory that always plays one super arm; stands in for a learner."""
+    """Factory that always plays one super arm in every run; stands in for a learner.  ``outcomes`` holds the
+    first run's outcome maps."""
 
     def __init__(self, members):
         self.members = tuple(members)
         self.outcomes = []
 
-    def __call__(self, family, spec, T, rng):
+    def __call__(self, family, spec, T, rngs):
+        self.runs = len(rngs)
         return self
 
-    def select(self, t):
-        return SuperArm(self.members)
+    def select_batch(self, t):
+        return [SuperArm(self.members)] * self.runs
 
-    def observe(self, t, S, outcomes):
-        self.outcomes.append(outcomes)
+    def observe_batch(self, t, arms, outcomes):
+        self.outcomes.append(outcomes[0])
 
 
 class TestEnvironment:
@@ -175,13 +178,30 @@ class TestRunMany:
         assert np.array_equal(avg.cum_regret, stack)
 
     def test_parallel_matches_serial(self):
+        # even chunks, uneven chunks (5 runs over 2 workers) and more jobs than runs all give the serial bytes
         env = tiny_env()
-        serial, s_traces = run_many(env, PolicyFactory("sdcb"), T=30, runs=4, seed_base=5, n_jobs=1)
-        parallel, p_traces = run_many(env, PolicyFactory("sdcb"), T=30, runs=4, seed_base=5, n_jobs=2)
-        assert np.array_equal(serial.rewards, parallel.rewards)
-        assert np.array_equal(serial.cum_regret, parallel.cum_regret)
-        for a, b in zip(s_traces, p_traces):
-            assert a.super_arms == b.super_arms
+        for runs, n_jobs in ((4, 2), (5, 2), (2, 3)):
+            serial, s_traces = run_many(env, PolicyFactory("sdcb"), T=30, runs=runs, seed_base=5, n_jobs=1)
+            parallel, p_traces = run_many(env, PolicyFactory("sdcb"), T=30, runs=runs, seed_base=5, n_jobs=n_jobs)
+            assert serial.rewards.tobytes() == parallel.rewards.tobytes()
+            assert serial.cum_regret.tobytes() == parallel.cum_regret.tobytes()
+            assert len(p_traces) == runs
+            for r, (a, b) in enumerate(zip(s_traces, p_traces)):
+                assert a.super_arms == b.super_arms
+                assert a.rewards.tobytes() == b.rewards.tobytes()
+                assert a.cum_regret.tobytes() == b.cum_regret.tobytes()
+                assert b.metadata["run"] == r and b.metadata["seed"] == 5 + r
+
+    def test_runtime_is_shared_within_a_batch(self):
+        # a batch's wall time is split evenly over its runs: one batch when serial, one per contiguous chunk
+        env = tiny_env()
+        _, traces = run_many(env, PolicyFactory("sdcb"), T=20, runs=3, seed_base=0)
+        times = [tr.metadata["runtime_s"] for tr in traces]
+        assert times[0] > 0.0 and times == [times[0]] * 3
+        _, traces = run_many(env, PolicyFactory("sdcb"), T=20, runs=5, seed_base=0, n_jobs=2)
+        times = [tr.metadata["runtime_s"] for tr in traces]
+        assert times[0] > 0.0 and times[:2] == [times[0]] * 2
+        assert times[2] > 0.0 and times[2:] == [times[2]] * 3
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
@@ -190,6 +210,69 @@ class TestRunMany:
     def test_rejects_zero_jobs(self):
         with pytest.raises(ValueError):
             run_many(tiny_env(), PolicyFactory("sdcb"), T=5, runs=2, seed_base=0, n_jobs=0)
+
+
+
+def explicit_env():
+    """Five arms, finite and continuous, under an explicit family of pairs and one triple."""
+    arms = [
+        make_finite([0.0, 0.5, 1.0], [0.3, 0.3, 0.4]),
+        PiecewiseDensity([0.0, 0.5, 1.0], [0.6, 1.4]),
+        make_finite([0.2, 0.9], [0.5, 0.5]),
+        PiecewiseDensity([0.0, 1.0], [1.0]),
+        make_finite([0.1, 0.7, 1.0], [0.2, 0.5, 0.3]),
+    ]
+    family = FeasibleFamily.explicit([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [1, 3, 4]], 5)
+    return Environment(arms, family, kmax_spec(), name="explicit")
+
+
+# (environment, policy, oracle, T, runs): every policy with greedy, exhaustive and ptas (at a small T), on dist1-4
+# and an explicit family, at batch sizes 1, 2, 3, 5 and 20; T = 300 runs past one block of uniforms and through
+# five doubling epochs, and unbinned sdcb on dist4 gives every run a grid of its own
+LOCKSTEP_CASES = [
+    ("dist1", "sdcb", "greedy", 300, 20),
+    ("dist4", "sdcb", "greedy", 300, 3),
+    ("dist2", "sdcb", "exhaustive", 300, 2),
+    ("dist3", "sdcb", "ptas", 40, 5),
+    ("dist4", "lazy-sdcb", "greedy", 300, 5),
+    ("dist3", "lazy-sdcb", "exhaustive", 300, 1),
+    ("dist4", "lazy-sdcb", "ptas", 40, 2),
+    ("dist4", "lazy-sdcb-doubling", "greedy", 300, 2),
+    ("dist1", "lazy-sdcb-doubling", "exhaustive", 300, 3),
+    ("dist2", "lazy-sdcb-doubling", "ptas", 40, 1),
+    ("dist2", "cucb", "greedy", 300, 5),
+    ("dist4", "cucb", "exhaustive", 300, 2),
+    ("dist1", "cucb", "ptas", 40, 3),
+    ("dist1", "osm", "exhaustive", 300, 2),
+    ("dist2", "osm", "exhaustive", 300, 1),
+    ("dist3", "osm", "exhaustive", 300, 5),
+    ("dist4", "osm", "exhaustive", 300, 3),
+    ("explicit", "sdcb", "exhaustive", 300, 3),
+    ("explicit", "lazy-sdcb", "exhaustive", 300, 2),
+    ("explicit", "lazy-sdcb-doubling", "exhaustive", 300, 5),
+    ("explicit", "cucb", "exhaustive", 300, 1),
+]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("env_name, policy, oracle, T, runs", LOCKSTEP_CASES, ids=lambda v: str(v))
+    def test_runs_match_one_run_reference(self, env_name, policy, oracle, T, runs):
+        # every run of a lockstep batch plays, scores and accounts exactly as the one-run loop did for its seed
+        env = explicit_env() if env_name == "explicit" else builtin_env(env_name)
+        _, traces = run_many(env, PolicyFactory(policy, oracle), T, runs, seed_base=17)
+        assert len(traces) == runs
+        for r, trace in enumerate(traces):
+            played, rewards = reference_run_one(env, policy, oracle, T, 17 + r)
+            assert trace.super_arms == played
+            assert trace.rewards.tobytes() == rewards.tobytes()
+            assert trace.cum_regret.tobytes() == np.cumsum(env.optimal_value - rewards).tobytes()
+
+    def test_run_one_is_the_first_run_of_any_batch(self):
+        env = builtin_env("dist4")
+        _, traces = run_many(env, PolicyFactory("lazy-sdcb-doubling", "greedy"), 80, 3, seed_base=9)
+        solo = run_one(env, PolicyFactory("lazy-sdcb-doubling", "greedy"), 80, 9)
+        assert solo.super_arms == traces[0].super_arms
+        assert solo.rewards.tobytes() == traces[0].rewards.tobytes()
 
 
 # every entry point that takes a horizon or a count, given one bad value

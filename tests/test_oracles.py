@@ -583,7 +583,7 @@ class TestGreedyKmax:
         policy.counts[:] = n
         policy.sums[:] = np.array([0.9, 0.9 + 4e-10, 0.3, 0.1, 0.5, 0.3]) * n
         cdfs = policy.select(7)
-        ucb = np.minimum(policy.sums / policy.counts + confidence_radius(7, policy.counts), 1.0)
+        ucb = np.minimum(policy.sums[0] / policy.counts[0] + confidence_radius(7, policy.counts[0]), 1.0)
         assert 0.0 < ucb[1] - ucb[0] < VALUE_TOL
         points = [FiniteDistribution([u], [1.0]) for u in ucb]
         for K in (1, 2, 3):

@@ -113,6 +113,91 @@ class TestRoundContract:
             assert not same_state(arm_state(pol), before)
 
 
+BATCH_MAKERS = {
+    "sdcb": partial(Sdcb, runs=3),
+    "lazy-sdcb-doubling": partial(LazySdcbDoubling, runs=3),
+    "cucb": partial(Cucb, runs=3),
+    "osm": lambda fam, spec, oracle: Osm(fam, 100, *(substream(s, 1, 0) for s in range(3))),
+}
+
+
+def batch_state(pol):
+    """Copies of every array a batch policy learns into, over all its runs."""
+    if isinstance(pol, Sdcb):
+        return [pol.grid_values.copy(), pol.cum.copy()]
+    if isinstance(pol, Cucb):
+        return [pol.sums.copy(), pol.counts.copy()]
+    return [pol.weights.copy()]
+
+
+class TestBatchContract:
+    @pytest.mark.parametrize("make", BATCH_MAKERS.values(), ids=BATCH_MAKERS.keys())
+    def test_one_bad_outcome_changes_no_run(self, make):
+        # one run's bad outcome rejects the whole round before any run's state moves; a corrected retry is taken
+        fam, spec, oracle = cardinality_setup(2, 3)
+        pol = make(fam, spec, oracle)
+        values = [0.25, 0.5, 0.75]
+        for t in range(1, 6):
+            arms = pol.select_batch(t)
+            assert len(arms) == 3
+            good = [{i: values[(i + r) % 3] for i in S.members} for r, S in enumerate(arms)]
+            before = batch_state(pol)
+            for bad in (1.5, -0.1, math.nan):
+                outcomes = [dict(o) for o in good]
+                outcomes[2][arms[2].members[-1]] = bad
+                with pytest.raises(ValueError, match="outside"):
+                    pol.observe_batch(t, arms, outcomes)
+                assert same_state(batch_state(pol), before)
+            extra = [dict(o) for o in good]
+            extra[1][min(set(range(3)) - set(arms[1].members))] = 0.5
+            with pytest.raises(ValueError, match="members"):
+                pol.observe_batch(t, arms, extra)
+            with pytest.raises(ValueError, match="expected 3 super arms"):
+                pol.observe_batch(t, arms[:2], good[:2])
+            assert same_state(batch_state(pol), before)
+            pol.observe_batch(t, arms, good)
+            assert not same_state(batch_state(pol), before)
+
+    @pytest.mark.parametrize("make", BATCH_MAKERS.values(), ids=BATCH_MAKERS.keys())
+    def test_one_run_calls_need_one_run(self, make):
+        fam, spec, oracle = cardinality_setup(2, 3)
+        pol = make(fam, spec, oracle)
+        with pytest.raises(ValueError, match="steps 3 runs"):
+            pol.select(1)
+        arms = pol.select_batch(1)
+        with pytest.raises(ValueError, match="steps 3 runs"):
+            pol.observe(1, arms[0], {i: 0.5 for i in arms[0].members})
+
+    def test_runs_are_checked(self):
+        fam, spec, oracle = cardinality_setup(2, 3)
+        for runs in (0, 1.5, True):
+            with pytest.raises(ValueError, match="runs must be >= 1"):
+                Sdcb(fam, spec, oracle, runs=runs)
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            Osm(fam, 100)
+
+    def test_grids_stay_right_aligned(self):
+        # runs that see different values keep their own grids, right-aligned over one zero column or more
+        fam, spec, oracle = cardinality_setup(1, 2)
+        pol = Sdcb(fam, spec, oracle, runs=2)
+        seen = [[[], []], [[], []]]
+        rng = np.random.default_rng(5)
+        for t in range(1, 40):
+            arms = pol.select_batch(t)
+            outcomes = [{i: float(rng.choice(COARSE_GRID[: 40 * (r + 1)])) for i in S.members} for r, S in enumerate(arms)]
+            pol.observe_batch(t, arms, outcomes)
+            for r, run_outcomes in enumerate(outcomes):
+                for i, x in run_outcomes.items():
+                    seen[r][i].append(x)
+            for r in range(2):
+                values, counts = count_matrix(seen[r])
+                L = len(values)
+                assert np.array_equal(pol.grid_values[r, -L:], values)
+                assert not pol.cum[r, :, :-L].any()
+                assert np.array_equal(np.diff(pol.cum[r, :, -L - 1 :]), counts)
+        assert pol.cum.shape[-1] > len(count_matrix(seen[0])[0]) + 1  # run 0's grid is the shorter one
+
+
 class TestSdcb:
     def test_initialization_rounds_cover_arms(self):
         fam, spec, oracle = cardinality_setup(2, 4)
@@ -380,7 +465,7 @@ def play(pol, t, value):
     """One round of ``pol`` in which every played arm pays ``value``; returns the draws."""
     S = pol.select(t)
     pol.observe(t, S, {i: value for i in S.members})
-    return pol.last_draws
+    return pol.last_draws[0]
 
 
 class TestExp3:
@@ -481,7 +566,7 @@ class TestOsm:
         fam = FeasibleFamily.cardinality_at_most(2, 3)
         pol = Osm(fam, 100, substream(2, 1, 0))
         S = pol.select(1)
-        draws = pol.last_draws
+        (draws,) = pol.last_draws
         gamma = pol.gamma
         p_before = pol.probs()
         outcomes = {i: 0.2 + 0.3 * i for i in S.members}
@@ -503,8 +588,9 @@ class TestOsm:
         for t in range(1, 200):
             pol = Osm(fam, 100, rng)
             S = pol.select(1)
-            if len(set(pol.last_draws)) == 1:
-                arm = pol.last_draws[0]
+            (draws,) = pol.last_draws
+            if len(set(draws)) == 1:
+                arm = draws[0]
                 before = pol.weights[1].copy()
                 pol.observe(1, S, {arm: 0.7})
                 # the second instance saw gain max(0.7, 0.7) - 0.7 = 0
@@ -532,7 +618,7 @@ class TestOsm:
         for t in range(1, _DRAW_BLOCK + 45):
             S = pol.select(t)
             assert S == matrix_ref.select(t)
-            assert pol.last_draws == ref.select() == matrix_ref.last_draws
+            assert pol.last_draws == [list(ref.select())] == [list(matrix_ref.last_draws)]
             duplicates += len(S) < K
             outcomes = {i: levels[int(outcome_rng.integers(len(levels)))] for i in S.members}
             pol.observe(t, S, outcomes)
@@ -563,7 +649,7 @@ class TestRegretCertificate:
         T, seed = 3000, 7
         env = builtin_env(env_name)
         m, M = env.family.m, env.spec.bound_M
-        pol = PolicyFactory("sdcb", oracle)(env.family, env.spec, T, substream(seed, POLICY_STREAM, 0))
+        pol = PolicyFactory("sdcb", oracle)(env.family, env.spec, T, [substream(seed, POLICY_STREAM, 0)])
         arm_rngs = [substream(seed, ARM_STREAM, i) for i in range(m)]
         # the empirical and true CDFs are right-continuous steps: |F-hat - F| peaks at a jump of either
         jumps = np.unique(np.concatenate([arm.support for arm in env.arms] + [[0.0, 1.0]]))

@@ -10,22 +10,30 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_left
 
 import numpy as np
 
 from cmab.cli import _ConfigError
 from cmab.distributions import (
+    _DRAW_BLOCK,
     MASS_TOL,
     VALUE_TOL,
     CdfMatrix,
     FiniteDistribution,
     PiecewiseDensity,
+    _draws,
     bernoulli_decomposition,
+    bin_value,
+    confidence_radius,
     make_finite,
 )
+from cmab.errors import check_count
+from cmab.harness import _oracle_handle
 from cmab.oracles import ptas_grid, signature_cap
-from cmab.policies import Osm, lazy_sdcb_known_T
+from cmab.policies import lazy_sdcb_known_T
 from cmab.rewards import SuperArm, expected_reward
+from cmab.rng import ARM_STREAM, POLICY_STREAM, substream
 
 COARSE_GRID = np.round(np.linspace(0.0, 1.0, 201), 6)
 
@@ -459,34 +467,6 @@ class ReferenceOsm:
             running += gain
 
 
-class ReferenceMatrixOsm(Osm):
-    """``Osm`` as it was before its uniforms came in blocks: one ``rng.random(K)`` per round, and the probabilities
-    as one expression."""
-
-    def probs(self) -> np.ndarray:
-        W = self.weights
-        return (1.0 - self.gamma) * W / W.sum(1, keepdims=True) + self.gamma / W.shape[1]
-
-    def _select(self, t: int) -> SuperArm:
-        self._probs = P = self.probs()
-        C = np.cumsum(P, 1)
-        C /= C[:, -1:]
-        draws = (C <= self.rng.random(len(C))[:, None]).sum(1)
-        self.last_draws = tuple(draws.tolist())
-        return SuperArm(self.last_draws)
-
-    def _observe(self, outcomes) -> None:
-        W, P, gamma = self.weights, self._probs, self.gamma
-        m = W.shape[1]
-        running = 0.0
-        for i, arm in enumerate(self.last_draws):
-            gain = max(running, outcomes[arm]) - running
-            W[i, arm] *= math.exp(gamma * (gain / P[i, arm]) / m)
-            running += gain
-        W /= W.max(1, keepdims=True)
-        np.maximum(W, 1e-300, out=W)
-
-
 class ReferenceDoubling:
     """Horizon-free lazy SDCB as first written: a wrapper that builds a fresh known-horizon policy per epoch.
 
@@ -522,3 +502,222 @@ class ReferenceDoubling:
     @property
     def epoch(self) -> tuple[int, int]:
         return self.epoch_start, self.epoch_end
+
+
+# One-run policies and run loop, as they were before runs were stepped in lockstep: each policy holds one
+# run's state and ``reference_run_one`` plays one seed.  Lockstep batches are checked against them byte for byte.
+
+
+def one_run_optimistic(values: np.ndarray, cum: np.ndarray, n: np.ndarray, radius: np.ndarray) -> CdfMatrix:
+    low = cum / n[:, None]
+    low -= radius[:, None]
+    np.maximum(low, 0.0, out=low)
+    low[:, -1] = 1.0
+    # a column no arm has mass at repeats the column before it in every row; a > b is a - b > 0 for finite doubles
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = (low[:, 0] > 0.0).any()
+    keep[1:] = (low[:, 1:] > low[:, :-1]).any(0)
+    return CdfMatrix(values[keep], low[:, keep])
+
+
+class OneRunPolicy:
+    _round = 0  # the last round selected
+    _open = False  # whether that round still awaits its observe
+
+    def select(self, t: int) -> SuperArm:
+        if self._open:
+            raise ValueError("observe() for the previous round is missing")
+        if t != self._round + 1:
+            raise ValueError(f"expected round {self._round + 1}, got {t}")
+        self._round, self._open = t, True
+        return self._select(t)
+
+    def observe(self, t: int, S: SuperArm, outcomes) -> None:
+        if set(outcomes) != set(S.members):
+            raise ValueError("outcomes must cover exactly the members of the played super arm")
+        for arm, x in outcomes.items():
+            if not 0.0 <= x <= 1.0:
+                raise ValueError(f"outcome {x!r} for arm {arm} outside [0, 1]")
+        if not self._open or t != self._round:
+            raise ValueError(f"observe({t}) does not follow select({t})")
+        self._open = False
+        self._observe(outcomes)
+
+
+class OneRunSdcb(OneRunPolicy):
+    def __init__(self, family, spec, oracle, outcome_bins: int | None = None):
+        self.family = family
+        self.spec = spec
+        self.oracle = oracle
+        self._restart(outcome_bins)
+
+    def _restart(self, outcome_bins: int | None) -> None:
+        self.outcome_bins = outcome_bins
+        self._grid = [1.0]  # ``values`` as a list, bisected per outcome
+        self.values = np.array(self._grid)
+        self.cum = np.zeros((self.family.m, 1), dtype=np.int64)
+
+    def _select(self, t: int) -> SuperArm:
+        if t <= self.family.m:
+            return self.family.smallest_containing(t - 1)
+        n = self.cum[:, -1]  # every arm was observed in its initialization round
+        return self.oracle(one_run_optimistic(self.values, self.cum, n, confidence_radius(t, n)))
+
+    def _observe(self, outcomes) -> None:
+        s, grid = self.outcome_bins, self._grid
+        for arm, x in outcomes.items():
+            v = float(x) if s is None else bin_value(x, s)
+            k = bisect_left(grid, v)
+            if grid[k] != v:  # a new value: rare once the grid has filled
+                grid.insert(k, v)
+                self.values = np.array(grid)
+                self.cum = np.insert(self.cum, k, self.cum[:, k - 1] if k else 0, axis=1)
+            self.cum[arm, k:] += 1
+
+
+def _one_run_ceil_sqrt(T: int) -> int:
+    return math.isqrt(T - 1) + 1
+
+
+def one_run_lazy_sdcb_known_T(family, spec, oracle, T: int) -> OneRunSdcb:
+    return OneRunSdcb(family, spec, oracle, outcome_bins=_one_run_ceil_sqrt(check_count(T, "horizon T")))
+
+
+class OneRunLazySdcbDoubling(OneRunSdcb):
+    def __init__(self, family, spec, oracle):
+        end = 2 ** (family.m - 1).bit_length()
+        super().__init__(family, spec, oracle, outcome_bins=_one_run_ceil_sqrt(end))
+        self.epoch = (1, end)
+
+    def _select(self, t: int) -> SuperArm:
+        start, end = self.epoch
+        if t > end:  # the next epoch doubles the covered range, binned for horizon `end`
+            self._restart(_one_run_ceil_sqrt(end))
+            start, end = self.epoch = (end + 1, 2 * end)
+        return super()._select(t - start + 1)
+
+
+class OneRunCucb(OneRunPolicy):
+    def __init__(self, family, spec, oracle):
+        self.family = family
+        self.spec = spec
+        self.oracle = oracle
+        self.sums = np.zeros(family.m)
+        self.counts = np.zeros(family.m, dtype=int)
+
+    def _select(self, t: int) -> SuperArm:
+        if t <= self.family.m:
+            return self.family.smallest_containing(t - 1)
+        mu = self.sums / self.counts
+        ucb = np.minimum(mu + confidence_radius(t, self.counts), 1.0)
+        values = np.unique(ucb)
+        # the point mass at u has CDF 1 from u on
+        return self.oracle(CdfMatrix(values, (ucb[:, None] <= values).astype(float)))
+
+    def _observe(self, outcomes) -> None:
+        for arm, x in outcomes.items():
+            self.sums[arm] += x
+            self.counts[arm] += 1
+
+
+class OneRunOsm(OneRunPolicy):
+    def __init__(self, family, T: int, rng: np.random.Generator):
+        if family.kind != "cardinality":
+            raise ValueError("this policy needs a cardinality constraint family")
+        check_count(T, "horizon T")
+        m = family.m
+        self.family = family
+        self.rng = rng
+        self.gamma = 1.0 if m <= 1 else min(1.0, math.sqrt(m * math.log(m) / ((math.e - 1.0) * T)))
+        self.weights = np.ones((family.K, m))
+        self.last_draws: tuple[int, ...] = ()
+        # each round's K uniforms as a (K, 1) column: the B rows of a random((B, K)) block are B random(K) calls
+        self._uniforms = itertools.chain.from_iterable(map(rng.random, itertools.repeat((_DRAW_BLOCK, family.K, 1))))
+
+    def probs(self) -> np.ndarray:
+        W = self.weights
+        P = W * (1.0 - self.gamma)
+        P /= W.sum(1, keepdims=True)
+        P += self.gamma / W.shape[1]
+        return P
+
+    def _select(self, t: int) -> SuperArm:
+        self._probs = P = self.probs()
+        # rng.choice(m, p=P[i]) per row: the same cumsum, division and
+        # right-side search, on uniforms equal to K single draws
+        C = np.cumsum(P, 1)
+        C /= C[:, -1:]
+        self.last_draws = tuple((C <= next(self._uniforms)).sum(1).tolist())
+        return SuperArm(self.last_draws)
+
+    def _observe(self, outcomes) -> None:
+        W, P, gamma = self.weights, self._probs, self.gamma
+        m = W.shape[1]
+        running = 0.0
+        for i, arm in enumerate(self.last_draws):
+            gain = max(running, outcomes[arm]) - running
+            W[i, arm] *= math.exp(gamma * (gain / P[i, arm]) / m)
+            running += gain
+        W /= W.max(1, keepdims=True)  # rescaling leaves probabilities unchanged
+        np.maximum(W, 1e-300, out=W)  # keep strictly positive
+
+
+def one_run_policy(name: str, oracle: str, family, spec, T: int, rng: np.random.Generator):
+    """The one-run policy ``PolicyFactory(name, oracle)`` stood for, with the library's oracle handles."""
+    if name == "osm":
+        return OneRunOsm(family, T, rng)
+    handle = _oracle_handle(oracle, family, spec, 0.25)
+    if name == "sdcb":
+        return OneRunSdcb(family, spec, handle)
+    if name == "lazy-sdcb":
+        return one_run_lazy_sdcb_known_T(family, spec, handle, T)
+    if name == "lazy-sdcb-doubling":
+        return OneRunLazySdcbDoubling(family, spec, handle)
+    if name == "cucb":
+        return OneRunCucb(family, spec, handle)
+    raise ValueError(f"unknown policy {name!r}")
+
+
+def reference_run_one(env, name: str, oracle: str, T: int, seed: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """(super arms, rewards) of one run, played by the one-run loop."""
+    draws = [_draws(arm, substream(seed, ARM_STREAM, i)) for i, arm in enumerate(env.arms)]
+    policy = one_run_policy(name, oracle, env.family, env.spec, T, substream(seed, POLICY_STREAM, 0))
+    rewards = np.empty(T)
+    played: list[tuple[int, ...]] = []
+    for t in range(1, T + 1):
+        S = policy.select(t)
+        if not env.family.is_feasible(S):
+            raise RuntimeError(f"policy played infeasible super arm {S!r} in round {t}")
+        outcomes = {i: next(draws[i]) for i in S.members}
+        policy.observe(t, S, outcomes)
+        rewards[t - 1] = env.score(S)
+        played.append(S.members)
+    return played, rewards
+
+
+class ReferenceMatrixOsm(OneRunOsm):
+    """``Osm`` as it was before its uniforms came in blocks: one ``rng.random(K)`` per round, and the probabilities
+    as one expression."""
+
+    def probs(self) -> np.ndarray:
+        W = self.weights
+        return (1.0 - self.gamma) * W / W.sum(1, keepdims=True) + self.gamma / W.shape[1]
+
+    def _select(self, t: int) -> SuperArm:
+        self._probs = P = self.probs()
+        C = np.cumsum(P, 1)
+        C /= C[:, -1:]
+        draws = (C <= self.rng.random(len(C))[:, None]).sum(1)
+        self.last_draws = tuple(draws.tolist())
+        return SuperArm(self.last_draws)
+
+    def _observe(self, outcomes) -> None:
+        W, P, gamma = self.weights, self._probs, self.gamma
+        m = W.shape[1]
+        running = 0.0
+        for i, arm in enumerate(self.last_draws):
+            gain = max(running, outcomes[arm]) - running
+            W[i, arm] *= math.exp(gamma * (gain / P[i, arm]) / m)
+            running += gain
+        W /= W.max(1, keepdims=True)
+        np.maximum(W, 1e-300, out=W)
