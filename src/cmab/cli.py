@@ -245,12 +245,22 @@ def _parse_sets(sets: list, m: int) -> FeasibleFamily:
     return FeasibleFamily.explicit(super_arms, m)
 
 
+# the fields each reward kind reads; any other field is an error, never ignored
+_REWARD_FIELDS = {
+    "kmax": {"kind"},
+    "linear": {"kind", "bound_M"},
+    "utility": {"kind", "utility", "bound_M", "lipschitz_C"},
+}
+
+
 def _parse_reward(doc):
     if doc is None:
         return kmax_spec()
     if not isinstance(doc, dict):
         raise _ConfigError("reward: expected an object")
     kind = doc.get("kind", "kmax")
+    if isinstance(kind, str) and kind in _REWARD_FIELDS and not doc.keys() <= _REWARD_FIELDS[kind]:
+        raise _ConfigError(f"reward: unknown field {min(doc.keys() - _REWARD_FIELDS[kind])!r} for kind {kind!r}")
     if kind == "kmax":
         return kmax_spec()
     if kind == "linear":

@@ -33,7 +33,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .distributions import _DRAW_BLOCK, CdfMatrix, _optimistic, bin_value, confidence_radius
+from .distributions import _DRAW_BLOCK, CdfMatrix, _optimistic, _sorted_unique, bin_index, confidence_radius
 from .errors import check_count
 from .oracles import FeasibleFamily
 from .rewards import RewardSpec, SuperArm
@@ -89,9 +89,9 @@ class Sdcb(_Policy):
     """Stochastically dominant confidence bound policy.
 
     Keeps one cumulative count array: ``cum[r, i, k]`` is how often arm i
-    of run r returned a value at or below that run's k-th grid value.  A
-    run's grid is the sorted list of every value it observed so far plus
-    1; the grids are right-aligned in ``cum`` and in ``grid_values``,
+    of run r returned a value at or below that run's k-th grid value.  An
+    unbinned run's grid is the sorted list of every value it observed so
+    far plus 1; the grids are right-aligned in ``cum`` and in ``grid_values``,
     with at least one column of zero counts left of the longest, so a
     run's cumulative counts start from 0 at the column before its grid.
     The first m rounds initialize: round i plays the lexicographically
@@ -105,7 +105,12 @@ class Sdcb(_Policy):
 
     With ``outcome_bins=s`` every observation is snapped to the right
     endpoint of its interval under the s-fold split of [0, 1] before
-    storage, which keeps each grid at s points or fewer.
+    storage.  A binned run's grid holds every bin, preallocated: column j
+    of ``cum`` and ``grid_values`` is bin j's right end j / s, column 0
+    the zero column, so an outcome in bin j adds 1 from column j on.  A
+    bin nobody observed repeats its left neighbour, and the kernel drops
+    it as it drops the columns left of an unbinned grid; ``values`` and
+    ``counts`` read only the columns where some count steps up, and 1.
     """
 
     def __init__(
@@ -119,11 +124,14 @@ class Sdcb(_Policy):
 
     def _restart(self, outcome_bins: int | None) -> None:
         """Forget every run's observations; later ones are binned into ``outcome_bins`` intervals."""
-        self.outcome_bins = outcome_bins
+        self.outcome_bins = s = outcome_bins
         R = self.runs
-        self._grids = [[1.0] for _ in range(R)]  # each run's grid as a list, bisected per outcome
-        self.grid_values = np.ones((R, 2))  # column 0 is padding
-        self.cum = np.zeros((R, self.family.m, 2), dtype=np.int64)
+        if s is None:
+            self._grids = [[1.0] for _ in range(R)]  # each run's grid as a list, bisected per outcome
+            self.grid_values = np.ones((R, 2))  # column 0 is padding
+        else:  # the bits bin_value gives, j / s at column j
+            self.grid_values = np.broadcast_to(np.arange(s + 1) / s, (R, s + 1))
+        self.cum = np.zeros((R, self.family.m, self.grid_values.shape[1]), dtype=np.int64)
 
     def _select(self, t: int) -> list[SuperArm]:
         if t <= self.family.m:
@@ -133,11 +141,15 @@ class Sdcb(_Policy):
 
     def _observe(self, outcomes) -> None:
         s = self.outcome_bins
+        if s is not None:
+            for cum, run_outcomes in zip(self.cum, outcomes):
+                for arm, x in run_outcomes.items():
+                    cum[arm, bin_index(x, s) :] += 1
+            return
         for r, run_outcomes in enumerate(outcomes):
             grid, cum = self._grids[r], self.cum[r]
             for arm, x in run_outcomes.items():
-                v = float(x) if s is None else bin_value(x, s)
-                k = bisect_left(grid, v)
+                k = bisect_left(grid, v := float(x))
                 if grid[k] != v:  # a new value: rare once the grid has filled
                     self._insert(r, k, v)
                     cum = self.cum[r]
@@ -158,15 +170,21 @@ class Sdcb(_Policy):
         vals[r, start : start + k] = vals[r, start + 1 : start + k + 1]
         vals[r, start + k] = v
 
+    def _steps(self) -> np.ndarray:
+        """Which of a one-run policy's columns after the first hold an observed value or 1."""
+        self._one_run()
+        cum = self.cum[0]
+        steps = np.logical_or.reduce(cum[:, 1:] > cum[:, :-1], axis=0)
+        steps[-1] = True
+        return steps
+
     @property
     def values(self) -> np.ndarray:
-        self._one_run()
-        return self.grid_values[0, -len(self._grids[0]) :].copy()
+        return self.grid_values[0, 1:][self._steps()]
 
     @property
     def counts(self) -> np.ndarray:
-        self._one_run()
-        return np.diff(self.cum[0, :, -len(self._grids[0]) - 1 :])
+        return np.diff(self.cum[0])[:, self._steps()]
 
     @property
     def pull_counts(self):
@@ -236,7 +254,7 @@ class Cucb(_Policy):
         ucb = np.minimum(mu + confidence_radius(t, self.counts), 1.0)
         arms = []
         for u in ucb:
-            values = np.unique(u)
+            values = _sorted_unique(u)
             # the point mass at u has CDF 1 from u on
             arms.append(self.oracle(CdfMatrix(values, (u[:, None] <= values).astype(float))))
         return arms

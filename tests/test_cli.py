@@ -109,6 +109,11 @@ CONFIG_ERRORS = {
     "set-member-huge": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[0, 1, 2, 10**30]]}}, "arm 1000"),
     "arm-uncovered": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[2, 0, 2]]}}, "arms [1] appear in"),
     "reward-not-object": ("offline", {"arms": TINY_ARMS, "family": CARD, "reward": "kmax"}, "reward: expected an object"),
+    "reward-unread-field": (
+        "offline",
+        {"arms": TINY_ARMS, "family": CARD, "reward": {"reward": {"kind": "linear"}}},
+        "reward: unknown field 'reward' for kind 'kmax'",
+    ),
     "arm-not-object": ("offline", {"arms": [[0.5]], "family": CARD}, "arm 0: expected an object"),
     "arm-without-probs": ("offline", {"arms": [{"support": [0.5]}]}, "arm 0: finite arms need both"),
     "arm-without-densities": ("offline", {"arms": [{"breakpoints": [0, 1]}]}, "arm 0: continuous arms need both"),
@@ -674,9 +679,8 @@ def drop_key(draw, doc):
 
 
 def wrong_container(draw, doc):
-    """A value in the wrong container: an array as an object, an entry or K inside a list, a set as an object, the
-    arms or the family inside an object or a list, or the reward inside a list (inside an object it is a kmax reward
-    with an unread key)."""
+    """A value in the wrong container: an array as an object, an entry or K inside a list, a set as an object, or
+    the arms, the family or the reward inside an object or a list."""
     arms, family = doc["arms"], doc["family"]
     site = draw(st.sampled_from(["array", "entry", "family-field", "arms", "family", "reward"]))
     if site in ("array", "entry"):
@@ -693,8 +697,6 @@ def wrong_container(draw, doc):
         else:
             at = draw(st.integers(0, len(family["sets"]) - 1))
             family["sets"][at] = {str(j): i for j, i in enumerate(family["sets"][at])}
-    elif site == "reward":
-        doc["reward"] = [doc["reward"]]
     else:
         doc[site] = draw(st.sampled_from([{"0": doc[site]}, [doc[site]]]))
 
@@ -775,7 +777,8 @@ NUMBER_FIELDS = ("epsilon", "T", "runs", "seed", "alpha")
 
 @st.composite
 def run_docs(draw):
-    """(config document without ``out``, whether one field was made invalid)."""
+    """(config document without ``out``, whether it was made invalid: one field junk or re-nested, or the policy or
+    the environment dropped)."""
     doc = {
         "policy": draw(st.sampled_from(cli.POLICIES)),
         "oracle": draw(st.sampled_from(cli.ORACLES)),
@@ -802,8 +805,16 @@ def run_docs(draw):
         sites += ["arms", "family", "reward"]
     if draw(st.booleans()):
         return doc, False
+    mutation = draw(st.sampled_from(["junk", "junk", "drop", "nest"]))
+    if mutation == "drop":  # a field without a default: the policy, or the environment, named or inline
+        for key in draw(st.sampled_from([("policy",), ("env", "arms")])):
+            doc.pop(key, None)
+        return doc, True
     site = draw(st.sampled_from(sites))
-    if site in NUMBER_FIELDS:
+    if mutation == "nest":  # the field's value, or an out path, inside a list or an object
+        value = doc.get(site, "trace.csv")
+        doc[site] = draw(st.sampled_from([[value], {site: value}]))
+    elif site in NUMBER_FIELDS:
         doc[site] = draw(st.sampled_from(NUMBER_JUNK))
     elif site in ("policy", "oracle", "out", "env"):
         doc[site] = draw(st.sampled_from(STRING_JUNK))
@@ -863,14 +874,17 @@ class TestEntryPoints:
         assert "dist4" in proc.stdout
 
     def test_cold_start_leaves_out_numpy_ma(self):
-        # np.unique imports numpy.ma on its first call; the CLI and the four built-in environments do without it
+        # np.unique imports numpy.ma on its first call; the CLI, the four built-in environments and a short run of
+        # every policy do without it
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = (
             "import sys, cmab.cli\n"
-            "from cmab.harness import builtin_env\n"
+            "from cmab.harness import POLICIES, PolicyFactory, builtin_env, run_many\n"
             "for name in ('dist1', 'dist2', 'dist3', 'dist4'):\n"
             "    builtin_env(name)\n"
+            "for policy in POLICIES:\n"
+            "    run_many(builtin_env('dist1'), PolicyFactory(policy, 'greedy'), 20, 2, 0)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

@@ -1,6 +1,10 @@
 """Experiment harness: environments, deterministic runs, averaging, CSV output."""
 
 import math
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +55,36 @@ class FixedChoice:
 
     def observe_batch(self, t, arms, outcomes):
         self.outcomes.append(outcomes[0])
+
+
+def fail(message):
+    raise ValueError(message)
+
+
+class Hooked:
+    """The sdcb factory, calling ``in_caller()`` first when it builds a batch in the process that made it and
+    ``in_worker()`` first in any other process."""
+
+    def __init__(self, in_caller=lambda: None, in_worker=lambda: None):
+        self.pid, self.in_caller, self.in_worker = os.getpid(), in_caller, in_worker
+
+    def __call__(self, family, spec, T, rngs):
+        (self.in_caller if os.getpid() == self.pid else self.in_worker)()
+        return PolicyFactory("sdcb")(family, spec, T, rngs)
+
+
+@pytest.fixture
+def within_30s():
+    """Fails the test with a TimeoutError raised in it if it runs for 30 s, where a hung wait would block forever."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 class TestEnvironment:
@@ -210,6 +244,31 @@ class TestRunMany:
     def test_rejects_zero_jobs(self):
         with pytest.raises(ValueError):
             run_many(tiny_env(), PolicyFactory("sdcb"), T=5, runs=2, seed_base=0, n_jobs=0)
+
+    def test_worker_error_is_raised_in_the_caller(self, within_30s):
+        # the caller steps the first chunk; an error in a worker's chunk comes back with its type and message
+        with pytest.raises(ValueError, match="^bad chunk in a worker$"):
+            run_many(tiny_env(), Hooked(in_worker=lambda: fail("bad chunk in a worker")), T=5, runs=3, seed_base=0, n_jobs=3)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_without_traces(self, within_30s):
+        # a worker that dies before sending ends the caller's wait with its exit code
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_many(tiny_env(), Hooked(in_worker=lambda: os._exit(3)), T=5, runs=2, seed_base=0, n_jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_error_stops_the_workers(self, within_30s):
+        # an error in the caller's own chunk terminates and joins workers that are still stepping theirs
+        with pytest.raises(ValueError, match="^bad chunk in the caller$"):
+            run_many(
+                tiny_env(),
+                Hooked(in_caller=lambda: fail("bad chunk in the caller"), in_worker=lambda: time.sleep(60)),
+                T=5,
+                runs=3,
+                seed_base=0,
+                n_jobs=3,
+            )
+        assert multiprocessing.active_children() == []
 
 
 

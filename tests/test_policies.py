@@ -269,10 +269,11 @@ class TestSdcb:
         assert pol.pull_counts == [len(seen[i]) for i in range(4)]
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([None, 1, 3, 10]))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([None, 1, 3, 10, 45]))
     def test_oracle_input_is_dominant_cdfs(self, seed, m, bins):
         # from cumulative counts, every round's oracle input equals dominant_cdfs on the count matrix of the
-        # outcomes seen so far, bit for bit; new values keep arriving below, between and above the grid
+        # outcomes seen so far, bit for bit and Fortran-ordered as greedy's gemv reads it; new values keep arriving
+        # below, between and above the grid, and a binned grid holds every bin from the start
         rng = np.random.default_rng(seed)
         K = int(rng.integers(1, m + 1))
         inputs = []
@@ -291,6 +292,7 @@ class TestSdcb:
                 got = inputs.pop()
                 assert np.array_equal(got.values, want.values) and got.values.dtype == want.values.dtype
                 assert np.array_equal(got.F, want.F) and got.F.dtype == want.F.dtype
+                assert got.F.flags.f_contiguous and want.F.flags.f_contiguous
             if rng.random() < 0.3:
                 pool.append(float(rng.choice([0.0, 1.0, rng.random(), rng.choice(COARSE_GRID)])))
             outcomes = {i: pool[int(rng.integers(len(pool)))] for i in S.members}
