@@ -14,6 +14,7 @@ exact evaluators' limits).
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import itertools
 import json
@@ -36,7 +37,7 @@ from .harness import (
     write_csv,
 )
 from .oracles import FeasibleFamily
-from .rewards import UTILITY_OF_SUM, SuperArm, _laws, expected_reward, kmax_spec, linear_spec, utility_spec
+from .rewards import UTILITY_OF_SUM, _laws, expected_reward, kmax_spec, linear_spec, utility_spec
 
 _RUN_DEFAULTS = {
     "env": None,
@@ -104,153 +105,148 @@ def _epsilon(value) -> float:
     return eps
 
 
-def _real_list(name: str, value) -> list[float]:
-    """A JSON list of finite numbers."""
-    if not isinstance(value, list):
-        raise _ConfigError(f"{name}: expected a list of numbers, got {value!r}")
-    return [_real_field(name, v) for v in value]
+def _reals(numbers: list) -> np.ndarray | None:
+    """``numbers`` as one float array, or None if one of them is not a finite JSON number."""
+    if set(map(type, numbers)) <= {int, float}:  # bool, str, None, list and dict are refused
+        try:
+            values = np.array(numbers, dtype=float)
+        except OverflowError:  # an int too large for a float
+            return None
+        if np.isfinite(values).all():
+            return values
+    return None
 
 
-_ARM_KEYS = (("finite", ("support", "probs")), ("continuous", ("breakpoints", "densities")))
+# the fields each JSON object reads, by object or by kind; any other field is an error, never ignored
+_FIELDS = {
+    "config": {*_RUN_DEFAULTS, "arms", "family", "reward"},
+    "instance": {"arms", "family", "reward"},
+    "finite": ("support", "probs"),  # arms: the two lists, in the order they are read
+    "continuous": ("breakpoints", "densities"),
+    "cardinality": {"kind", "K"},  # families
+    "explicit": {"kind", "sets"},
+    "kmax": {"kind"},  # rewards
+    "linear": {"kind", "bound_M"},
+    "utility": {"kind", "utility", "bound_M", "lipschitz_C"},
+}
 
 
-def _arm_fields(doc, index: int):
-    """(whether finite, first list, second list): an arm's support and probs, or its breakpoints and densities."""
+def _known_fields(name: str, doc: dict, fields, kind=None) -> None:
+    """Reject a field of ``doc`` outside ``fields``, naming it (the least such name)."""
+    unknown = doc.keys() - fields
+    if unknown:
+        raise _ConfigError(f"{name}: unknown field {min(unknown)!r}" + ("" if kind is None else f" for kind {kind!r}"))
+
+
+def _arm_keys(doc, i: int) -> tuple[str, str]:
+    """Arm i's two list fields, ``support`` and ``probs`` or ``breakpoints`` and ``densities``, its fields checked."""
     if not isinstance(doc, dict):
-        raise _ConfigError(f"arm {index}: expected an object")
-    for kind, keys in _ARM_KEYS:
-        if keys[0] in doc or keys[1] in doc:
-            if keys[0] not in doc or keys[1] not in doc:
-                raise _ConfigError(f"arm {index}: {kind} arms need both {keys[0]!r} and {keys[1]!r}")
-            return kind == "finite", *(_real_list(f"arm {index}: {key}", doc[key]) for key in keys)
-    raise _ConfigError(f"arm {index}: need 'support'/'probs' or 'breakpoints'/'densities'")
+        raise _ConfigError(f"arm {i}: expected an object")
+    kind = "finite" if "support" in doc or "probs" in doc else "continuous"
+    keys = _FIELDS[kind]
+    if keys[0] not in doc or keys[1] not in doc:
+        if keys[0] not in doc and keys[1] not in doc:  # no key of either pair
+            raise _ConfigError(f"arm {i}: need 'support'/'probs' or 'breakpoints'/'densities'")
+        raise _ConfigError(f"arm {i}: {kind} arms need both {keys[0]!r} and {keys[1]!r}")
+    if len(doc) > 2:
+        _known_fields(f"arm {i}", doc, keys)
+    return keys
 
 
-def _parse_arms(docs) -> list:
+def _parse_arms(docs: list) -> list:
     """Each arm's law, read in one pass over arrays.
 
-    Every arm's lists are gathered into flat lists whose numbers are
-    type-checked (``int`` or ``float``, not ``bool``), converted and
-    checked finite at once, and the finite arms are checked and built in
-    one batch.  Only when a check fails are the arms walked one by one to
-    report the first bad arm in index order, whether its fields, its
-    numbers or its values are at fault.
+    The arms are checked in stages: fields; numbers, type-checked and
+    converted at once; continuous laws, one by one; finite shapes; finite
+    laws, in one batch.  A stage that fails re-reads the arms before its
+    first bad arm, so the error raised is the first bad arm's in index order.
     """
-    laws = _read_arms(docs)
-    if laws is None:
-        _raise_first_bad_arm(docs)
-    return laws
-
-
-def _read_arms(docs):
-    """The arms' laws, or None when a field, a number, the shape of a finite arm or a continuous law is bad.
-
-    A bad finite law raises the first such arm's error, as the walk would.
-    """
-    supports, masses, breakpoints, densities = lists = ([], [], [], [])
-    finite, continuous = [], []
+    keys, lists, finite, continuous = [], [], [], []  # each arm's two keys and its two lists; the arms by kind
     for i, doc in enumerate(docs):
-        if not isinstance(doc, dict):
-            return None
-        is_finite = "support" in doc or "probs" in doc
-        keys = _ARM_KEYS[not is_finite][1]
-        first, second = doc.get(keys[0]), doc.get(keys[1])
-        if not (isinstance(first, list) and isinstance(second, list)):
-            return None
-        if is_finite:
-            if not len(first) == len(second) > 0:
-                return None
-            finite.append(i)
-            supports += first
-            masses += second
-        else:
-            continuous.append((i, len(first), len(second)))
-            breakpoints += first
-            densities += second
-    numbers = list(itertools.chain(*lists))
-    if not set(map(type, numbers)) <= {int, float}:  # bool, str, None, list and dict are refused
-        return None
-    try:
-        values = np.array(numbers, dtype=float)
-    except OverflowError:  # an int too large for a float
-        return None
-    if not np.isfinite(values).all():
-        return None
-    laws = [None] * len(docs)
-    a = b = 2 * len(supports)  # the continuous arms' breakpoints, then their densities, follow the finite arms
-    b += len(breakpoints)
-    for i, n_bp, n_dens in continuous:
         try:
-            laws[i] = PiecewiseDensity(values[a : a + n_bp], values[b : b + n_dens])
-        except ValueError:
-            return None
-        a, b = a + n_bp, b + n_dens
-    if finite:
-        n = len(supports)
-        sizes = [len(docs[i]["support"]) for i in finite]
-        for i, law in zip(finite, _checked_laws(values[:n], values[n : 2 * n], sizes, [f"arm {i}: " for i in finite])):
+            keys.append(_arm_keys(doc, i))
+        except _ConfigError:
+            _parse_arms(docs[:i])
+            raise
+        (finite if keys[i][0] == "support" else continuous).append(i)
+        for key in keys[i]:
+            lists.append(doc[key] if isinstance(doc[key], list) else [None])  # None fails _reals
+    # the finite arms' supports, then their masses, then the continuous arms' lists
+    laid = [lists[2 * i + j] for j in (0, 1) for i in finite] + [lists[2 * i + j] for i in continuous for j in (0, 1)]
+    values = _reals(list(itertools.chain.from_iterable(laid)))
+    if values is None:  # the first bad entry in arm order, k, ends the longest prefix that passes; it is in list q
+        numbers = list(itertools.chain.from_iterable(lists))
+        k = bisect.bisect_left(range(len(numbers)), True, key=lambda n: _reals(numbers[: n + 1]) is None)
+        starts = list(itertools.accumulate(map(len, lists), initial=0))
+        q = bisect.bisect_right(starts, k) - 1
+        i, key = q // 2, keys[q // 2][q % 2]
+        _parse_arms(docs[:i])
+        if isinstance(docs[i][key], list):
+            raise _ConfigError(f"arm {i}: {key}: expected a finite number, got {docs[i][key][k - starts[q]]!r}")
+        raise _ConfigError(f"arm {i}: {key}: expected a list of numbers, got {docs[i][key]!r}")
+    laws = [None] * len(docs)
+    for i in continuous:
+        try:
+            laws[i] = PiecewiseDensity(lists[2 * i], lists[2 * i + 1])
+        except ValueError as e:
+            _parse_arms(docs[:i])
+            raise _ConfigError(f"arm {i}: {e}") from None
+    sizes = [len(lists[2 * i]) for i in finite]
+    for i, size in zip(finite, sizes):
+        if not size == len(lists[2 * i + 1]) > 0:
+            _parse_arms(docs[:i])
+            raise _ConfigError(f"arm {i}: {_SHAPE_ERROR}")
+    if finite:  # the laws, or the first bad one's error; the supports lead the values, then the masses
+        half, names = sum(sizes), [f"arm {i}: " for i in finite]
+        for i, law in zip(finite, _checked_laws(values[:half], values[half : 2 * half], sizes, names)):
             laws[i] = law
     return laws
-
-
-def _raise_first_bad_arm(docs) -> None:
-    """Raise the first bad arm's error, checking each arm field by field and number by number."""
-    for i, doc in enumerate(docs):
-        is_finite, first, second = _arm_fields(doc, i)
-        try:
-            if not is_finite:
-                PiecewiseDensity(first, second)
-            elif len(first) != len(second) or not first:
-                raise ValueError(_SHAPE_ERROR)
-            else:
-                _checked_laws(np.array(first), np.array(second), [len(first)], ("",))
-        except ValueError as e:
-            raise _ConfigError(f"arm {i}: {e}") from None
 
 
 def _parse_family(doc, m: int) -> FeasibleFamily:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise _ConfigError("family: expected an object with a 'kind' field")
     kind = doc["kind"]
+    if kind not in ("cardinality", "explicit"):
+        raise _ConfigError(f"family: unknown kind {kind!r}")
+    _known_fields("family", doc, _FIELDS[kind], kind)
     if kind == "cardinality":
         if "K" not in doc:
             raise _ConfigError("family: cardinality needs 'K'")
         return FeasibleFamily.cardinality_at_most(_int_field("family: K", doc["K"]), m)
-    if kind == "explicit":
-        if "sets" not in doc or not isinstance(doc["sets"], list):
-            raise _ConfigError("family: explicit needs a 'sets' list")
-        return _parse_sets(doc["sets"], m)
-    raise _ConfigError(f"family: unknown kind {kind!r}")
+    if "sets" not in doc or not isinstance(doc["sets"], list):
+        raise _ConfigError("family: explicit needs a 'sets' list")
+    if not doc["sets"]:
+        raise _ConfigError("explicit family must be nonempty")
+    return FeasibleFamily._of_rows(_set_rows(doc["sets"], m), m)
 
 
-def _parse_sets(sets: list, m: int) -> FeasibleFamily:
-    """An explicit family's sets, read as one int array.
+def _set_rows(sets: list, m: int) -> np.ndarray:
+    """An explicit family's sets as the rows of one int table, padded with m.
 
-    Every set must be a nonempty list of JSON integers (not bools) within
-    [0, m); they are checked all at once.  Only when a check fails are the
-    sets walked one by one, member by member, to report the first error.
+    Checked in stages, as the arms are: each set is a nonempty list, of JSON
+    integers (not bools), within [0, m).  A stage that fails re-reads the sets
+    before its first bad set, so the error raised is the first bad set's.
     """
-    sizes = [len(s) if isinstance(s, list) else 0 for s in sets]
-    if sets and min(sizes) > 0:
-        members = list(itertools.chain.from_iterable(sets))
-        if set(map(type, members)) == {int} and 0 <= min(members) and max(members) < m:
-            table = np.full((len(sets), max(sizes)), m)
-            table[np.arange(table.shape[1]) < np.array(sizes)[:, None]] = members  # row by row, from the left
-            return FeasibleFamily._of_rows(table, m)
-    super_arms = []
-    for s in sets:
-        if not isinstance(s, list):
-            raise _ConfigError(f"family: each explicit set must be a list of arms, got {s!r}")
-        super_arms.append(SuperArm([_int_field("family: set member", i) for i in s]))
-    return FeasibleFamily.explicit(super_arms, m)
-
-
-# the fields each reward kind reads; any other field is an error, never ignored
-_REWARD_FIELDS = {
-    "kmax": {"kind"},
-    "linear": {"kind", "bound_M"},
-    "utility": {"kind", "utility", "bound_M", "lipschitz_C"},
-}
+    sizes = [len(s) if isinstance(s, list) else -1 for s in sets]
+    if min(sizes, default=1) < 1:
+        j = next(j for j, size in enumerate(sizes) if size < 1)
+        _set_rows(sets[:j], m)
+        if sizes[j] == 0:
+            raise _ConfigError("super arm must be nonempty")
+        raise _ConfigError(f"family: each explicit set must be a list of arms, got {sets[j]!r}")
+    ends = list(itertools.accumulate(sizes))  # member k belongs to set bisect_right(ends, k)
+    members = list(itertools.chain.from_iterable(sets))
+    if not set(map(type, members)) <= {int}:
+        k = next(k for k, i in enumerate(members) if type(i) is not int)
+        _set_rows(sets[: bisect.bisect_right(ends, k)], m)
+        raise _ConfigError(f"family: set member: expected an integer, got {members[k]!r}")
+    if members and not (0 <= min(members) and max(members) < m):  # the last stage: the sets before pass them all
+        s = sets[bisect.bisect_right(ends, next(k for k, i in enumerate(members) if not 0 <= i < m))]
+        raise _ConfigError(f"arm {max(s)} out of range for m={m}" if min(s) >= 0 else "arm indices must be nonnegative")
+    table = np.full((len(sets), max(sizes, default=0)), m)
+    table[np.arange(table.shape[1]) < np.array(sizes, dtype=int)[:, None]] = members  # row by row, from the left
+    return table
 
 
 def _parse_reward(doc):
@@ -259,8 +255,8 @@ def _parse_reward(doc):
     if not isinstance(doc, dict):
         raise _ConfigError("reward: expected an object")
     kind = doc.get("kind", "kmax")
-    if isinstance(kind, str) and kind in _REWARD_FIELDS and not doc.keys() <= _REWARD_FIELDS[kind]:
-        raise _ConfigError(f"reward: unknown field {min(doc.keys() - _REWARD_FIELDS[kind])!r} for kind {kind!r}")
+    if kind in ("kmax", "linear", "utility"):
+        _known_fields("reward", doc, _FIELDS[kind], kind)
     if kind == "kmax":
         return kmax_spec()
     if kind == "linear":
@@ -286,6 +282,7 @@ def _parse_instance(doc):
     """Arms, family, and reward spec from an inline JSON document."""
     if not isinstance(doc, dict):
         raise _ConfigError("instance: expected a JSON object")
+    _known_fields("instance", doc, _FIELDS["instance"])
     if "arms" not in doc or not isinstance(doc["arms"], list) or not doc["arms"]:
         raise _ConfigError("instance: need a nonempty 'arms' list")
     arms = _parse_arms(doc["arms"])
@@ -309,6 +306,7 @@ def cmd_run(args) -> int:
     config = _load_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise _ConfigError("config: expected a JSON object")
+    _known_fields("config", config, _FIELDS["config"])
 
     def pick(key):
         flag = getattr(args, key)
@@ -337,11 +335,13 @@ def cmd_run(args) -> int:
         raise _ConfigError("alpha must be in (0, 1]")
 
     env_name = pick("env")
+    instance = {key: config[key] for key in _FIELDS["instance"] if key in config}
     if env_name is not None:
+        if instance:
+            raise _ConfigError(f"config: {min(instance)!r} given with a named environment; give one or the other")
         env = builtin_env(_str_field("env", env_name))
-    elif "arms" in config:
-        arms, family, spec = _parse_instance(config)
-        env = Environment(arms, family, spec, name="inline")
+    elif "arms" in instance:
+        env = Environment(*_parse_instance(instance), name="inline")
     else:
         raise _ConfigError("no environment: pass --env or put arms in the config file")
 

@@ -65,16 +65,14 @@ class FeasibleFamily:
 
     @classmethod
     def explicit(cls, super_arms: Sequence[SuperArm], m: int) -> "FeasibleFamily":
-        sets = tuple(S if isinstance(S, SuperArm) else SuperArm(S) for S in super_arms)
-        if not sets:
+        rows = [(S if isinstance(S, SuperArm) else SuperArm(S)).members for S in super_arms]
+        if not rows:
             raise ValueError("explicit family must be nonempty")
-        for S in sets:
-            if S.members[-1] >= m:
-                raise ValueError(f"arm {S.members[-1]} out of range for m={m}")
-        pad = (m,) * max(map(len, sets))
-        family = cls._of_rows(np.array([(S.members + pad)[: len(pad)] for S in sets]), m)
-        family._sets = sets
-        return family
+        for row in rows:
+            if row[-1] >= m:
+                raise ValueError(f"arm {row[-1]} out of range for m={m}")
+        pad = (m,) * max(map(len, rows))
+        return cls._of_rows(np.array([(row + pad)[: len(pad)] for row in rows]), m)
 
     @classmethod
     def _of_rows(cls, table: np.ndarray, m: int) -> "FeasibleFamily":

@@ -22,7 +22,13 @@ from cmab.distributions import MASS_TOL, CdfMatrix, FiniteDistribution, Piecewis
 from cmab.harness import Environment, PolicyFactory, run_many, write_csv
 from cmab.oracles import FeasibleFamily, exhaustive_oracle
 from cmab.rewards import SuperArm, _SupportTable, expected_reward, kmax_spec
-from util import joint_expected, reference_expected_kmax_continuous, reference_parse_arms, value_pool
+from util import (
+    joint_expected,
+    reference_expected_kmax_continuous,
+    reference_parse_arms,
+    reference_parse_sets,
+    value_pool,
+)
 
 
 def run_csv_lines(path):
@@ -94,20 +100,35 @@ CONFIG_ERRORS = {
     "config-not-object": ("run", [1], "config: expected a JSON object"),
     "config-unknown-policy": ("run", {"env": "dist1", "policy": "thompson"}, "unknown policy 'thompson'"),
     "config-unknown-oracle": ("run", {"env": "dist1", "policy": "sdcb", "oracle": "lp"}, "unknown oracle 'lp'"),
+    "config-unknown-field": ("run", {"env": "dist1", "policy": "sdcb", "orcale": "greedy"}, "config: unknown field 'orcale'"),
+    "config-env-and-arms": ("run", {**TINY_INSTANCE, "env": "dist1", "policy": "cucb"}, "config: 'arms' given with a named"),
+    "config-env-and-reward": ("run", {"env": "dist1", "policy": "cucb", "reward": {"kind": "kmax"}}, "config: 'reward' given"),
     "no-environment": ("run", {"policy": "sdcb"}, "no environment"),
     "instance-not-object": ("offline", [1], "instance: expected a JSON object"),
+    "instance-unknown-field": ("offline", {**TINY_INSTANCE, "solver": "greedy"}, "instance: unknown field 'solver'"),
     "no-arms": ("offline", {"family": CARD}, "instance: need a nonempty 'arms' list"),
     "no-family": ("offline", {"arms": TINY_ARMS}, "instance: missing 'family'"),
     "family-without-kind": ("offline", {"arms": TINY_ARMS, "family": {"K": 2}}, "family: expected an object with"),
     "family-without-K": ("offline", {"arms": TINY_ARMS, "family": {"kind": "cardinality"}}, "family: cardinality needs"),
     "family-without-sets": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit"}}, "family: explicit needs"),
     "family-unknown-kind": ("offline", {"arms": TINY_ARMS, "family": {"kind": "matroid"}}, "family: unknown kind"),
+    "family-cardinality-sets": (
+        "offline",
+        {"arms": TINY_ARMS, "family": {**CARD, "sets": [[0]]}},
+        "family: unknown field 'sets' for kind 'cardinality'",
+    ),
+    "family-explicit-K": (
+        "offline",
+        {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[0, 1, 2]], "K": 3}},
+        "family: unknown field 'K' for kind 'explicit'",
+    ),
     "sets-empty": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": []}}, "explicit family must be"),
     "set-empty": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[0, 1, 2], []]}}, "super arm must"),
     "set-member-negative": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[0, -1]]}}, "arm indices"),
     "set-member-past-m": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[2, 1, 0], [5, 3]]}}, "arm 5 out"),
     "set-member-huge": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[0, 1, 2, 10**30]]}}, "arm 1000"),
     "arm-uncovered": ("offline", {"arms": TINY_ARMS, "family": {"kind": "explicit", "sets": [[2, 0, 2]]}}, "arms [1] appear in"),
+    "sets-first-bad": ("offline", {"arms": TINY_ARMS[:1], "family": {"kind": "explicit", "sets": [[99], []]}}, "arm 99 out of range for m=1"),
     "reward-not-object": ("offline", {"arms": TINY_ARMS, "family": CARD, "reward": "kmax"}, "reward: expected an object"),
     "reward-unread-field": (
         "offline",
@@ -118,6 +139,8 @@ CONFIG_ERRORS = {
     "arm-without-probs": ("offline", {"arms": [{"support": [0.5]}]}, "arm 0: finite arms need both"),
     "arm-without-densities": ("offline", {"arms": [{"breakpoints": [0, 1]}]}, "arm 0: continuous arms need both"),
     "arm-without-fields": ("offline", {"arms": [{}]}, "arm 0: need 'support'/'probs' or 'breakpoints'/'densities'"),
+    "arm-unknown-field": ("offline", {"arms": [TINY_ARMS[0], {**TINY_ARMS[1], "weights": [1]}]}, "arm 1: unknown field 'weights'"),
+    "arm-mixed-pairs": ("offline", {"arms": [{**TINY_ARMS[0], "breakpoints": [0, 1]}]}, "arm 0: unknown field 'breakpoints'"),
 }
 
 # instances whose arms go bad in more than one place, and the error reported, the first bad arm's:
@@ -243,15 +266,6 @@ class TestRun:
         write_csv(avg, tmp_path / "library.csv")
         assert run_csv_lines(out) == run_csv_lines(tmp_path / "library.csv")
 
-    def test_env_name_beats_inline_arms(self, tmp_path, capsys):
-        out = tmp_path / "trace.csv"
-        cfg = write_config(
-            tmp_path,
-            {**TINY_INSTANCE, "env": "dist1", "policy": "cucb", "T": 4, "runs": 1, "out": str(out)},
-        )
-        assert main(["run", "--config", str(cfg)]) == 0
-        assert "env=dist1" in capsys.readouterr().out
-
 
 class TestParserReuse:
     def test_state_does_not_leak_between_calls(self, tmp_path, capsys):
@@ -355,8 +369,8 @@ def random_arm_docs(rng, m):
 
     Finite arms: unsorted supports with repeats and near repeats, zero masses, totals a few ulps off 1 +- MASS_TOL,
     some entries JSON integers; continuous arms: densities that may not integrate to 1.  A bad arm has a junk entry
-    or array, a dropped key, an array inside an object, an entry inside a list, unequal or empty lists, or is not an
-    object.
+    or array, a dropped key, an array inside an object, an entry inside a list, unequal or empty lists, an extra key
+    (the other kind's among them), or is not an object.
     """
     docs = []
     for _ in range(m):
@@ -379,7 +393,7 @@ def random_arm_docs(rng, m):
         if rng.random() < 0.15:
             key = str(rng.choice(sorted(doc)))
             at = int(rng.integers(len(doc[key]))) if doc[key] else 0
-            how = int(rng.integers(8))
+            how = int(rng.integers(9))
             if how == 0 and doc[key]:
                 doc[key][at] = JUNK[int(rng.integers(len(JUNK)))]
             elif how == 1:
@@ -394,6 +408,8 @@ def random_arm_docs(rng, m):
                 doc[key] = doc[key][1:]
             elif how == 6:
                 doc = {key: [] for key in doc}
+            elif how == 7:
+                doc[str(rng.choice(["weights", "support" if "breakpoints" in doc else "breakpoints"]))] = [1.0]
             else:
                 doc = [doc, None, "arm"][int(rng.integers(3))]
         docs.append(doc)
@@ -423,6 +439,48 @@ class TestArmReader:
         assert [[a.tobytes() for a in (*fields(law), law.cum)] for law in got] == [
             [a.tobytes() for a in (*fields(law), law.cum)] for law in want
         ]
+
+
+def random_sets(rng, m):
+    """An explicit family's sets over m arms as JSON gives them, members in any order and repeated, some arm perhaps
+    in no set, and up to three sets made bad: not a list, a junk, negative or out-of-range member, or emptied."""
+    sets = [rng.integers(0, m, size=int(rng.integers(1, 4))).tolist() for _ in range(int(rng.integers(1, 6)))]
+    for _ in range([0, 0, 1, 2, 3][int(rng.integers(5))]):
+        j = int(rng.integers(len(sets)))
+        how = int(rng.integers(3))
+        if how == 0:
+            sets[j] = [{"0": 1}, 1, None, "0"][int(rng.integers(4))]
+        elif how == 1 and isinstance(sets[j], list) and sets[j]:
+            member = [True, 1.0, 1.5, "1", None, [1], math.inf, -1, m, 99, 10**30][int(rng.integers(11))]
+            sets[j][int(rng.integers(len(sets[j])))] = member
+        else:
+            sets[j] = []
+    return sets
+
+
+class TestSetReader:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_matches_reference(self, tmp_path_factory, seed, m):
+        # the reader exits as the per-set reference reads: 1 with the first bad set's error in index order, or 0 on
+        # the family whose rows the reference builds
+        sets = random_sets(np.random.default_rng(seed), m)
+        try:
+            want = reference_parse_sets(json.loads(json.dumps(sets)), m)
+        except ValueError as e:
+            want = str(e)
+        doc = {"arms": TINY_ARMS[:1] * m, "family": {"kind": "explicit", "sets": sets}}
+        path = tmp_path_factory.mktemp("sets") / "instance.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["offline", "--instance", str(path)])
+        if isinstance(want, str):
+            assert (code, out.getvalue(), err.getvalue()) == (1, "", f"cmab: error: {want}\n")
+            return
+        assert code == 0 and err.getvalue() == ""
+        got = cli._parse_family(json.loads(json.dumps(doc["family"])), m)
+        assert got.index_rows().tolist() == want.index_rows().tolist()
 
 
 class TestExitCodes:
@@ -593,7 +651,7 @@ class TestExitCodes:
         assert "guard" in capsys.readouterr().err
 
 
-# instance fuzzing: valid documents, and documents with one field the program reads made invalid
+# instance fuzzing: valid documents, and documents with one read field made invalid or one unread field added
 GRID = [0.0, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0]
 JUNK = [math.nan, math.inf, -math.inf, -0.25, 1.5, 10**400, [], [1.5], {"x": 1}, "0.5", None, True]
 CURVES = {"identity": lambda y: y, "sqrt": math.sqrt, "square": lambda y: y * y, "saturating": lambda y: 1 - math.exp(-y)}
@@ -637,7 +695,7 @@ def instance_docs(draw):
     solver = draw(st.sampled_from(["exhaustive", "greedy", "ptas"]))
     if draw(st.booleans()):
         return doc, solver, False
-    mutate = draw(st.sampled_from([junk_value, junk_value, drop_key, wrong_container, unknown_kind]))
+    mutate = draw(st.sampled_from([junk_value, junk_value, drop_key, wrong_container, unknown_kind, extra_key]))
     mutate(draw, doc)
     return doc, solver, True
 
@@ -707,6 +765,23 @@ def unknown_kind(draw, doc):
     owner["kind"] = draw(st.sampled_from(["", "matroid", "Kmax", "explicit-sets", "utility_of_sum"]))
 
 
+def extra_key(draw, doc):
+    """A field that nothing reads added: to the instance, an arm, the family or the reward, the other kind's field
+    among those of an arm or a family."""
+    site = draw(st.sampled_from(["instance", "arm", "family", "reward"]))
+    if site == "instance":
+        owner, keys = doc, ["solver", "arm", "rewards"]  # none of them a run config's field either
+    elif site == "arm":
+        owner = draw(st.sampled_from(doc["arms"]))
+        keys = ["weights", "support" if "breakpoints" in owner else "breakpoints"]
+    elif site == "family":
+        owner = doc["family"]
+        keys = ["weights", "sets" if owner["kind"] == "cardinality" else "K"]
+    else:
+        owner, keys = doc["reward"], ["weights", "arms"]
+    owner[draw(st.sampled_from(keys))] = [1]
+
+
 def brute_force_value(doc, members):
     reward = doc["reward"]
     if any("breakpoints" in a for a in doc["arms"]):  # a K-MAX or linear reward: utility rejects continuous arms
@@ -769,7 +844,8 @@ class TestOfflineFuzz:
             assert value == pytest.approx(best, rel=1e-10, abs=1e-12)
 
 
-# run config fuzzing: valid documents, and documents with one field made NaN, Inf, negative, empty or of the wrong type
+# run config fuzzing: valid documents, and documents with one field made NaN, Inf, negative, empty, of the wrong type
+# or misspelled
 NUMBER_JUNK = [math.nan, math.inf, -math.inf, -3, -0.25, 1.5, "1", "", [], [1], {"x": 1}, None, True]
 STRING_JUNK = [math.nan, math.inf, -3, 0.5, "", [], ["dist1"], {"x": 1}, None, True]
 NUMBER_FIELDS = ("epsilon", "T", "runs", "seed", "alpha")
@@ -777,8 +853,8 @@ NUMBER_FIELDS = ("epsilon", "T", "runs", "seed", "alpha")
 
 @st.composite
 def run_docs(draw):
-    """(config document without ``out``, whether it was made invalid: one field junk or re-nested, or the policy or
-    the environment dropped)."""
+    """(config document without ``out``, whether it was made invalid: one field junk or re-nested, the policy or the
+    environment dropped, or a misspelled field added)."""
     doc = {
         "policy": draw(st.sampled_from(cli.POLICIES)),
         "oracle": draw(st.sampled_from(cli.ORACLES)),
@@ -805,10 +881,13 @@ def run_docs(draw):
         sites += ["arms", "family", "reward"]
     if draw(st.booleans()):
         return doc, False
-    mutation = draw(st.sampled_from(["junk", "junk", "drop", "nest"]))
+    mutation = draw(st.sampled_from(["junk", "junk", "drop", "nest", "misspell"]))
     if mutation == "drop":  # a field without a default: the policy, or the environment, named or inline
         for key in draw(st.sampled_from([("policy",), ("env", "arms")])):
             doc.pop(key, None)
+        return doc, True
+    if mutation == "misspell":  # a field that nothing reads, next to the one it was meant to be
+        doc[draw(st.sampled_from(["orcale", "polcy", "Runs", "seeds", "eps", "jobs", "instance"]))] = doc["oracle"]
         return doc, True
     site = draw(st.sampled_from(sites))
     if mutation == "nest":  # the field's value, or an out path, inside a list or an object

@@ -30,7 +30,7 @@ from cmab.distributions import (
 )
 from cmab.errors import check_count
 from cmab.harness import _oracle_handle
-from cmab.oracles import ptas_grid, signature_cap
+from cmab.oracles import FeasibleFamily, ptas_grid, signature_cap
 from cmab.policies import lazy_sdcb_known_T
 from cmab.rewards import SuperArm, expected_reward
 from cmab.rng import ARM_STREAM, POLICY_STREAM, substream
@@ -114,6 +114,8 @@ def _reference_arm_fields(doc, index: int):
         if keys[0] in doc or keys[1] in doc:
             if keys[0] not in doc or keys[1] not in doc:
                 raise _ConfigError(f"arm {index}: {kind} arms need both {keys[0]!r} and {keys[1]!r}")
+            if len(doc) > 2:
+                raise _ConfigError(f"arm {index}: unknown field {min(doc.keys() - set(keys))!r}")
             return kind == "finite", *(_reference_real_list(f"arm {index}: {key}", doc[key]) for key in keys)
     raise _ConfigError(f"arm {index}: need 'support'/'probs' or 'breakpoints'/'densities'")
 
@@ -141,6 +143,25 @@ def reference_parse_arms(docs) -> list:
     for i, law in zip(finite, reference_finite_laws(supports, masses, [f"arm {j}: " for j in finite])):
         laws[i] = law
     return laws
+
+
+def reference_parse_sets(sets, m: int) -> FeasibleFamily:
+    """An explicit family's JSON sets read one set at a time, member by member: the family, or the first bad set's
+    error in index order (a list of JSON integers, nonempty, each member in [0, m))."""
+    if not sets:
+        raise ValueError("explicit family must be nonempty")
+    super_arms = []
+    for s in sets:
+        if not isinstance(s, list):
+            raise ValueError(f"family: each explicit set must be a list of arms, got {s!r}")
+        for i in s:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise ValueError(f"family: set member: expected an integer, got {i!r}")
+        S = SuperArm(s)  # nonempty, nonnegative
+        if S.members[-1] >= m:
+            raise ValueError(f"arm {S.members[-1]} out of range for m={m}")
+        super_arms.append(S)
+    return FeasibleFamily.explicit(super_arms, m)
 
 
 def reference_cdf_matrix(dists) -> CdfMatrix:
