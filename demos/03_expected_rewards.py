@@ -3,8 +3,8 @@ Three reward shapes over the same pair of arms, computed exactly.
 
 Arm A pays 0.3 or 0.9, arm B pays 0.5 for sure.  The expected maximum
 favors the volatile arm A in a way the linear reward cannot see, and a
-concave utility of the sum penalizes it.  The continuous routine agrees
-with the discrete one when fed step distributions.
+concave utility of the sum penalizes it.  The same expected-maximum
+evaluator takes continuous arms too.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 from cmab import (
     PiecewiseDensity,
     SuperArm,
-    expected_kmax_continuous,
+    expected_kmax,
     expected_reward,
     kmax_spec,
     linear_spec,
@@ -41,8 +41,8 @@ for label, spec in specs:
 # the max reward is where picking both arms pays: E[max] > each single mean
 print()
 uniform = PiecewiseDensity([0.0, 1.0], [1.0])
-duo = expected_kmax_continuous([uniform, uniform], both)
-trio = expected_kmax_continuous([uniform] * 3, SuperArm([0, 1, 2]))
+duo = expected_kmax([uniform, uniform], both)
+trio = expected_kmax([uniform] * 3, SuperArm([0, 1, 2]))
 print(f"max of 2 uniforms: {duo:.6f} (exact 2/3)")
 print(f"max of 3 uniforms: {trio:.6f} (exact 3/4)")
 assert abs(duo - 2 / 3) < 1e-9 and abs(trio - 0.75) < 1e-9

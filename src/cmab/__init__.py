@@ -20,7 +20,6 @@ from .oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax, ptas_kmax
 from .rewards import (
     SuperArm,
     expected_kmax,
-    expected_kmax_continuous,
     expected_reward,
     kmax_spec,
     linear_spec,
@@ -41,7 +40,6 @@ __all__ = [
     "dominant_cdfs",
     "exhaustive_oracle",
     "expected_kmax",
-    "expected_kmax_continuous",
     "expected_reward",
     "greedy_kmax",
     "kmax_spec",

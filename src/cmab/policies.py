@@ -100,8 +100,7 @@ class Sdcb(_Policy):
     the confidence radius sqrt(3 ln t / 2 T_i) (mass relocated to 1), and
     the offline oracle is asked, once per run, for the best super arm
     under that optimistic product law, built by :func:`dominant_cdfs`'s
-    kernel.  ``values``, ``counts`` and ``pull_counts`` read a one-run
-    policy's grid, per-value counts and pulls.
+    kernel.  Arm i of run r has been pulled ``cum[r, i, -1]`` times.
 
     With ``outcome_bins=s`` every observation is snapped to the right
     endpoint of its interval under the s-fold split of [0, 1] before
@@ -109,8 +108,7 @@ class Sdcb(_Policy):
     of ``cum`` and ``grid_values`` is bin j's right end j / s, column 0
     the zero column, so an outcome in bin j adds 1 from column j on.  A
     bin nobody observed repeats its left neighbour, and the kernel drops
-    it as it drops the columns left of an unbinned grid; ``values`` and
-    ``counts`` read only the columns where some count steps up, and 1.
+    it as it drops the columns left of an unbinned grid.
     """
 
     def __init__(
@@ -170,27 +168,6 @@ class Sdcb(_Policy):
         vals[r, start : start + k] = vals[r, start + 1 : start + k + 1]
         vals[r, start + k] = v
 
-    def _steps(self) -> np.ndarray:
-        """Which of a one-run policy's columns after the first hold an observed value or 1."""
-        self._one_run()
-        cum = self.cum[0]
-        steps = np.logical_or.reduce(cum[:, 1:] > cum[:, :-1], axis=0)
-        steps[-1] = True
-        return steps
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.grid_values[0, 1:][self._steps()]
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.diff(self.cum[0])[:, self._steps()]
-
-    @property
-    def pull_counts(self):
-        self._one_run()
-        return self.cum[0, :, -1].tolist()
-
 
 def _ceil_sqrt(T: int) -> int:
     """ceil(sqrt(T)) for an integer T >= 1, in exact integer arithmetic."""
@@ -210,7 +187,7 @@ class LazySdcbDoubling(Sdcb):
     spans rounds 2^k + 1 .. 2^(k+1) with horizon 2^k.  Each epoch starts
     from empty counts binned for its horizon, replays the initialization
     rounds, and runs on epoch-local round indices, which also set its
-    confidence radius; ``pull_counts`` covers the current epoch only.
+    confidence radius; ``cum`` covers the current epoch only.
     The epochs depend on t alone, so every run of a batch restarts at once.
     """
 
@@ -265,11 +242,6 @@ class Cucb(_Policy):
             for arm, x in run_outcomes.items():
                 sums[r, arm] += x
                 counts[r, arm] += 1
-
-    @property
-    def pull_counts(self):
-        self._one_run()
-        return self.counts[0].tolist()
 
 
 def _uniform_block(rngs, K: int) -> np.ndarray:

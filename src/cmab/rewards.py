@@ -9,12 +9,14 @@ Three reward families are supported:
 Expected rewards r_D(S) are exact for product distributions.
 :func:`_scores` scores many sets at once and :func:`expected_reward` is it
 on one set's row, so a set's batched score is its value bit for bit.
-K-MAX and linear rewards read the arm list's one matrix from
-:func:`_cdfs`: the CDFs of finite laws, whose products give the max law,
-or once a law is continuous a Gauss-Legendre quadrature of the integral
-of 1 - prod_i F_i; a linear row sums means.  A utility of the sum is
-summed over each set's product points, read from the list's support
-table; :func:`_laws` gives a list's one input for any reward.
+Every reward reads the arm list's one matrix from :func:`_cdfs`: the
+CDFs of finite laws, whose products give the max law, or once a law is
+continuous a Gauss-Legendre quadrature of the integral of
+1 - prod_i F_i.  :func:`expected_kmax` scores K-MAX on it for any arm
+laws; a linear row sums means.  A utility of the sum is summed over each
+set's product points, read from the support table of the finite laws'
+matrix, whose masses are the steps of each arm's CDF, for a list as for a
+matrix; :func:`_laws` gives a list's one input for any reward.
 """
 
 from __future__ import annotations
@@ -269,48 +271,36 @@ def _row(dists, S: SuperArm) -> np.ndarray:
 
 
 def expected_kmax(dists, S: SuperArm) -> float:
-    """Exact E[max_{i in S} X_i] for finite-support laws, a list of them or a :class:`CdfMatrix`.
-
-    The value is the batched score of S by :func:`_kmax_scores`, bit for bit.
-    """
-    cdfs = _cdfs(dists)
-    if not isinstance(cdfs, CdfMatrix):
-        raise TypeError("expected_kmax requires finite-support distributions")
-    return float(_kmax_scores(cdfs, _row(cdfs, S))[0])
-
-
-def expected_kmax_continuous(dists: Sequence[Distribution], S: SuperArm) -> float:
-    """Exact E[max_{i in S} X_i] for any arm laws, finite or with piecewise-constant density.
+    """Exact E[max_{i in S} X_i] for any arm laws, finite or with piecewise-constant density, a list or a matrix.
 
     The value is the batched score of S by :func:`_kmax_scores` on the list's matrix, bit for bit.
     """
     return float(_kmax_scores(_cdfs(dists), _row(dists, S))[0])
 
 
+expected_kmax_continuous = expected_kmax  # the evaluator's former name for continuous laws, still called by perfbench
+
+
 class _SupportTable:
     """m finite arm laws as each arm's support keys ``round(v * _SUM_GRID)`` and masses, the utility scorer's input.
 
-    ``keys`` and ``masses`` are (m + 1, S), each row's ``sizes`` entries left-aligned and zeros after them; row m is
-    a point mass at 0, the index-m pad.  A list's masses are its laws' ``probs``, a matrix row's the positive steps
-    of its CDF, as ``CdfMatrix.__getitem__`` reads them (they may differ from ``probs`` in the last bit).
+    Built from the laws' :class:`CdfMatrix`: an arm's support is the columns where its CDF steps up, and a mass is
+    that step, as ``CdfMatrix.__getitem__`` reads it, so a list and its matrix give one table.  ``keys`` and
+    ``masses`` are (m + 1, S), each row's ``sizes`` entries left-aligned and zeros after them; row m is a point mass
+    at 0, the index-m pad.
     """
 
     __slots__ = ("keys", "masses", "sizes")
 
-    def __init__(self, dists):
-        if isinstance(dists, CdfMatrix):
-            steps = dists.F.copy()
-            steps[:, 1:] -= dists.F[:, :-1]
-            real = steps > 0.0
-            sizes = np.append(np.count_nonzero(real, axis=1), 1)
-            keys = np.append(np.broadcast_to(np.rint(dists.values * _SUM_GRID), real.shape)[real], 0.0)
-            masses = np.append(steps[real], 1.0)
-        else:
-            if not all(isinstance(d, FiniteDistribution) for d in dists):
-                raise TypeError("utility_of_sum requires finite-support distributions")
-            sizes = np.array([len(d.support) for d in dists] + [1])
-            keys = np.rint(np.concatenate([d.support for d in dists] + [[0.0]]) * _SUM_GRID)
-            masses = np.concatenate([d.probs for d in dists] + [[1.0]])
+    def __init__(self, cdfs):
+        if not isinstance(cdfs, CdfMatrix):
+            raise TypeError("utility_of_sum requires finite-support distributions")
+        steps = cdfs.F.copy()
+        steps[:, 1:] -= cdfs.F[:, :-1]
+        real = steps > 0.0
+        sizes = np.append(np.count_nonzero(real, axis=1), 1)
+        keys = np.append(np.broadcast_to(np.rint(cdfs.values * _SUM_GRID), real.shape)[real], 0.0)
+        masses = np.append(steps[real], 1.0)
         real = np.arange(sizes.max()) < sizes[:, None]  # row-major, so an arm's entries fill its row from the left
         self.keys = np.zeros(real.shape, dtype=np.int64)
         self.masses = np.zeros(real.shape)
@@ -323,11 +313,12 @@ class _SupportTable:
 
 
 def _laws(dists, spec: RewardSpec):
-    """The arm laws as the one input their reward is scored on, a function of the list alone: for a utility of the
-    sum their :class:`_SupportTable`, else their matrix from :func:`_cdfs`.  A converted input is passed through."""
+    """The arm laws as the one input their reward is scored on, a function of the list alone: their matrix from
+    :func:`_cdfs`, and for a utility of the sum that matrix's :class:`_SupportTable`.  A converted input is passed
+    through."""
     if spec.kind != UTILITY_OF_SUM:
         return _cdfs(dists)
-    return dists if isinstance(dists, _SupportTable) else _SupportTable(dists)
+    return dists if isinstance(dists, _SupportTable) else _SupportTable(_cdfs(dists))
 
 
 def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
@@ -399,9 +390,9 @@ def _utility_scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
 def _scores(dists, rows: np.ndarray, spec: RewardSpec) -> np.ndarray:
     """Every row's expected reward in one batch; index m is the pad.
 
-    Each reward reads the list's one input from :func:`_laws`: a utility
-    of the sum the finite laws' support table, K-MAX and linear rewards
-    the list's matrix.  A linear row sums its members' means left to
+    Each reward reads the list's one input from :func:`_laws`: K-MAX and
+    linear rewards the list's matrix, a utility of the sum that matrix's
+    support table.  A linear row sums its members' means left to
     right, each the K-MAX score of its arm alone; the pad's mean is 0 and
     adds an exact +0.0.
     """

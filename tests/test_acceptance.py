@@ -19,7 +19,6 @@ from cmab import (
     confidence_radius,
     dominant_cdfs,
     expected_kmax,
-    expected_kmax_continuous,
     expected_reward,
     greedy_kmax,
     kmax_spec,
@@ -114,7 +113,7 @@ def test_criterion_04_discretization_error():
         members = [arms[i] for i in S.members]
         tilde = [discretize_interval(a, s) for a in members]
         all_of = SuperArm(range(len(members)))
-        r_orig = expected_kmax_continuous(members, all_of) if continuous else expected_kmax(arms, S)
+        r_orig = expected_kmax(members, all_of)
         r_disc = expected_kmax(tilde, all_of)
         assert abs(r_orig - r_disc) <= len(S) / s + EXACT
         assert r_disc >= r_orig - EXACT  # rounding up never lowers the max

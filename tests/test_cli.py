@@ -1,12 +1,12 @@
 """Command-line interface: subcommands, config merging, exit codes."""
 
 import collections
-import concurrent.futures
 import contextlib
 import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -341,7 +341,7 @@ class TestOffline:
         assert built == [3] and laws == []
 
     def test_utility_reads_one_support_table(self, tmp_path, capsys, monkeypatch):
-        # the instance's support table is built once, from the laws' masses, for the solver and the value alike
+        # the instance's support table is built once, from the laws' matrix, for the solver and the value alike
         arms = [make_finite(a["support"], a["probs"]) for a in TINY_INSTANCE["arms"]]
         spec = cli._parse_reward(UTILITY)
         S = exhaustive_oracle(arms, FeasibleFamily.cardinality_at_most(2, 3), spec)
@@ -537,7 +537,8 @@ class TestExitCodes:
         ids=["horizon", "seed"],
     )
     def test_bad_argument_starts_no_worker(self, tmp_path, capsys, monkeypatch, flags, message):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # calling it would raise TypeError
+        # run_many imports multiprocessing lazily and starts each worker through multiprocessing.Process
+        monkeypatch.setattr(multiprocessing, "Process", lambda *args, **kwargs: pytest.fail("a worker was started"))
         out = tmp_path / "t.csv"
         argv = ["run", "--env", "dist1", "--policy", "cucb", "--T", "2", "--runs", "2", "--jobs", "2", *flags]
         assert main([*argv, "--out", str(out)]) == 1

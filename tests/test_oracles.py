@@ -33,8 +33,8 @@ from cmab.rewards import (
     UTILITY_CURVES,
     SuperArm,
     _kmax_scores,
+    _laws,
     _scores,
-    _SupportTable,
     _utility_scores,
     expected_kmax,
     expected_reward,
@@ -361,9 +361,10 @@ UTILITY_CASES = st.builds(
 
 class TestExhaustiveUtility:
     def test_rounding_never_decides(self):
-        # arm 1 has mean 0.3 like the point mass 2, so {0, 1} and {0, 2} tie in exact arithmetic;
-        # the batched score is expected_reward bit for bit (1.2058823529411764 for {0, 1}, one ulp below
-        # 1.2058823529411766 for {0, 2}), so exhaustive and the per-set loop pick one set
+        # arm 1 has mean 0.3 like the point mass 2, so {0, 1} and {0, 2} tie in exact arithmetic; read from
+        # the CDF steps (arm 1's upper mass is 1 - 2/3, not 1/3), both score exactly 1.2058823529411766, so
+        # the tie rule, not rounding, picks the smaller member tuple {0, 1}; the batched score is
+        # expected_reward bit for bit, so exhaustive and the per-set loop pick that one set
         dists = [
             make_finite([0.7, 0.8, 1.0], [2 / 17, 5 / 17, 10 / 17]),
             make_finite([0.1, 0.7], [2 / 3, 1 / 3]),
@@ -371,7 +372,22 @@ class TestExhaustiveUtility:
         ]
         fam = FeasibleFamily.cardinality_at_most(2, 3)
         spec = utility_spec("identity", bound_M=2.0, lipschitz_C=1.0)
-        assert exhaustive_oracle(dists, fam, spec) == reference_exhaustive(dists, fam, spec) == SuperArm([0, 2])
+        assert expected_reward(dists, SuperArm([0, 1]), spec) == expected_reward(dists, SuperArm([0, 2]), spec)
+        assert exhaustive_oracle(dists, fam, spec) == reference_exhaustive(dists, fam, spec) == SuperArm([0, 1])
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([*UTILITY_CURVES, "table"]), st.integers(2, 5), st.integers(1, 3))
+    def test_list_scores_as_its_matrix(self, seed, curve, m, K):
+        # a list of finite laws and CdfMatrix.of of it give one support table, each arm's masses the steps of
+        # its CDF: every feasible set's value has the same bits, and exhaustive picks the same set from both
+        rng = np.random.default_rng(seed)
+        arms = [random_finite(rng) for _ in range(m)]
+        matrix = CdfMatrix.of(arms)
+        fam = FeasibleFamily.cardinality_at_most(min(K, m), m)
+        spec = random_utility(rng, curve)
+        for S in fam:
+            assert expected_reward(arms, S, spec) == expected_reward(matrix, S, spec)
+        assert exhaustive_oracle(arms, fam, spec) == exhaustive_oracle(matrix, fam, spec)
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(UTILITY_CASES)
@@ -392,7 +408,7 @@ class TestExhaustiveUtility:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("cmab.rewards._SCORE_BLOCK", block)
             scores = _utility_scores(dists, rows, spec)
-        sizes = _SupportTable(dists).sizes
+        sizes = _laws(dists, spec).sizes
         for row, score in zip(rows, scores.tolist()):
             S = SuperArm(row[row < len(dists)])
             assert score == expected_reward(dists, S, spec)
@@ -437,7 +453,7 @@ class TestExhaustiveUtility:
         rng = np.random.default_rng(11)
         dists = CdfMatrix.of([random_finite(rng) for _ in range(8)])
         fam = FeasibleFamily.cardinality_at_most(3, 8)
-        sizes = _SupportTable(dists).sizes
+        sizes = _laws(dists, spec).sizes
         assert np.count_nonzero(sizes[:-1] > 1) == 7 and (sizes[fam.index_rows()].prod(1) > 40).any()
         calls.clear()
         whole = _utility_scores(dists, fam.index_rows(), spec)
@@ -460,7 +476,7 @@ class TestExhaustiveUtility:
         fam = FeasibleFamily.cardinality_at_most(3, 6)
         whole = _utility_scores(dists, fam.index_rows(), spec)
         chosen = exhaustive_oracle(dists, fam, spec)
-        sizes = _SupportTable(dists).sizes
+        sizes = _laws(dists, spec).sizes
         assert np.mean(sizes[fam.index_rows()].prod(1) > 5) > 0.5
         sized = []
         unique = np.unique

@@ -15,7 +15,7 @@ from cmab.oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax
 from cmab.policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
 from cmab.rewards import SuperArm, expected_kmax, kmax_spec
 from cmab.rng import ARM_STREAM, POLICY_STREAM, substream
-from util import COARSE_GRID, ReferenceDoubling, ReferenceMatrixOsm, ReferenceOsm, count_matrix
+from util import COARSE_GRID, ReferenceDoubling, ReferenceMatrixOsm, ReferenceOsm, count_matrix, run_grid
 
 EXACT = 1e-12
 
@@ -50,9 +50,9 @@ POLICY_MAKERS = {
 
 
 def arm_state(pol):
-    """Copies of every array a policy learns into."""
+    """Copies of every array a policy learns into, over all its runs."""
     if isinstance(pol, Sdcb):
-        return [pol.values.copy(), pol.counts.copy()]
+        return [pol.grid_values.copy(), pol.cum.copy()]
     if isinstance(pol, Cucb):
         return [pol.sums.copy(), pol.counts.copy()]
     return [pol.weights.copy()]
@@ -93,7 +93,7 @@ class TestRoundContract:
         for bad in (1.5, -0.1, math.nan):
             with pytest.raises(ValueError):
                 pol.observe(1, S, {i: bad for i in S.members})
-        assert pol.pull_counts == [0, 0, 0]
+        assert not pol.cum.any()
 
     @pytest.mark.parametrize("make", POLICY_MAKERS.values(), ids=POLICY_MAKERS.keys())
     def test_corrected_retry_after_rejection(self, make):
@@ -121,15 +121,6 @@ BATCH_MAKERS = {
 }
 
 
-def batch_state(pol):
-    """Copies of every array a batch policy learns into, over all its runs."""
-    if isinstance(pol, Sdcb):
-        return [pol.grid_values.copy(), pol.cum.copy()]
-    if isinstance(pol, Cucb):
-        return [pol.sums.copy(), pol.counts.copy()]
-    return [pol.weights.copy()]
-
-
 class TestBatchContract:
     @pytest.mark.parametrize("make", BATCH_MAKERS.values(), ids=BATCH_MAKERS.keys())
     def test_one_bad_outcome_changes_no_run(self, make):
@@ -141,22 +132,22 @@ class TestBatchContract:
             arms = pol.select_batch(t)
             assert len(arms) == 3
             good = [{i: values[(i + r) % 3] for i in S.members} for r, S in enumerate(arms)]
-            before = batch_state(pol)
+            before = arm_state(pol)
             for bad in (1.5, -0.1, math.nan):
                 outcomes = [dict(o) for o in good]
                 outcomes[2][arms[2].members[-1]] = bad
                 with pytest.raises(ValueError, match="outside"):
                     pol.observe_batch(t, arms, outcomes)
-                assert same_state(batch_state(pol), before)
+                assert same_state(arm_state(pol), before)
             extra = [dict(o) for o in good]
             extra[1][min(set(range(3)) - set(arms[1].members))] = 0.5
             with pytest.raises(ValueError, match="members"):
                 pol.observe_batch(t, arms, extra)
             with pytest.raises(ValueError, match="expected 3 super arms"):
                 pol.observe_batch(t, arms[:2], good[:2])
-            assert same_state(batch_state(pol), before)
+            assert same_state(arm_state(pol), before)
             pol.observe_batch(t, arms, good)
-            assert not same_state(batch_state(pol), before)
+            assert not same_state(arm_state(pol), before)
 
     @pytest.mark.parametrize("make", BATCH_MAKERS.values(), ids=BATCH_MAKERS.keys())
     def test_one_run_calls_need_one_run(self, make):
@@ -221,33 +212,33 @@ class TestSdcb:
         pol = Sdcb(fam, spec, oracle)
         seq = drive(pol, {0: 0.2, 1: 0.8}, 8)
         assert seq == [(0,), (1,), (0,), (0,), (1,), (1,), (1,), (0,)]
-        assert pol.pull_counts == [4, 4]
+        assert pol.cum[0, :, -1].tolist() == [4, 4]
 
     def test_counter_conservation(self):
         fam, spec, oracle = cardinality_setup(2, 3)
         pol = Sdcb(fam, spec, oracle)
         seq = drive(pol, {0: 0.3, 1: 0.6, 2: 0.9}, 12)
-        assert sum(pol.pull_counts) == sum(len(s) for s in seq)
+        assert pol.cum[0, :, -1].sum() == sum(len(s) for s in seq)
 
     def test_outcome_binning(self):
         fam, spec, oracle = cardinality_setup(1, 2)
         pol = Sdcb(fam, spec, oracle, outcome_bins=4)
         S = pol.select(1)
         pol.observe(1, S, {0: 0.3})
-        assert np.array_equal(pol.values[pol.counts[0] > 0], [0.5])
+        values, counts = run_grid(pol)
+        assert np.array_equal(values[counts[0] > 0], [0.5])
 
     @pytest.mark.parametrize("bins", [None, 4])
     def test_observe_rejects_out_of_range_outcomes(self, bins):
-        # a rejected outcome leaves the value grid and the count matrix as they were
+        # a rejected outcome leaves the value grid and the cumulative counts as they were
         fam, spec, oracle = cardinality_setup(1, 2)
         for bad in (1.5, -0.1):
             pol = Sdcb(fam, spec, oracle, outcome_bins=bins)
             pol.observe(1, pol.select(1), {0: 0.5})
-            values, counts = pol.values.copy(), pol.counts.copy()
+            before = arm_state(pol)
             with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
                 pol.observe(2, pol.select(2), {1: bad})
-            assert np.array_equal(pol.values, values)
-            assert np.array_equal(pol.counts, counts)
+            assert same_state(arm_state(pol), before)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 3, 10]))
@@ -263,10 +254,11 @@ class TestSdcb:
             pol.observe(t, S, outcomes)
             for i, x in outcomes.items():
                 seen[i].append(x if bins is None else bin_value(x, bins))
-            assert np.all(np.diff(pol.values) > 0) and pol.values[-1] == 1.0
+            values, counts = run_grid(pol)
+            assert np.all(np.diff(values) > 0) and values[-1] == 1.0
         for i, obs in seen.items():
-            assert {v: c for v, c in zip(pol.values, pol.counts[i]) if c} == Counter(obs)
-        assert pol.pull_counts == [len(seen[i]) for i in range(4)]
+            assert {v: c for v, c in zip(values, counts[i]) if c} == Counter(obs)
+        assert pol.cum[0, :, -1].tolist() == [len(seen[i]) for i in range(4)]
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([None, 1, 3, 10, 45]))
@@ -299,7 +291,7 @@ class TestSdcb:
             pol.observe(t, S, outcomes)
             for i, x in outcomes.items():
                 seen[i].append(x if bins is None else bin_value(x, bins))
-            assert np.array_equal(pol.values, count_matrix(seen)[0])
+            assert np.array_equal(run_grid(pol)[0], count_matrix(seen)[0])
         assert not inputs
 
     def test_identical_histories_identical_choices(self):
@@ -323,14 +315,16 @@ class TestLazySdcb:
         pol = lazy_sdcb_known_T(fam, spec, oracle, 100)
         S = pol.select(1)
         pol.observe(1, S, {0: 0.25})
-        assert np.array_equal(pol.values[pol.counts[0] > 0], [0.3])
+        values, counts = run_grid(pol)
+        assert np.array_equal(values[counts[0] > 0], [0.3])
 
     def test_horizon_one_bins_everything_to_one(self):
         fam, spec, oracle = cardinality_setup(1, 2)
         pol = lazy_sdcb_known_T(fam, spec, oracle, 1)
         S = pol.select(1)
         pol.observe(1, S, {0: 0.0})
-        assert np.array_equal(pol.values[pol.counts[0] > 0], [1.0])
+        values, counts = run_grid(pol)
+        assert np.array_equal(values[counts[0] > 0], [1.0])
 
     def test_rejects_bad_horizon(self):
         fam, spec, oracle = cardinality_setup(1, 2)
@@ -394,8 +388,7 @@ class TestLazySdcbDoubling:
             outcomes = {i: float(rng.integers(2) if rng.random() < 0.1 else rng.random() ** skew[i]) for i in S.members}
             pol.observe(t, S, outcomes)
             ref.observe(t, S, outcomes)
-            assert np.array_equal(pol.values, ref.inner.values)
-            assert np.array_equal(pol.counts, ref.inner.counts)
+            assert same_state(arm_state(pol), arm_state(ref.inner))
             assert pol.outcome_bins == ref.inner.outcome_bins
 
     def test_rejected_observe_at_epoch_end_keeps_schedule(self):
@@ -452,7 +445,7 @@ class TestCucb:
         fam, spec, oracle = cardinality_setup(2, 3)
         pol = Cucb(fam, spec, oracle)
         seq = drive(pol, {0: 0.3, 1: 0.6, 2: 0.9}, 10)
-        assert sum(pol.pull_counts) == sum(len(s) for s in seq)
+        assert pol.counts[0].sum() == sum(len(s) for s in seq)
 
 
 def osm(K, m, T=100, seed=0, gamma=None):
@@ -659,7 +652,7 @@ class TestRegretCertificate:
         failures, certified = 0, 0
         for t in range(1, T + 1):
             if t > m:
-                values, counts = pol.values, pol.counts
+                values, counts = run_grid(pol)
                 n = counts.sum(1)
                 radius = confidence_radius(t, n)
                 at = np.searchsorted(values, jumps, side="right")

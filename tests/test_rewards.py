@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmab
 from cmab.distributions import CdfMatrix, PiecewiseDensity, dominant_cdfs, make_finite
 from cmab.errors import GuardExceeded
 from cmab.harness import Environment, builtin_env
@@ -23,7 +24,6 @@ from cmab.rewards import (
     _kmax_scores,
     _scores,
     expected_kmax,
-    expected_kmax_continuous,
     expected_reward,
     kmax_spec,
     linear_spec,
@@ -159,10 +159,13 @@ class TestExpectedKmax:
         env = builtin_env("dist1")
         assert expected_kmax(env.arms, SuperArm([0, 3])) == pytest.approx(0.77, abs=EXACT)
 
-    def test_rejects_continuous(self):
+    def test_continuous_list_is_its_reward(self):
+        # one evaluator for any arm laws: a continuous list is scored as expected_reward scores it, and the
+        # former continuous-only name is the same function, gone from the package root
         u = PiecewiseDensity([0.0, 1.0], [1.0])
-        with pytest.raises(TypeError):
-            expected_kmax([u], SuperArm([0]))
+        assert expected_kmax([u], SuperArm([0])) == expected_reward([u], SuperArm([0]), kmax_spec())
+        assert cmab.rewards.expected_kmax_continuous is expected_kmax
+        assert "expected_kmax_continuous" not in cmab.__all__
 
     def test_point_masses(self):
         a = make_finite([0.4], [1.0])
@@ -218,20 +221,20 @@ class TestExpectedKmaxContinuous:
     def test_three_uniforms(self):
         u = PiecewiseDensity([0.0, 1.0], [1.0])
         # E[max of n iid U(0,1)] = n/(n+1)
-        assert expected_kmax_continuous([u, u, u], SuperArm([0, 1, 2])) == pytest.approx(0.75, abs=QUAD)
+        assert expected_kmax([u, u, u], SuperArm([0, 1, 2])) == pytest.approx(0.75, abs=QUAD)
 
     def test_uniform_with_point_mass(self):
         u = PiecewiseDensity([0.0, 1.0], [1.0])
         p = make_finite([0.5], [1.0])
         # E[max(U, 0.5)] = 0.5 * 0.5 + int_{0.5}^{1} x dx
-        got = expected_kmax_continuous([u, p], SuperArm([0, 1]))
+        got = expected_kmax([u, p], SuperArm([0, 1]))
         assert got == pytest.approx(0.625, abs=QUAD)
 
     def test_point_mass_one_ulp_from_a_breakpoint(self):
         # the segment between 0.5 and the point mass one ulp above it carries no weight and is skipped
         u = PiecewiseDensity([0.0, 0.5, 1.0], [1.0, 1.0])
         p = make_finite([float(np.nextafter(0.5, 1.0))], [1.0])
-        assert expected_kmax_continuous([u, p], SuperArm([0, 1])) == pytest.approx(0.625, abs=QUAD)
+        assert expected_kmax([u, p], SuperArm([0, 1])) == pytest.approx(0.625, abs=QUAD)
 
     def test_tilted_pair_against_quadrature(self):
         d = PiecewiseDensity([0.0, 0.5, 1.0], [1.2, 0.8])
@@ -240,13 +243,13 @@ class TestExpectedKmaxContinuous:
             return 1.2 * x if x <= 0.5 else 0.6 + 0.8 * (x - 0.5)
 
         want = float(mpmath.quad(lambda x: 1.0 - F(x) ** 2, [0, 0.5, 1]))
-        got = expected_kmax_continuous([d, d], SuperArm([0, 1]))
+        got = expected_kmax([d, d], SuperArm([0, 1]))
         assert got == pytest.approx(want, abs=QUAD)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["continuous", "mixed"]), st.integers(1, 6), st.integers(1, 64))
     def test_batch_matches_kept_loop(self, seed, kind, m, block):
-        # every row of the batch, in blocks of any size, is expected_kmax_continuous of its set bit for bit
+        # every row of the batch, in blocks of any size, is expected_kmax of its set bit for bit
         # and lies within QUAD of the per-segment loop over the members it replaced
         rng = np.random.default_rng(seed)
         dists = random_arm_list(rng, kind, m)
@@ -256,7 +259,7 @@ class TestExpectedKmaxContinuous:
             scores = _kmax_scores(_cdfs(dists), rows)
         for row, score in zip(rows, scores.tolist()):
             S = SuperArm(row[row < m])
-            assert score == expected_kmax_continuous(dists, S) == expected_reward(dists, S, kmax_spec())
+            assert score == expected_kmax(dists, S) == expected_reward(dists, S, kmax_spec())
             assert score == pytest.approx(reference_expected_kmax_continuous(dists, S), abs=QUAD)
 
     def test_dist4_matches_kept_loop(self):
@@ -270,9 +273,11 @@ class TestExpectedKmaxContinuous:
         assert env.optimal_value == scores.max()
 
     def test_matches_discrete_on_finite_members(self):
+        # finite members of a list holding a continuous arm are scored on its quadrature, within QUAD of the matrix
         a = make_finite([0.2, 0.9], [0.4, 0.6])
         b = make_finite([0.5, 1.0], [0.7, 0.3])
-        got = expected_kmax_continuous([a, b], SuperArm([0, 1]))
+        u = PiecewiseDensity([0.0, 1.0], [1.0])
+        got = expected_kmax([a, b, u], SuperArm([0, 1]))
         want = expected_kmax([a, b], SuperArm([0, 1]))
         assert got == pytest.approx(want, abs=QUAD)
 
@@ -290,7 +295,7 @@ class TestExpectedReward:
         finite_only = expected_reward([a, a], SuperArm([0, 1]), kmax_spec())
         assert finite_only == pytest.approx(expected_kmax([a, a], SuperArm([0, 1])), abs=EXACT)
         mixed = expected_reward([a, u], SuperArm([0, 1]), kmax_spec())
-        assert mixed == pytest.approx(expected_kmax_continuous([a, u], SuperArm([0, 1])), abs=EXACT)
+        assert mixed == pytest.approx(expected_kmax([a, u], SuperArm([0, 1])), abs=EXACT)
 
     def test_kmax_on_a_mixed_list_is_its_batch_row(self):
         # the list's matrix depends on the whole list: a finite set among continuous arms is scored on the
@@ -301,7 +306,7 @@ class TestExpectedReward:
         batch = _kmax_scores(_cdfs([a, u]), rows).tolist()
         for row, score in zip(rows, batch):
             S = SuperArm(row[row < 2])
-            assert expected_reward([a, u], S, kmax_spec()) == expected_kmax_continuous([a, u], S) == score
+            assert expected_reward([a, u], S, kmax_spec()) == expected_kmax([a, u], S) == score
         assert batch[0] == pytest.approx(expected_kmax([a], SuperArm([0])), abs=EXACT)
         env = Environment([a, u], FeasibleFamily.cardinality_at_most(2, 2), kmax_spec())
         assert env.score(SuperArm([0])) == batch[0]

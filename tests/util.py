@@ -364,6 +364,18 @@ def count_matrix(observations):
     return values, counts
 
 
+def run_grid(pol, r: int = 0):
+    """(values, counts) of run r of an ``Sdcb``, laid out as ``count_matrix`` lays them out.
+
+    ``values`` is run r's grid columns where some arm's count steps up, plus 1.0;
+    ``counts[i, k]`` is how often arm i observed ``values[k]``.
+    """
+    cum = pol.cum[r]
+    steps = np.logical_or.reduce(cum[:, 1:] > cum[:, :-1], axis=0)
+    steps[-1] = True
+    return pol.grid_values[r, 1:][steps], np.diff(cum)[:, steps]
+
+
 def random_counts(rng: np.random.Generator, m: int):
     """(values, counts) of m arms on a random grid ending at 1, every arm observed.
 
