@@ -18,7 +18,6 @@ import bisect
 import functools
 import itertools
 import json
-import math
 import sys
 
 import numpy as np
@@ -73,36 +72,11 @@ def _load_json(path: str):
         raise _ConfigError(f"invalid JSON in {path!r}: {e}") from e
 
 
-def _int_field(name: str, value) -> int:
-    """A JSON integer; bools, floats and anything else are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _ConfigError(f"{name}: expected an integer, got {value!r}")
-    return value
-
-
 def _str_field(name: str, value) -> str:
     """A JSON string; null, numbers, lists and anything else are rejected."""
     if not isinstance(value, str):
         raise _ConfigError(f"{name}: expected a string, got {value!r}")
     return value
-
-
-def _real_field(name: str, value) -> float:
-    """A finite JSON number; bools, NaN, infinities and anything else are rejected."""
-    try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):  # not a number, or an int too large for a float
-        pass
-    raise _ConfigError(f"{name}: expected a finite number, got {value!r}")
-
-
-def _epsilon(value) -> float:
-    """The ptas accuracy, checked whichever oracle runs: a finite number in (0, 1/2)."""
-    eps = _real_field("epsilon", value)
-    if not 0.0 < eps < 0.5:
-        raise _ConfigError(f"epsilon must lie in (0, 1/2), got {eps!r}")
-    return eps
 
 
 def _reals(numbers: list) -> np.ndarray | None:
@@ -213,7 +187,7 @@ def _parse_family(doc, m: int) -> FeasibleFamily:
     if kind == "cardinality":
         if "K" not in doc:
             raise _ConfigError("family: cardinality needs 'K'")
-        return FeasibleFamily.cardinality_at_most(_int_field("family: K", doc["K"]), m)
+        return FeasibleFamily.cardinality_at_most(doc["K"], m)
     if "sets" not in doc or not isinstance(doc["sets"], list):
         raise _ConfigError("family: explicit needs a 'sets' list")
     if not doc["sets"]:
@@ -260,7 +234,7 @@ def _parse_reward(doc):
     if kind == "kmax":
         return kmax_spec()
     if kind == "linear":
-        return linear_spec(bound_M=_real_field("reward: bound_M", doc.get("bound_M", 1.0)))
+        return linear_spec(bound_M=doc.get("bound_M", 1.0))
     if kind == "utility":
         if "utility" not in doc:
             raise _ConfigError("reward: utility kind needs a 'utility' curve (name or [[y, u(y)], ...])")
@@ -269,12 +243,7 @@ def _parse_reward(doc):
             for p in utility:
                 if not isinstance(p, list) or len(p) != 2:
                     raise _ConfigError(f"reward: a utility table point must be [y, u(y)], got {p!r}")
-            utility = [tuple(_real_field("reward: utility table", v) for v in p) for p in utility]
-        return utility_spec(
-            utility,
-            bound_M=_real_field("reward: bound_M", doc.get("bound_M", 1.0)),
-            lipschitz_C=_real_field("reward: lipschitz_C", doc.get("lipschitz_C", 1.0)),
-        )
+        return utility_spec(utility, bound_M=doc.get("bound_M", 1.0), lipschitz_C=doc.get("lipschitz_C", 1.0))
     raise _ConfigError(f"reward: unknown kind {kind!r}")
 
 
@@ -316,23 +285,10 @@ def cmd_run(args) -> int:
             return config[key]
         return _RUN_DEFAULTS[key]
 
-    policy = pick("policy")
-    if policy is None:
+    if pick("policy") is None:
         raise _ConfigError("no policy given (use --policy or a 'policy' config entry)")
-    policy = _str_field("policy", policy)
-    if policy not in POLICIES:
-        raise _ConfigError(f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}")
-    oracle = _str_field("oracle", pick("oracle"))
-    if oracle not in ORACLES:
-        raise _ConfigError(f"unknown oracle {oracle!r}; choose from {', '.join(ORACLES)}")
-    T = _int_field("T", pick("T"))
-    runs = _int_field("runs", pick("runs"))
-    seed = _int_field("seed", pick("seed"))
-    epsilon = _epsilon(pick("epsilon"))
-    alpha = _real_field("alpha", pick("alpha"))
+    factory = PolicyFactory(policy=pick("policy"), oracle=pick("oracle"), epsilon=pick("epsilon"))
     out = _str_field("out", pick("out"))
-    if not 0.0 < alpha <= 1.0:
-        raise _ConfigError("alpha must be in (0, 1]")
 
     env_name = pick("env")
     instance = {key: config[key] for key in _FIELDS["instance"] if key in config}
@@ -345,19 +301,19 @@ def cmd_run(args) -> int:
     else:
         raise _ConfigError("no environment: pass --env or put arms in the config file")
 
-    factory = PolicyFactory(policy=policy, oracle=oracle, epsilon=epsilon)
-    avg, traces = run_many(env, factory, T, runs, seed, alpha=alpha, n_jobs=args.jobs)
+    T, runs = pick("T"), pick("runs")
+    avg, traces = run_many(env, factory, T, runs, pick("seed"), alpha=pick("alpha"), n_jobs=args.jobs)
     write_csv(avg, out)
     if args.per_run_out:
         write_csv(traces, args.per_run_out)
-    print(f"wrote {out}: env={env.name or 'inline'} policy={policy} oracle={oracle} T={T} runs={runs}")
+    print(f"wrote {out}: env={env.name or 'inline'} policy={factory.policy} oracle={factory.oracle} T={T} runs={runs}")
     return 0
 
 
 def cmd_offline(args) -> int:
     doc = _load_json(args.instance)
     arms, family, spec = _parse_instance(doc)
-    solve = _oracle_handle(args.solver, family, spec, _epsilon(args.epsilon))
+    solve = _oracle_handle(args.solver, family, spec, args.epsilon)
     if args.solver == "ptas":
         _require_finite(arms, "the ptas solver")
     arms = _laws(arms, spec)  # every solver and the value read this one input

@@ -300,7 +300,7 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
     cumulative counts.
 
     Args:
-        values: ascending grid of observed values, last entry 1.0.
+        values: strictly ascending grid of observed values in [0, 1], last entry 1.0.
         counts: (m, len(values)) integer counts, every row nonzero.
         t: current round index (>= 2); sets radius_i = sqrt(3 ln t / 2 T_i).
         radius: one radius >= 0 for all arms, or one per arm, in place of that.
@@ -314,6 +314,8 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
     counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[1] != len(values) or not len(values) or values[-1] != 1.0:
         raise ValueError("counts must be (m, len(values)) over a grid ending at 1")
+    if not (values[0] >= 0.0 and np.all(values[1:] > values[:-1])):  # NaN fails both comparisons
+        raise ValueError("values must be a strictly ascending grid in [0, 1]")
     # one run for the batch kernel, with the zero column it reads left of the grid
     cum = np.zeros((1, len(counts), len(values) + 1), dtype=np.result_type(counts, np.int64))
     np.cumsum(counts, axis=1, out=cum[0, :, 1:])

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import Distribution, PiecewiseDensity, _draws, make_finite
-from .errors import check_count
-from .oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax, ptas_kmax
+from .errors import check_count, check_real
+from .oracles import FeasibleFamily, check_epsilon, exhaustive_oracle, greedy_kmax, ptas_kmax
 from .policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
 from .rewards import RewardSpec, SuperArm, _laws, expected_reward, kmax_spec
 from .rng import ARM_STREAM, POLICY_STREAM, run_seed, substream
@@ -69,29 +69,47 @@ class RegretTrace:
         return len(self.rewards)
 
 
+def _check_name(value, names: tuple, what: str) -> None:
+    if value not in names:
+        raise ValueError(f"unknown {what} {value!r}; choose from {', '.join(names)}")
+
+
+def _check_alpha(alpha) -> None:
+    """The approximation level of the regret column: a finite real number in (0, 1]."""
+    if not 0.0 < check_real(alpha, "alpha") <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
+
+
 def _oracle_handle(kind: str, family: FeasibleFamily, spec: RewardSpec, epsilon: float) -> Callable:
+    """The oracle named ``kind``, its name and ``epsilon`` checked whichever oracle it is."""
+    _check_name(kind, ORACLES, "oracle")
+    check_epsilon(epsilon)
     if kind == "exhaustive":
         return partial(exhaustive_oracle, family=family, spec=spec)
-    if kind in ("greedy", "ptas"):
-        if family.kind != "cardinality" or spec.kind != "kmax":
-            raise ValueError(f"the {kind} oracle needs a cardinality family and the kmax reward")
-        if kind == "greedy":
-            return partial(greedy_kmax, K=family.K)
-        return partial(ptas_kmax, K=family.K, eps=epsilon)
-    raise ValueError(f"unknown oracle {kind!r}")
+    if family.kind != "cardinality" or spec.kind != "kmax":
+        raise ValueError(f"the {kind} oracle needs a cardinality family and the kmax reward")
+    if kind == "greedy":
+        return partial(greedy_kmax, K=family.K)
+    return partial(ptas_kmax, K=family.K, eps=epsilon)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyFactory:
     """Builds one fresh policy per batch of runs, from the batch's policy generators; picklable for parallel runs.
 
     ``factory(family, spec, T, rngs)`` returns a policy stepping ``len(rngs)`` runs, run r drawing from
-    ``rngs[r]``: it has ``select_batch(t)`` and ``observe_batch(t, arms, outcomes)``.
+    ``rngs[r]``: it has ``select_batch(t)`` and ``observe_batch(t, arms, outcomes)``.  The policy name, the
+    oracle name and ``epsilon`` are checked at construction, whichever policy and oracle run.
     """
 
     policy: str
     oracle: str = "exhaustive"
     epsilon: float = 0.25
+
+    def __post_init__(self):
+        _check_name(self.policy, POLICIES, "policy")
+        _check_name(self.oracle, ORACLES, "oracle")
+        check_epsilon(self.epsilon)
 
     def __call__(self, family: FeasibleFamily, spec: RewardSpec, T: int, rngs: Sequence[np.random.Generator]):
         if self.policy == "osm":
@@ -104,9 +122,7 @@ class PolicyFactory:
             return lazy_sdcb_known_T(family, spec, oracle, T, runs=runs)
         if self.policy == "lazy-sdcb-doubling":
             return LazySdcbDoubling(family, spec, oracle, runs=runs)
-        if self.policy == "cucb":
-            return Cucb(family, spec, oracle, runs=runs)
-        raise ValueError(f"unknown policy {self.policy!r}")
+        return Cucb(family, spec, oracle, runs=runs)  # "cucb", the one name __post_init__ leaves
 
 
 def _run_batch(env: Environment, policy_factory, T: int, seeds: Sequence[int], alpha: float = 1.0) -> list[RegretTrace]:
@@ -120,6 +136,7 @@ def _run_batch(env: Environment, policy_factory, T: int, seeds: Sequence[int], a
     ``runtime_s`` is the batch's wall time over its size.
     """
     check_count(T, "horizon T")
+    _check_alpha(alpha)
     t0 = time.perf_counter()
     draws = [[_draws(arm, substream(seed, ARM_STREAM, i)) for i, arm in enumerate(env.arms)] for seed in seeds]
     policy = policy_factory(env.family, env.spec, T, [substream(seed, POLICY_STREAM, 0) for seed in seeds])
@@ -196,7 +213,8 @@ def run_many(
     without sending is a ``RuntimeError``.  Every run's trace is the one
     ``run_one`` gives for its seed, whatever the chunking.
     """
-    check_count(T, "horizon T")  # before any worker starts; each batch checks it again
+    check_count(T, "horizon T")  # before any worker starts; each batch checks T and alpha again
+    _check_alpha(alpha)
     check_count(runs, "runs")
     check_count(n_jobs, "n_jobs")
     seeds = [run_seed(seed_base, r) for r in range(runs)]  # checks the seed before any worker starts

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import CdfMatrix, _bernoulli_parts
-from .errors import GuardExceeded
+from .errors import GuardExceeded, check_count, check_real
 from .rewards import RewardSpec, SuperArm, _cdfs, _scores, expected_kmax, kmax_spec
 
 ENUMERATION_GUARD = 10**6
@@ -59,7 +59,7 @@ class FeasibleFamily:
 
     @classmethod
     def cardinality_at_most(cls, K: int, m: int) -> "FeasibleFamily":
-        if not 1 <= K <= m:
+        if check_count(K, "K") > check_count(m, "m"):
             raise ValueError("need 1 <= K <= m")
         return cls("cardinality", m, K)
 
@@ -171,7 +171,7 @@ def greedy_kmax(dists, K: int) -> SuperArm:
     optimum over K-subsets.  The gains are one matrix-vector product a
     step on the arm list's matrix.
     """
-    if not 1 <= K <= len(dists):
+    if check_count(K, "K") > len(dists):
         raise ValueError("need 1 <= K <= m")
     cdfs = _cdfs(dists)
     C = cdfs.F
@@ -295,6 +295,12 @@ def _reachable_sets(signatures, K: int) -> list[dict]:
     return levels
 
 
+def check_epsilon(eps) -> None:
+    """The ptas accuracy, checked whichever oracle runs: a finite real number in (0, 1/2)."""
+    if not 0.0 < check_real(eps, "epsilon") < 0.5:
+        raise ValueError(f"epsilon must lie in (0, 1/2), got {eps!r}")
+
+
 def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
     """Approximation scheme for expected-max maximization over K-subsets.
 
@@ -306,10 +312,9 @@ def ptas_kmax(dists, K: int, eps: float) -> SuperArm:
     dominate the greedy seed, but its value is within an O(eps) fraction
     of the optimum.
     """
-    if not 1 <= K <= len(dists):
+    if check_count(K, "K") > len(dists):
         raise ValueError("need 1 <= K <= m")
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
+    check_epsilon(eps)
     cdfs = _cdfs(dists)
     if not isinstance(cdfs, CdfMatrix):
         raise TypeError("ptas_kmax requires finite-support distributions")

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import CdfMatrix, Distribution, FiniteDistribution, PiecewiseDensity, _sorted_unique
-from .errors import GuardExceeded
+from .errors import GuardExceeded, check_real
 
 KMAX = "kmax"
 UTILITY_OF_SUM = "utility_of_sum"
@@ -120,13 +120,11 @@ class TabulatedUtility:
     """Piecewise-linear utility through the given (y, u) points."""
 
     def __init__(self, points: Sequence[tuple[float, float]]):
-        pts = sorted((float(y), float(u)) for y, u in points)
+        pts = sorted((check_real(y, "utility table y"), check_real(u, "utility table u(y)")) for y, u in points)
         if len(pts) < 2:
             raise ValueError("need at least two table points")
         self.ys = np.array([y for y, _ in pts])
         self.us = np.array([u for _, u in pts])
-        if not (np.all(np.isfinite(self.ys)) and np.all(np.isfinite(self.us))):
-            raise ValueError("table points must be finite")
         if np.any(np.diff(self.ys) <= 0):
             raise ValueError("table abscissae must be strictly increasing")
 
@@ -147,10 +145,9 @@ class RewardSpec:
     def __init__(self, kind, utility=None, bound_M=1.0, lipschitz_C=1.0):
         if kind not in (KMAX, UTILITY_OF_SUM, LINEAR_SUM):
             raise ValueError(f"unknown reward kind {kind!r}")
-        if not math.isfinite(bound_M) or bound_M <= 0:
-            raise ValueError("bound_M must be positive and finite")
-        if not math.isfinite(lipschitz_C):
-            raise ValueError("lipschitz_C must be finite")
+        if check_real(bound_M, "bound_M") <= 0:
+            raise ValueError(f"bound_M must be positive, got {bound_M!r}")
+        check_real(lipschitz_C, "lipschitz_C")
         if kind == KMAX:
             if utility is not None:
                 raise ValueError("kmax takes no utility curve")

@@ -14,6 +14,8 @@ policy's own randomness (index 0).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 ARM_STREAM = 0
@@ -21,8 +23,9 @@ POLICY_STREAM = 1
 
 
 def _check_seed(seed: int) -> int:
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    """``seed`` as an int, if it is an integer >= 0 (bools excluded); else ValueError, never a truncation."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     return int(seed)
 
 

@@ -547,6 +547,7 @@ class TestExitCodes:
 
     def test_bad_alpha(self, capsys):
         assert main(["run", "--env", "dist1", "--policy", "sdcb", "--alpha", "1.5"]) == 1
+        assert capsys.readouterr().err.startswith("cmab: error: alpha")
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_bad_jobs(self, tmp_path, capsys, jobs):

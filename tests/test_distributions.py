@@ -289,6 +289,11 @@ class TestDominantCdf:
         assert a.cdf(0.0) == pytest.approx(0.4, abs=EXACT)
         assert b.cdf(0.0) == pytest.approx(0.2, abs=EXACT)
 
+    @pytest.mark.parametrize("values", [[0.5, 0.2, 1.0], [math.nan, 1.0], [0.2, math.nan, 1.0], [-0.5, 1.0], [0.5, 0.5, 1.0]])
+    def test_rejects_a_grid_not_ascending_in_unit_interval(self, values):
+        with pytest.raises(ValueError, match="strictly ascending grid"):
+            dominant_cdfs(values, [[1] * len(values)], 10, radius=0.0)
+
     def test_requires_observations_and_t(self):
         values, counts = count_matrix([[0.5], []])
         with pytest.raises(ValueError):

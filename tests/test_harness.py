@@ -20,9 +20,9 @@ from cmab.harness import (
     run_one,
     write_csv,
 )
-from cmab.oracles import FeasibleFamily, exhaustive_oracle
+from cmab.oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax, ptas_kmax
 from cmab.policies import Osm, lazy_sdcb_known_T
-from cmab.rewards import SuperArm, _Quadrature, expected_reward, kmax_spec
+from cmab.rewards import SuperArm, _Quadrature, expected_reward, kmax_spec, linear_spec, utility_spec
 from cmab.rng import ARM_STREAM, substream
 from util import reference_run_one
 
@@ -354,6 +354,33 @@ class TestCountChecks:
     @pytest.mark.parametrize("call", COUNT_ENTRY_POINTS.values(), ids=COUNT_ENTRY_POINTS.keys())
     def test_accepts_numpy_integers(self, call):
         call(np.int64(2))
+
+
+# library calls given one value their own rule rejects, where no CLI check stands in front: (call, message)
+VALUE_ERRORS = {
+    "run_many-seed-fraction": (lambda: run_many(tiny_env(), PolicyFactory("sdcb"), 5, 2, seed_base=2.7), "seed must be"),
+    "run_many-seed-bool": (lambda: run_many(tiny_env(), PolicyFactory("sdcb"), 5, 2, seed_base=True), "seed must be"),
+    "run_many-alpha-nan": (lambda: run_many(tiny_env(), PolicyFactory("sdcb"), 5, 2, 0, alpha=math.nan), "alpha"),
+    "run_many-alpha-above-one": (lambda: run_many(tiny_env(), PolicyFactory("sdcb"), 5, 2, 0, alpha=7), "alpha"),
+    "run_one-alpha-bool": (lambda: run_one(tiny_env(), PolicyFactory("sdcb"), 5, 0, alpha=True), "alpha"),
+    "substream-seed-fraction": (lambda: substream(1.5, 0, 0), "seed must be"),
+    "cardinality-K-fraction": (lambda: FeasibleFamily.cardinality_at_most(2.5, 3), "K must be"),
+    "greedy-K-float": (lambda: greedy_kmax(tiny_env().arms, 2.0), "K must be"),
+    "ptas-K-float": (lambda: ptas_kmax(tiny_env().arms, 2.0, 0.25), "K must be"),
+    "factory-epsilon-negative": (lambda: PolicyFactory("sdcb", "greedy", epsilon=-3), "epsilon must"),
+    "factory-unknown-policy": (lambda: PolicyFactory("thompson"), "unknown policy 'thompson'"),
+    "factory-unknown-oracle": (lambda: PolicyFactory("sdcb", "lp"), "unknown oracle 'lp'"),
+    "utility-bound_M-bool": (lambda: utility_spec("sqrt", bound_M=True, lipschitz_C=1.0), "bound_M must be"),
+    "linear-bound_M-string": (lambda: linear_spec(bound_M="3"), "bound_M must be"),
+    "utility-table-string": (lambda: utility_spec([("0", 0), (1, 1)], bound_M=1.0, lipschitz_C=1.0), "utility table"),
+}
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("call, message", VALUE_ERRORS.values(), ids=VALUE_ERRORS.keys())
+    def test_library_rejects(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call()
 
 
 class TestBuiltinEnvs:
