@@ -5,7 +5,9 @@
 Run from the repository root.  Each row is the best of 3 ``run_many`` calls,
 seed bases 42-44, in one process, in µs per run-round: the call's time over
 T times its runs.  A one-run row is ``run_one``'s cost; the rows at 2 and 20
-runs show what stepping the runs of a call together saves.  The rows marked
+runs show what stepping the runs of a call together saves, and the sdcb and
+lazy-sdcb rows at 4 and 8 runs where greedy's stacked width groups
+(``oracles._STACK_RUNS``) start to pay.  The rows marked
 ``--jobs 2`` pass ``n_jobs = 2``, the others 1: osm at T = 10 is mostly the
 fixed cost of a ``--jobs 2`` call.  Each measurement runs in a
 fresh process that imports ``cmab`` from one tree's ``src/``: the working
@@ -40,10 +42,14 @@ ROWS = (
     ("unbinned sdcb + greedy, dist4, T = 2000", "dist4", "sdcb", "greedy", 2000, 1, 1),
     ("unbinned sdcb + greedy, dist4, T = 4000", "dist4", "sdcb", "greedy", 4000, 1, 1),
     ("sdcb + greedy, dist1, T = 2000, 2 runs", "dist1", "sdcb", "greedy", 2000, 2, 1),
+    ("sdcb + greedy, dist1, T = 2000, 4 runs", "dist1", "sdcb", "greedy", 2000, 4, 1),
+    ("sdcb + greedy, dist1, T = 2000, 8 runs", "dist1", "sdcb", "greedy", 2000, 8, 1),
     ("sdcb + greedy, dist1, T = 2000, 20 runs", "dist1", "sdcb", "greedy", 2000, 20, 1),
     ("osm, dist1, T = 2000, 2 runs", "dist1", "osm", "exhaustive", 2000, 2, 1),
     ("osm, dist1, T = 2000, 20 runs", "dist1", "osm", "exhaustive", 2000, 20, 1),
     ("lazy-sdcb + greedy, dist4, T = 2000, 2 runs", "dist4", "lazy-sdcb", "greedy", 2000, 2, 1),
+    ("lazy-sdcb + greedy, dist4, T = 2000, 4 runs", "dist4", "lazy-sdcb", "greedy", 2000, 4, 1),
+    ("lazy-sdcb + greedy, dist4, T = 2000, 8 runs", "dist4", "lazy-sdcb", "greedy", 2000, 8, 1),
     ("lazy-sdcb + greedy, dist4, T = 2000, 20 runs", "dist4", "lazy-sdcb", "greedy", 2000, 20, 1),
     ("osm, dist4, T = 10, 2 runs, --jobs 2", "dist4", "osm", "exhaustive", 10, 2, 2),
     ("lazy-sdcb + greedy, dist4, T = 2000, 2 runs, --jobs 2", "dist4", "lazy-sdcb", "greedy", 2000, 2, 2),

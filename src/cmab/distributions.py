@@ -330,11 +330,13 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
         radius = np.broadcast_to(np.asarray(radius, dtype=float), n.shape[1:])[None]
         if not np.all(radius >= 0.0):
             raise ValueError("radius must be >= 0")
-    return _optimistic(np.concatenate(([[0.0]], values[None]), axis=1), cum, n, radius)[0]
+    (low,), (keep,) = _optimistic(cum, n, radius)
+    return CdfMatrix(values[keep[1:]], low[:, keep])
 
 
-def _optimistic(values: np.ndarray, cum: np.ndarray, n: np.ndarray, radius: np.ndarray) -> list[CdfMatrix]:
-    """Each run's max{cum / n - radius, 0} and 1 at 1, kept only at the columns where some row has mass.
+def _optimistic(cum: np.ndarray, n: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's max{cum / n - radius, 0} and 1 at 1, ``low``, and the mask ``keep`` of the columns where some row
+    has mass: run r's optimistic laws are ``CdfMatrix(values[r][keep[r]], low[r][:, keep[r]])``.
 
     Run r's cumulative counts ``cum[r]`` (R, m, w) are over its ascending grid ``values[r]`` (R, w), right-aligned
     with totals ``n = cum[..., -1]`` > 0 and with zero counts at the columns left of the grid, one or more.  With
@@ -346,9 +348,9 @@ def _optimistic(values: np.ndarray, cum: np.ndarray, n: np.ndarray, radius: np.n
     low[..., -1] = 1.0
     # a column no arm has mass at repeats the column before it in every row, and so do the zero columns left of
     # the grid; a > b is a - b > 0 for finite doubles
-    keep = np.zeros(values.shape, dtype=bool)
+    keep = np.zeros((len(cum), cum.shape[-1]), dtype=bool)
     np.logical_or.reduce(low[..., 1:] > low[..., :-1], axis=1, out=keep[:, 1:])
-    return [CdfMatrix(v[k], F[:, k]) for v, F, k in zip(values, low, keep)]
+    return low, keep
 
 
 def bin_index(x: float, s: int) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import Distribution, PiecewiseDensity, _draws, make_finite
 from .errors import check_count, check_real
-from .oracles import FeasibleFamily, check_epsilon, exhaustive_oracle, greedy_kmax, ptas_kmax
+from .oracles import FeasibleFamily, _Greedy, check_epsilon, exhaustive_oracle, ptas_kmax
 from .policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
 from .rewards import RewardSpec, SuperArm, _laws, expected_reward, kmax_spec
 from .rng import ARM_STREAM, POLICY_STREAM, run_seed, substream
@@ -89,7 +89,7 @@ def _oracle_handle(kind: str, family: FeasibleFamily, spec: RewardSpec, epsilon:
     if family.kind != "cardinality" or spec.kind != "kmax":
         raise ValueError(f"the {kind} oracle needs a cardinality family and the kmax reward")
     if kind == "greedy":
-        return partial(greedy_kmax, K=family.K)
+        return _Greedy(family.K, family.m)
     return partial(ptas_kmax, K=family.K, eps=epsilon)
 
 
@@ -141,6 +141,8 @@ def _run_batch(env: Environment, policy_factory, T: int, seeds: Sequence[int], a
     draws = [[_draws(arm, substream(seed, ARM_STREAM, i)) for i, arm in enumerate(env.arms)] for seed in seeds]
     policy = policy_factory(env.family, env.spec, T, [substream(seed, POLICY_STREAM, 0) for seed in seeds])
     family = env.family
+    # this package's policies take the draws below unchecked: each covers its run's super arm, from a checked law
+    drawn = getattr(policy, "_observe_drawn", None)
     rounds = []  # each round's super arms, one per run
     for t in range(1, T + 1):
         arms = policy.select_batch(t)
@@ -149,7 +151,10 @@ def _run_batch(env: Environment, policy_factory, T: int, seeds: Sequence[int], a
             if not family.is_feasible(S):
                 raise RuntimeError(f"policy played infeasible super arm {S!r} in round {t}")
             outcomes.append({i: next(run_draws[i]) for i in S.members})
-        policy.observe_batch(t, arms, outcomes)
+        if drawn is None:
+            policy.observe_batch(t, arms, outcomes)
+        else:
+            drawn(t, outcomes)
         rounds.append(arms)
     played = [[S.members for S in run] for run in zip(*rounds)]
     rewards = np.array([[env.score(S) for S in run] for run in zip(*rounds)])

@@ -174,14 +174,21 @@ def greedy_kmax(dists, K: int) -> SuperArm:
     if check_count(K, "K") > len(dists):
         raise ValueError("need 1 <= K <= m")
     cdfs = _cdfs(dists)
-    C = cdfs.F
-    if isinstance(cdfs, CdfMatrix):  # E[max] = sum_k V_k (P_k - P_{k-1}) = P @ w, w_k = V_k - V_{k+1}, w_last = V_last
-        V = cdfs.values
-        w = np.empty(len(V))
-        np.subtract(V[:-1], V[1:], out=w[:-1])
-        w[-1] = V[-1]
-    else:  # E[max] = sum_n w_n (1 - P_n) is largest where P @ -w is
-        w = -cdfs.weights
+    if isinstance(cdfs, CdfMatrix):
+        return _greedy(cdfs.F, _kmax_weights(cdfs.values), K)
+    return _greedy(cdfs.F, -cdfs.weights, K)  # E[max] = sum_n w_n (1 - P_n) is largest where P @ -w is
+
+
+def _kmax_weights(V: np.ndarray) -> np.ndarray:
+    """w along V's last axis with E[max] = P @ w: E[max] = sum_k V_k (P_k - P_{k-1}), so w_k = V_k - V_{k+1} and
+    w_last = V_last."""
+    w = V.copy()
+    w[..., :-1] -= V[..., 1:]
+    return w
+
+
+def _greedy(C: np.ndarray, w: np.ndarray, K: int) -> SuperArm:
+    """Greedy's K steps on C, one CDF row per arm, whose set values are the row products @ w; K <= len(C) trusted."""
     avail = list(range(len(C)))
     chosen = [avail.pop(int((C @ w).argmax()))]
     prod = C[chosen[0]]
@@ -192,7 +199,78 @@ def greedy_kmax(dists, K: int) -> SuperArm:
         j = int((rest @ w).argmax())
         chosen.append(avail.pop(j))
         prod = rest[j]
-    return SuperArm(chosen)
+    chosen.sort()
+    return SuperArm._trusted(tuple(chosen))
+
+
+def _greedy_stack(C: np.ndarray, w: np.ndarray, K: int) -> list[SuperArm]:
+    """``_greedy`` of every item of a stack, C (g, m, n) and w (g, n), in one matmul a step.
+
+    Each item of C must be Fortran-ordered, as ``low[r][:, keep[r]]`` is, and
+    each step's gathered rows are C-ordered, as ``take``'s are: a stacked
+    matmul then computes every item's gains with the bits of that item's
+    own gemv, so every pick is ``_greedy``'s.
+    """
+    g, m, _ = C.shape
+    runs = np.arange(g)
+    w = w[:, :, None]
+    avail = np.broadcast_to(np.arange(m), (g, m))
+    chosen = np.empty((g, K), dtype=np.intp)
+    rest = C
+    for step in range(K):
+        if step:
+            prod = rest[runs, None, j]  # each item's chosen arms' product
+            avail = avail[avail != chosen[:, step - 1, None]].reshape(g, -1)
+            rest = C[runs[:, None], avail]
+            rest *= prod
+        j = (rest @ w)[..., 0].argmax(1)  # the first of bit-equal maxima, as argmax on one item
+        chosen[:, step] = avail[runs, j]
+    chosen.sort(axis=1)
+    return [SuperArm._trusted(tuple(row)) for row in chosen.tolist()]
+
+
+# a width group of this many runs or more is stepped as one stack (see scripts/round_costs.py)
+_STACK_RUNS = 6
+
+
+class _Greedy:
+    """The greedy oracle of one cardinality family: ``greedy_kmax`` with K checked once, and a lockstep batch entry.
+
+    ``_batch(values, low, keep)`` takes a batch's optimistic CDFs as
+    :func:`~cmab.distributions._optimistic` leaves them and returns each
+    run's ``greedy_kmax`` pick on ``CdfMatrix(values[r][keep[r]], low[r][:,
+    keep[r]])``, building no matrix object.  Runs of one kept width form a
+    group, and a group of ``_STACK_RUNS`` or more is stepped as one stack.
+    """
+
+    __slots__ = ("K",)
+
+    def __init__(self, K: int, m: int):
+        if check_count(K, "K") > m:
+            raise ValueError("need 1 <= K <= m")
+        self.K = K
+
+    def __call__(self, dists) -> SuperArm:
+        return greedy_kmax(dists, self.K)
+
+    def _batch(self, values: np.ndarray, low: np.ndarray, keep: np.ndarray) -> list[SuperArm]:
+        K = self.K
+        arms = [None] * len(keep)
+        if len(keep) >= _STACK_RUNS:
+            widths = np.count_nonzero(keep, axis=1)
+            sizes = np.bincount(widths)
+            for width in np.flatnonzero(sizes >= _STACK_RUNS).tolist():
+                group = np.flatnonzero(widths == width)
+                k = keep[group]
+                # the kept columns of every run, each a C-ordered (width, m) block: its transpose is the Fortran F
+                C = low[group].transpose(0, 2, 1)[k].reshape(len(group), width, -1).transpose(0, 2, 1)
+                V = values[group][k].reshape(len(group), width)
+                for r, S in zip(group.tolist(), _greedy_stack(C, _kmax_weights(V), K)):
+                    arms[r] = S
+        for r, (v, F, k) in enumerate(zip(values, low, keep)):
+            if arms[r] is None:
+                arms[r] = _greedy(F[:, k], _kmax_weights(v[k]), K)
+        return arms
 
 
 def _best_row(dists, rows: np.ndarray, spec: RewardSpec) -> SuperArm:
@@ -241,10 +319,9 @@ def _signatures(cdfs: CdfMatrix, W: float, eps: float) -> np.ndarray:
     min(floor(sum(-ln(1 - q)) * m / eps^4), cap) over that value's parts,
     summed in ascending value order.
     """
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 1/2)")
-    if W <= 0.0:
-        raise ValueError("W must be positive")
+    check_epsilon(eps)
+    if not check_real(W, "W") > 0.0:
+        raise ValueError(f"W must be positive, got {W!r}")
     m = len(cdfs)
     top = len(ptas_grid(eps, W))
     arm, v, q = _bernoulli_parts(cdfs)

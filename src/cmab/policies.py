@@ -10,17 +10,22 @@ and ``observe_batch(t, arms, outcomes)`` checks every run's outcomes
 covering exactly the members of that run's super arm) and only then
 closes the round.  Rounds must alternate select/observe.  An observe
 that rejects any run's outcomes changes no run, so a corrected retry of
-the same round is accepted.  ``select(t)`` and ``observe(t, S,
+the same round is accepted.  The harness hands its own draws, taken
+from checked laws for the played super arms, to ``_observe_drawn(t,
+outcomes)``, which keeps only the round-state check; ``observe_batch``
+checks the outcomes and then calls it.  ``select(t)`` and ``observe(t, S,
 outcomes)`` are the same calls for a one-run policy.  A policy itself
 implements only ``_select(t)`` and ``_observe(outcomes)``.
 
 Policies never see the true distributions or exact expected rewards;
 their only inputs are the feasible family, the reward spec, an offline
-oracle, and their own observations.  The oracle is called once per run
-with m arm laws: a list or a :class:`CdfMatrix`; SDCB and CUCB both pass
-a :class:`CdfMatrix`.  Lazy SDCB is SDCB on binned outcomes; its
-horizon-free variant is an ``Sdcb`` that restarts its own counts on
-doubling epochs.  OSM, the adversarial baseline, uses no oracle: its
+oracle, and their own observations.  An oracle is called once per run
+with m arm laws, a list or a :class:`CdfMatrix`, and CUCB passes a
+:class:`CdfMatrix`.  So does SDCB, unless the oracle has a private batch
+entry ``_batch(values, low, keep)``, as the greedy handle does: then SDCB
+makes one call a round with its kernel's arrays for every run.  Lazy SDCB
+is SDCB on binned outcomes; its horizon-free variant is an ``Sdcb`` that
+restarts its own counts on doubling epochs.  OSM, the adversarial baseline, uses no oracle: its
 K Exp3 instances per run are the rows of one weight matrix, drawn from
 with the run's own generator.
 """
@@ -65,6 +70,13 @@ class _Policy:
             for arm, x in run_outcomes.items():
                 if not 0.0 <= x <= 1.0:
                     raise ValueError(f"outcome {x!r} for arm {arm} outside [0, 1]")
+        self._observe_drawn(t, outcomes)
+
+    def _observe_drawn(self, t: int, outcomes) -> None:
+        """``observe_batch`` of outcomes known to fit the round's super arms: the harness's draws from checked laws.
+
+        Only the round-state check runs, and it runs before any run changes.
+        """
         if not self._open or t != self._round:
             raise ValueError(f"observe({t}) does not follow select({t})")
         self._open = False
@@ -98,9 +110,11 @@ class Sdcb(_Policy):
     smallest feasible super arm containing arm i - 1.  Afterwards every
     arm's empirical CDF ``cum[r, i] / cum[r, i, -1]`` is shifted down by
     the confidence radius sqrt(3 ln t / 2 T_i) (mass relocated to 1), and
-    the offline oracle is asked, once per run, for the best super arm
-    under that optimistic product law, built by :func:`dominant_cdfs`'s
-    kernel.  Arm i of run r has been pulled ``cum[r, i, -1]`` times.
+    the offline oracle is asked for every run's best super arm under that
+    optimistic product law, built by :func:`dominant_cdfs`'s kernel: in
+    one call with the kernel's arrays if the oracle has a ``_batch``
+    entry, else once per run with the run's :class:`CdfMatrix`.  Arm i of
+    run r has been pulled ``cum[r, i, -1]`` times.
 
     With ``outcome_bins=s`` every observation is snapped to the right
     endpoint of its interval under the s-fold split of [0, 1] before
@@ -135,7 +149,12 @@ class Sdcb(_Policy):
         if t <= self.family.m:
             return [self.family.smallest_containing(t - 1)] * self.runs
         n = self.cum[..., -1]  # every arm was observed in its initialization round
-        return list(map(self.oracle, _optimistic(self.grid_values, self.cum, n, confidence_radius(t, n))))
+        low, keep = _optimistic(self.cum, n, confidence_radius(t, n))
+        values = self.grid_values
+        batch = getattr(self.oracle, "_batch", None)
+        if batch is not None:
+            return batch(values, low, keep)
+        return [self.oracle(CdfMatrix(v[k], F[:, k])) for v, F, k in zip(values, low, keep)]
 
     def _observe(self, outcomes) -> None:
         s = self.outcome_bins
@@ -295,7 +314,7 @@ class Osm(_Policy):
         C = np.cumsum(P, 1)
         C /= C[:, -1:]
         self.last_draws = (C <= next(self._uniforms)).sum(1).reshape(self.runs, -1).tolist()  # each run's K draws
-        return list(map(SuperArm, self.last_draws))
+        return [SuperArm._trusted(tuple(sorted(set(draws)))) for draws in self.last_draws]
 
     def _observe(self, outcomes) -> None:
         W, P, gamma = self.weights, self._probs, self.gamma

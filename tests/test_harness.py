@@ -20,10 +20,10 @@ from cmab.harness import (
     run_one,
     write_csv,
 )
-from cmab.oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax, ptas_kmax
-from cmab.policies import Osm, lazy_sdcb_known_T
+from cmab.oracles import FeasibleFamily, _signatures, exhaustive_oracle, greedy_kmax, ptas_kmax
+from cmab.policies import Osm, Sdcb, lazy_sdcb_known_T
 from cmab.rewards import SuperArm, _Quadrature, expected_reward, kmax_spec, linear_spec, utility_spec
-from cmab.rng import ARM_STREAM, substream
+from cmab.rng import ARM_STREAM, run_seed, substream
 from util import reference_run_one
 
 EXACT = 1e-12
@@ -287,7 +287,8 @@ def explicit_env():
 
 # (environment, policy, oracle, T, runs): every policy with greedy, exhaustive and ptas (at a small T), on dist1-4
 # and an explicit family, at batch sizes 1, 2, 3, 5 and 20; T = 300 runs past one block of uniforms and through
-# five doubling epochs, and unbinned sdcb on dist4 gives every run a grid of its own
+# five doubling epochs, and unbinned sdcb on dist4 gives every run a grid of its own; at 20 runs greedy steps its
+# width groups of six or more runs as stacks
 LOCKSTEP_CASES = [
     ("dist1", "sdcb", "greedy", 300, 20),
     ("dist4", "sdcb", "greedy", 300, 3),
@@ -297,6 +298,7 @@ LOCKSTEP_CASES = [
     ("dist3", "lazy-sdcb", "exhaustive", 300, 1),
     ("dist4", "lazy-sdcb", "ptas", 40, 2),
     ("dist4", "lazy-sdcb-doubling", "greedy", 300, 2),
+    ("dist4", "lazy-sdcb-doubling", "greedy", 300, 20),
     ("dist1", "lazy-sdcb-doubling", "exhaustive", 300, 3),
     ("dist2", "lazy-sdcb-doubling", "ptas", 40, 1),
     ("dist2", "cucb", "greedy", 300, 5),
@@ -334,6 +336,32 @@ class TestLockstep:
         assert solo.rewards.tobytes() == traces[0].rewards.tobytes()
 
 
+class TestOracleCalls:
+    @pytest.mark.parametrize("env_name, policy", [("dist1", "sdcb"), ("dist4", "lazy-sdcb")])
+    def test_greedy_batch_builds_no_matrix(self, monkeypatch, env_name, policy):
+        # sdcb's greedy handle reads the kernel's arrays: after the environment, a run builds no CdfMatrix
+        env = builtin_env(env_name)
+        built = []
+        init = CdfMatrix.__init__
+        monkeypatch.setattr(CdfMatrix, "__init__", lambda self, values, F: built.append(self) or init(self, values, F))
+        run_many(env, PolicyFactory(policy, "greedy"), 60, 5, seed_base=4)
+        assert built == []
+
+    def test_plain_function_oracle_gets_one_matrix_per_run_and_round(self):
+        env, T, runs = builtin_env("dist1"), 60, 3
+        laws = []
+
+        def oracle(cdfs):
+            laws.append(cdfs)
+            return greedy_kmax(cdfs, env.family.K)
+
+        _, traces = run_many(env, lambda family, spec, T, rngs: Sdcb(family, spec, oracle, runs=len(rngs)), T, runs, 4)
+        assert len(laws) == runs * (T - env.family.m)
+        assert all(type(cdfs) is CdfMatrix for cdfs in laws)
+        _, batched = run_many(env, PolicyFactory("sdcb", "greedy"), T, runs, 4)
+        assert [tr.super_arms for tr in traces] == [tr.super_arms for tr in batched]
+
+
 # every entry point that takes a horizon or a count, given one bad value
 COUNT_ENTRY_POINTS = {
     "run_one-T": lambda n: run_one(tiny_env(), PolicyFactory("sdcb"), n, 1),
@@ -364,6 +392,12 @@ VALUE_ERRORS = {
     "run_many-alpha-above-one": (lambda: run_many(tiny_env(), PolicyFactory("sdcb"), 5, 2, 0, alpha=7), "alpha"),
     "run_one-alpha-bool": (lambda: run_one(tiny_env(), PolicyFactory("sdcb"), 5, 0, alpha=True), "alpha"),
     "substream-seed-fraction": (lambda: substream(1.5, 0, 0), "seed must be"),
+    "substream-kind-fraction": (lambda: substream(0, 0.5, 1), "kind must be"),
+    "substream-index-fraction": (lambda: substream(0, 0, 1.9), "index must be"),
+    "substream-index-bool": (lambda: substream(0, 0, True), "index must be"),
+    "run_seed-run-bool": (lambda: run_seed(3, True), "run must be"),
+    "run_seed-run-fraction": (lambda: run_seed(3, 1.9), "run must be"),
+    "signatures-W-nan": (lambda: _signatures(CdfMatrix.of(tiny_env().arms), math.nan, 0.25), "W must be"),
     "cardinality-K-fraction": (lambda: FeasibleFamily.cardinality_at_most(2.5, 3), "K must be"),
     "greedy-K-float": (lambda: greedy_kmax(tiny_env().arms, 2.0), "K must be"),
     "ptas-K-float": (lambda: ptas_kmax(tiny_env().arms, 2.0, 0.25), "K must be"),

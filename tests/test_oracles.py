@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmab import oracles
 from cmab.distributions import (
     VALUE_TOL,
     CdfMatrix,
     FiniteDistribution,
+    _optimistic,
     confidence_radius,
     dominant_cdfs,
     make_finite,
@@ -20,6 +22,7 @@ from cmab.harness import builtin_env
 from cmab.oracles import (
     FeasibleFamily,
     _best_row,
+    _Greedy,
     _reachable_sets,
     _signatures,
     exhaustive_oracle,
@@ -608,6 +611,90 @@ class TestGreedyKmax:
             assert exhaustive_oracle(cdfs, family, spec) == exhaustive_oracle(points, family, spec)
         singles = FeasibleFamily.cardinality_at_most(1, 6)
         assert greedy_kmax(cdfs, 1) == exhaustive_oracle(cdfs, singles, kmax_spec()) == SuperArm([1])
+
+
+class Gains(np.ndarray):
+    """An array whose matrix products are logged: greedy's gains, one array per step (per stack on the stacked path)."""
+
+    log: list = []
+
+    def __matmul__(self, other):
+        out = super().__matmul__(other)
+        Gains.log.append(np.asarray(out).copy())
+        return out
+
+
+def random_batch(rng, R):
+    """A lockstep batch's optimistic CDFs as ``_optimistic`` leaves them, for m arms over grids of w columns; each
+    run drops a random number of grid columns, so the kept widths differ across the batch."""
+    m, w = int(rng.integers(2, 10)), int(rng.integers(1, 10))
+    counts = rng.integers(0, 4, size=(R, m, w))
+    for r in range(R):
+        counts[r, :, rng.choice(w, size=int(rng.integers(0, min(3, w))), replace=False)] = 0
+    counts[..., -1] += 1  # every arm observed
+    cum = np.zeros((R, m, w + 1), dtype=np.int64)
+    np.cumsum(counts, axis=-1, out=cum[..., 1:])
+    n = cum[..., -1]
+    radius = confidence_radius(int(rng.integers(2, 10**4)), n) * rng.uniform(0.0, 1.0, size=(R, 1))
+    values = np.zeros((R, w + 1))
+    values[:, 1:] = np.sort(rng.uniform(0.0, 1.0, size=(R, w)), axis=1)
+    values[:, -1] = 1.0
+    return (values, *_optimistic(cum, n, radius)), m
+
+
+class TestGreedyBatch:
+    """The greedy handle's batch entry gives every run ``greedy_kmax``'s gains, bit for bit, on both of its paths."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, oracles._STACK_RUNS, 20]),
+        st.sampled_from(["per-run", "stacked"]),
+        st.data(),
+    )
+    def test_gains_match_greedy_kmax(self, seed, R, path, data):
+        (values, low, keep), m = random_batch(np.random.default_rng(seed), R)
+        K = data.draw(st.integers(1, m))
+        want, gains = [], []
+        for v, F, k in zip(values, low, keep):
+            Gains.log = []
+            want.append(greedy_kmax(CdfMatrix(v[k], F[:, k].view(Gains)), K))
+            gains.append(Gains.log)
+        Gains.log = []
+        stack = 1 if path == "stacked" else R + 1  # every width group stacked, or none
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracles, "_STACK_RUNS", stack)
+            got = _Greedy(K, m)._batch(values, low.view(Gains), keep)
+        assert got == want
+        if path == "per-run":
+            got_gains = [Gains.log[r * K : (r + 1) * K] for r in range(R)]
+        else:  # one log entry per step of each width group, the groups by ascending width
+            got_gains = [None] * R
+            widths = np.count_nonzero(keep, axis=1)
+            steps = iter(Gains.log)
+            for width in np.unique(widths):
+                group = np.flatnonzero(widths == width)
+                stacked = [next(steps) for _ in range(K)]
+                for i, r in enumerate(group):
+                    got_gains[r] = [step[i, :, 0] for step in stacked]
+        for r in range(R):
+            assert [g.tobytes() for g in got_gains[r]] == [g.tobytes() for g in gains[r]]
+
+    def test_default_threshold_mixes_paths(self):
+        # 20 runs: the width groups of six or more runs are stacked, the rest run one by one, and every pick
+        # is greedy_kmax's
+        (values, low, keep), m = random_batch(np.random.default_rng(8), 20)
+        K = 3
+        sizes = np.bincount(np.count_nonzero(keep, axis=1))
+        assert sizes.max() >= oracles._STACK_RUNS > sizes[sizes > 0].min()
+        want = [greedy_kmax(CdfMatrix(v[k], F[:, k]), K) for v, F, k in zip(values, low, keep)]
+        assert _Greedy(K, m)._batch(values, low, keep) == want
+
+    def test_handle_checks_K_once(self):
+        with pytest.raises(ValueError, match="need 1 <= K <= m"):
+            _Greedy(4, 3)
+        with pytest.raises(ValueError, match="K must be"):
+            _Greedy(2.0, 3)
 
 
 class TestPtasGrid:
