@@ -48,14 +48,14 @@ class FeasibleFamily:
     initialization rounds can observe it.
     """
 
-    __slots__ = ("kind", "m", "K", "_sets", "_rows")
+    __slots__ = ("kind", "m", "K", "_rows", "_members")
 
     def __init__(self, kind, m, K, rows=None):
         self.kind = kind
         self.m = m
         self.K = K
-        self._sets = None
         self._rows = rows
+        self._members = None  # an explicit family's member tuples, built by is_feasible on first use
 
     @classmethod
     def cardinality_at_most(cls, K: int, m: int) -> "FeasibleFamily":
@@ -90,13 +90,6 @@ class FeasibleFamily:
         K = int(np.count_nonzero(table < m, axis=1).max())
         return cls("explicit", m, K, table[:, :K].astype(np.min_scalar_type(m)))
 
-    @property
-    def sets(self) -> tuple[SuperArm, ...] | None:
-        """An explicit family's super arms in row order, built from its rows on first use; None for a cardinality family."""
-        if self._sets is None and self.kind == "explicit":
-            self._sets = tuple(SuperArm(row[row < self.m].tolist()) for row in self._rows)
-        return self._sets
-
     def count(self) -> int:
         if self.kind == "cardinality":
             return sum(math.comb(self.m, k) for k in range(1, self.K + 1))
@@ -108,7 +101,7 @@ class FeasibleFamily:
                 for combo in itertools.combinations(range(self.m), k):
                     yield SuperArm(combo)
         else:
-            yield from self.sets
+            yield from (SuperArm(row[row < self.m]) for row in self._rows)
 
     def index_rows(self) -> np.ndarray:
         """Every feasible set as a row of K arm indices, shorter sets padded with m; built once."""
@@ -126,7 +119,9 @@ class FeasibleFamily:
     def is_feasible(self, S: SuperArm) -> bool:
         if self.kind == "cardinality":
             return len(S) <= self.K and S.members[-1] < self.m
-        return S in self.sets
+        if self._members is None:
+            self._members = frozenset(X.members for X in self)
+        return S.members in self._members
 
     def smallest_containing(self, arm: int) -> SuperArm:
         """Lexicographically smallest feasible super arm containing ``arm``."""
@@ -134,15 +129,12 @@ class FeasibleFamily:
             raise ValueError(f"arm {arm} out of range")
         if self.kind == "cardinality":
             return SuperArm((arm,))
-        best = min((S for S in self.sets if arm in S), default=None)
-        if best is None:
-            raise ValueError(f"arm {arm} appears in no feasible super arm")
-        return best
+        return _smallest_row(self._rows[(self._rows == arm).any(axis=1)], self.m)
 
     def __repr__(self):
         if self.kind == "cardinality":
             return f"FeasibleFamily.cardinality_at_most(K={self.K}, m={self.m})"
-        return f"FeasibleFamily.explicit({len(self.sets)} sets, m={self.m})"
+        return f"FeasibleFamily.explicit({len(self._rows)} sets, m={self.m})"
 
 
 def exhaustive_oracle(dists, family: FeasibleFamily, spec: RewardSpec) -> SuperArm:
@@ -278,14 +270,21 @@ def _best_row(dists, rows: np.ndarray, spec: RewardSpec) -> SuperArm:
 
     A row's batched score is :func:`expected_reward` of its set bit for
     bit, so the choice is the one a per-set loop makes, bit-equal ties
-    included.  With the pad m read as -1, a set sorts before its
-    extensions, so one ``lexsort`` of the tied rows puts the smallest
-    member tuple first.
+    included.
     """
     scores = _scores(dists, rows, spec)
-    tied = rows[scores == scores.max()].astype(np.intp)
-    tied[tied == len(dists)] = -1
-    best = tied[np.lexsort(tied.T[::-1])[0]]
+    return _smallest_row(rows[scores == scores.max()], len(dists))
+
+
+def _smallest_row(rows: np.ndarray, m: int) -> SuperArm:
+    """The set of the smallest member tuple among ``rows``, sorted sets padded with m.
+
+    With the pad read as -1, a set sorts before its extensions, so one
+    ``lexsort`` puts the smallest member tuple first.
+    """
+    rows = rows.astype(np.intp)
+    rows[rows == m] = -1
+    best = rows[np.lexsort(rows.T[::-1])[0]]
     return SuperArm(best[best >= 0])
 
 

@@ -106,6 +106,8 @@ class Sdcb(_Policy):
     far plus 1; the grids are right-aligned in ``cum`` and in ``grid_values``,
     with at least one column of zero counts left of the longest, so a
     run's cumulative counts start from 0 at the column before its grid.
+    The zero columns double in number when a grid reaches the last, and
+    the kernel reads only the longest grid's columns and one zero column.
     The first m rounds initialize: round i plays the lexicographically
     smallest feasible super arm containing arm i - 1.  Afterwards every
     arm's empirical CDF ``cum[r, i] / cum[r, i, -1]`` is shifted down by
@@ -140,6 +142,7 @@ class Sdcb(_Policy):
         R = self.runs
         if s is None:
             self._grids = [[1.0] for _ in range(R)]  # each run's grid as a list, bisected per outcome
+            self._live = 2  # the longest grid and one zero column, the columns _select reads
             self.grid_values = np.ones((R, 2))  # column 0 is padding
         else:  # the bits bin_value gives, j / s at column j
             self.grid_values = np.broadcast_to(np.arange(s + 1) / s, (R, s + 1))
@@ -148,9 +151,11 @@ class Sdcb(_Policy):
     def _select(self, t: int) -> list[SuperArm]:
         if t <= self.family.m:
             return [self.family.smallest_containing(t - 1)] * self.runs
-        n = self.cum[..., -1]  # every arm was observed in its initialization round
-        low, keep = _optimistic(self.cum, n, confidence_radius(t, n))
-        values = self.grid_values
+        cum, values = self.cum, self.grid_values
+        if self.outcome_bins is None:
+            cum, values = cum[..., -self._live :], values[:, -self._live :]
+        n = cum[..., -1]  # every arm was observed in its initialization round
+        low, keep = _optimistic(cum, n, confidence_radius(t, n))
         batch = getattr(self.oracle, "_batch", None)
         if batch is not None:
             return batch(values, low, keep)
@@ -177,9 +182,10 @@ class Sdcb(_Policy):
         grid = self._grids[r]
         grid.insert(k, v)
         cum, vals = self.cum, self.grid_values
-        if len(grid) == cum.shape[-1]:  # run r reached the padding column: every run gets one more
-            self.cum = cum = np.concatenate((np.zeros_like(cum[..., :1]), cum), axis=-1)
-            self.grid_values = vals = np.concatenate((vals[:, :1], vals), axis=1)
+        self._live = max(self._live, len(grid) + 1)
+        if self._live > cum.shape[-1]:  # run r reached the last zero column: every run's width doubles
+            self.cum = cum = np.concatenate((np.zeros_like(cum), cum), axis=-1)
+            self.grid_values = vals = np.concatenate((np.zeros_like(vals), vals), axis=1)
         # the grid's first k columns move one left; its old column k - 1 (or the zeros left of the grid) stays
         # behind as the new value's, which holds the counts at or below its left neighbour
         start = cum.shape[-1] - len(grid)

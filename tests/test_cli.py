@@ -291,7 +291,7 @@ class TestOffline:
         family = cli._parse_family({"kind": "explicit", "sets": [[2, 0, 2], [1], [3, 1]]}, 4)
         assert family.K == 2 and family.count() == 3
         assert family.index_rows().tolist() == [[0, 2], [1, 4], [1, 3]]
-        assert family.sets == (SuperArm([0, 2]), SuperArm([1]), SuperArm([1, 3]))
+        assert tuple(family) == (SuperArm([0, 2]), SuperArm([1]), SuperArm([1, 3]))
         assert family.is_feasible(SuperArm([1, 3])) and not family.is_feasible(SuperArm([0, 1]))
         assert family.smallest_containing(3) == SuperArm([1, 3])
 

@@ -201,7 +201,15 @@ class TestFiniteDistribution:
             assert d.cdf(float(below[-1])) < u
 
 
+    def test_repr_lists_the_law(self):
+        assert repr(make_finite([0.5, 0.0, 1.0], [0.25, 0.5, 0.25])) == "FiniteDistribution({0: 0.5, 0.5: 0.25, 1: 0.25})"
+
+
 class TestPiecewiseDensity:
+    def test_repr_lists_the_law(self):
+        d = PiecewiseDensity([0.0, 0.5, 1.0], [0.6, 1.4])
+        assert repr(d) == "PiecewiseDensity(breakpoints=[0.0, 0.5, 1.0], densities=[0.6, 1.4])"
+
     def test_uniform(self):
         u = PiecewiseDensity([0.0, 1.0], [1.0])
         assert u.cdf(0.25) == pytest.approx(0.25, abs=EXACT)

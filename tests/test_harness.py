@@ -8,9 +8,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmab import oracles
 from cmab.distributions import _DRAW_BLOCK, CdfMatrix, PiecewiseDensity, make_finite, sample
 from cmab.harness import (
+    ORACLES,
+    POLICIES,
     Environment,
     PolicyFactory,
     RegretTrace,
@@ -22,9 +27,9 @@ from cmab.harness import (
 )
 from cmab.oracles import FeasibleFamily, _signatures, exhaustive_oracle, greedy_kmax, ptas_kmax
 from cmab.policies import Osm, Sdcb, lazy_sdcb_known_T
-from cmab.rewards import SuperArm, _Quadrature, expected_reward, kmax_spec, linear_spec, utility_spec
+from cmab.rewards import UTILITY_CURVES, SuperArm, _Quadrature, expected_reward, kmax_spec, linear_spec, utility_spec
 from cmab.rng import ARM_STREAM, run_seed, substream
-from util import reference_run_one
+from util import COARSE_GRID, random_arm_list, random_explicit, reference_run_one
 
 EXACT = 1e-12
 
@@ -334,6 +339,63 @@ class TestLockstep:
         solo = run_one(env, PolicyFactory("lazy-sdcb-doubling", "greedy"), 80, 9)
         assert solo.super_arms == traces[0].super_arms
         assert solo.rewards.tobytes() == traces[0].rewards.tobytes()
+
+
+# every (policy, oracle) pair a run can take; osm calls no oracle
+LOCKSTEP_PAIRS = [(p, o) for p in POLICIES if p != "osm" for o in ORACLES] + [("osm", "exhaustive")]
+
+
+def random_lockstep_case(rng):
+    """(environment, policy, oracle, T, runs, n_jobs) of one random legal call.
+
+    First a (policy, oracle) pair: osm needs a cardinality family, greedy and ptas a cardinality family and the K-MAX
+    reward, and ptas runs only up to T = 30.  Then m in 2-7, K in 1-4, a K-MAX, linear or utility reward, and finite,
+    continuous or mixed arms (finite for a utility), or finite arms on one shared support, whose runs soon keep equal
+    widths; 1 to 9 runs, at times in two processes.  Half the greedy calls take shared supports and
+    ``oracles._STACK_RUNS`` runs or more, so greedy steps their width groups as stacks.
+    """
+    policy, oracle = LOCKSTEP_PAIRS[int(rng.integers(len(LOCKSTEP_PAIRS)))]
+    m = int(rng.integers(2, 8))
+    K = int(rng.integers(1, min(m, 4) + 1))
+    cardinality = policy == "osm" or oracle != "exhaustive" or rng.random() < 0.5
+    reward = "kmax" if oracle != "exhaustive" else str(rng.choice(["kmax", "linear", "utility"]))
+    kinds = ["finite", "shared"] if reward == "utility" else ["finite", "continuous", "mixed", "shared"]
+    stack = oracle == "greedy" and rng.random() < 0.5
+    kind = "shared" if stack else str(rng.choice(kinds))
+    if kind == "shared":
+        support = np.sort(rng.choice(COARSE_GRID, size=int(rng.integers(1, 4)), replace=False))
+        probs = rng.random((m, len(support))) + 0.2
+        arms = [make_finite(support, p / p.sum()) for p in probs]
+    else:
+        arms = random_arm_list(rng, kind, m)
+    family = FeasibleFamily.cardinality_at_most(K, m) if cardinality else random_explicit(rng, m, K)
+    if reward == "kmax":
+        spec = kmax_spec()
+    elif reward == "linear":
+        spec = linear_spec(float(K))
+    else:
+        spec = utility_spec(str(rng.choice(sorted(UTILITY_CURVES))), bound_M=float(K * K), lipschitz_C=float(2 * K))
+    T = int(rng.integers(1, 31 if oracle == "ptas" else 121))
+    stacks = [oracles._STACK_RUNS, oracles._STACK_RUNS + 1, oracles._STACK_RUNS + 3]
+    runs = int(rng.choice(stacks if stack else [1, 2, 3, *stacks]))
+    n_jobs = 2 if runs > 1 and rng.random() < 0.1 else 1
+    return Environment(arms, family, spec, name=f"{kind} {reward}"), policy, oracle, T, runs, n_jobs
+
+
+class TestRandomLockstep:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_runs_match_one_run_reference(self, seed):
+        # a random call's runs each play, score and account as the one-run loop did for their seeds
+        rng = np.random.default_rng(seed)
+        env, policy, oracle, T, runs, n_jobs = random_lockstep_case(rng)
+        seed_base = int(rng.integers(0, 10**6))
+        _, traces = run_many(env, PolicyFactory(policy, oracle), T, runs, seed_base, n_jobs=n_jobs)
+        for r, trace in enumerate(traces):
+            played, rewards = reference_run_one(env, policy, oracle, T, seed_base + r)
+            assert trace.super_arms == played
+            assert trace.rewards.tobytes() == rewards.tobytes()
+            assert trace.cum_regret.tobytes() == np.cumsum(env.optimal_value - rewards).tobytes()
 
 
 class TestOracleCalls:

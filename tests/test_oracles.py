@@ -47,10 +47,12 @@ from cmab.rewards import (
 )
 from util import (
     COARSE_GRID,
+    ReferenceFamily,
     count_matrix,
     joint_expected,
     random_arm_list,
     random_counts,
+    random_explicit,
     random_finite,
     random_piecewise,
     reference_arm_signature,
@@ -98,13 +100,6 @@ def random_laws(rng, kind, m):
     return dominant_cdfs(*count_matrix(obs), int(rng.integers(2, 1000)))
 
 
-def random_explicit(rng, m, K):
-    """Explicit family of sets of mixed sizes up to K; set i holds arm i, and sets may repeat."""
-    sets = [[i, *rng.choice(m, size=int(rng.integers(0, K)), replace=False)] for i in range(m)]
-    sets += [rng.choice(m, size=int(rng.integers(1, K + 1)), replace=False) for _ in range(int(rng.integers(0, 6)))]
-    return FeasibleFamily.explicit([SuperArm(S) for S in sets], m)
-
-
 class TestFeasibleFamily:
     def test_cardinality_count_and_iteration(self):
         fam = FeasibleFamily.cardinality_at_most(2, 4)
@@ -113,6 +108,9 @@ class TestFeasibleFamily:
         assert len(sets) == 10
         assert len(set(sets)) == 10
         assert all(1 <= len(S) <= 2 for S in sets)
+
+    def test_cardinality_repr(self):
+        assert repr(FeasibleFamily.cardinality_at_most(2, 4)) == "FeasibleFamily.cardinality_at_most(K=2, m=4)"
 
     def test_cardinality_validation(self):
         with pytest.raises(ValueError):
@@ -162,6 +160,40 @@ class TestFeasibleFamily:
             rows = fam.index_rows()
             assert rows.tolist() == [list(S.members) + [3] * (fam.K - len(S)) for S in fam]
             assert fam.index_rows() is rows
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_rows_answer_as_the_per_set_family(self, seed):
+        # raw sets with unsorted and repeated members, sets equal up to order and singletons, read by
+        # FeasibleFamily.explicit and by the CLI's padded table; probed with every set, its subsets and supersets,
+        # arms out of range, and random sets
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 9))
+        sets = [rng.integers(0, m, size=int(rng.integers(1, 5))).tolist() for _ in range(int(rng.integers(0, 10)))]
+        sets += [[i, *rng.integers(0, m, size=int(rng.integers(0, 3))).tolist()] for i in range(m)]
+        sets += [[int(i)] for i in rng.integers(0, m, size=int(rng.integers(0, 3)))]
+        sets += [rng.permutation(S).tolist() for S in sets[: int(rng.integers(0, 4))]]
+        sets = [sets[i] for i in rng.permutation(len(sets))]
+        width = max(map(len, sets))
+        table = np.array([S + [m] * (width - len(S)) for S in sets])
+        ref = ReferenceFamily(sets, m)
+        probes = {S.members for S in ref}
+        probes |= {S[:j] + S[j + 1 :] for S in list(probes) if len(S) > 1 for j in range(len(S))}
+        probes |= {tuple(sorted({*S, a})) for S in list(probes) for a in (*rng.integers(0, m, size=2).tolist(), m, m + 3)}
+        probes |= {tuple(rng.choice(m + 1, size=int(rng.integers(1, m + 2)), replace=False)) for _ in range(5)}
+        for fam in (FeasibleFamily.explicit(sets, m), FeasibleFamily._of_rows(table, m)):
+            assert (fam.count(), repr(fam)) == (ref.count(), repr(ref))
+            assert list(fam) == list(ref)
+            assert [fam.is_feasible(SuperArm(P)) for P in probes] == [ref.is_feasible(SuperArm(P)) for P in probes]
+            for arm in range(-1, m + 2):
+                try:
+                    want = ref.smallest_containing(arm)
+                except ValueError as e:
+                    with pytest.raises(ValueError, match=f"^{e}$"):
+                        fam.smallest_containing(arm)
+                else:
+                    got = fam.smallest_containing(arm)
+                    assert (type(got), got.members) == (SuperArm, want.members)
 
 
 class TestExhaustiveOracle:

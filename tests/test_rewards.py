@@ -62,8 +62,14 @@ class TestSuperArm:
         assert SuperArm([2, 1]) == SuperArm([1, 2])
         assert len({SuperArm([1, 2]), SuperArm([2, 1])}) == 1
 
+    def test_iterates_members_in_order(self):
+        assert list(SuperArm([2, 0, 2])) == [0, 2]
+
 
 class TestRewardSpec:
+    def test_repr_names_kind_and_constants(self):
+        assert repr(utility_spec("sqrt", 2.0, 1.5)) == "RewardSpec(kind='utility_of_sum', bound_M=2.0, lipschitz_C=1.5)"
+
     def test_kmax_pins_constants(self):
         spec = kmax_spec()
         assert spec.kind == "kmax"

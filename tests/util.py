@@ -164,6 +164,43 @@ def reference_parse_sets(sets, m: int) -> FeasibleFamily:
     return FeasibleFamily.explicit(super_arms, m)
 
 
+def random_explicit(rng, m, K):
+    """Explicit family of sets of mixed sizes up to K; set i holds arm i, and sets may repeat."""
+    sets = [[i, *rng.choice(m, size=int(rng.integers(0, K)), replace=False)] for i in range(m)]
+    sets += [rng.choice(m, size=int(rng.integers(1, K + 1)), replace=False) for _ in range(int(rng.integers(0, 6)))]
+    return FeasibleFamily.explicit([SuperArm(S) for S in sets], m)
+
+
+class ReferenceFamily:
+    """An explicit family as it was before it answered from its index rows: one ``SuperArm`` per given set, in order,
+    scanned per question."""
+
+    def __init__(self, super_arms, m: int):
+        self.m = m
+        self.sets = tuple(SuperArm(S) for S in super_arms)
+
+    def count(self) -> int:
+        return len(self.sets)
+
+    def __iter__(self):
+        yield from self.sets
+
+    def is_feasible(self, S: SuperArm) -> bool:
+        return S in self.sets
+
+    def smallest_containing(self, arm: int) -> SuperArm:
+        """Lexicographically smallest feasible super arm containing ``arm``."""
+        if not 0 <= arm < self.m:
+            raise ValueError(f"arm {arm} out of range")
+        best = min((S for S in self.sets if arm in S), default=None)
+        if best is None:
+            raise ValueError(f"arm {arm} appears in no feasible super arm")
+        return best
+
+    def __repr__(self):
+        return f"FeasibleFamily.explicit({len(self.sets)} sets, m={self.m})"
+
+
 def reference_cdf_matrix(dists) -> CdfMatrix:
     """``CdfMatrix.of`` as it was first written: each arm's CDF read at every union value by a search."""
     values = np.unique(np.concatenate([d.support for d in dists]))
