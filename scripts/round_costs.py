@@ -17,9 +17,12 @@ page faults per run-round of the calling process (``ru_minflt``, the least
 over the three calls; a worker's faults are not counted).  Each
 measurement runs in a fresh process that imports ``cmab`` from one tree's
 ``src/``: the working tree, and with ``--parent-rev`` that commit as
-``scripts/bench_pairs.py`` exports it, the two sides alternating,
-``PROCESSES`` per tree.  A row reports every process's value and their
-minimum.
+``scripts/bench_pairs.py`` exports it, ``PROCESSES`` per tree.  The two
+trees' processes run in pairs, and the tree that runs first alternates
+from pair to pair.  A row reports every process's value and their
+minimum; with ``--parent-rev`` the working tree's row also gives each
+pair's change/parent ratio, their median, and how many pairs the change
+won, since the host drifts by more than a 10% change between processes.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -36,7 +40,7 @@ from pathlib import Path
 from bench_pairs import ROOT, export
 
 SEEDS = (42, 43, 44)
-PROCESSES = 3
+PROCESSES = 6
 # (label, environment, policy, oracle, T, runs, n_jobs)
 ROWS = (
     ("sdcb + greedy, dist1, T = 2000", "dist1", "sdcb", "greedy", 2000, 1, 1),
@@ -140,16 +144,21 @@ def main(argv=None) -> int:
                 "tree": str(trees[side].relative_to(ROOT)),
                 "rows": {
                     label: {
-                    "processes": [r[label][0] for r in rs],
-                    "best": min(r[label][0] for r in rs),
-                    "minflt": [r[label][1] for r in rs],
-                }
-                for label, *_ in ROWS
+                        "processes": [r[label][0] for r in rs],
+                        "best": min(r[label][0] for r in rs),
+                        "minflt": [r[label][1] for r in rs],
+                    }
+                    for label, *_ in ROWS
                 },
             }
             for side, rs in runs.items()
         },
     }
+    if args.parent_rev:  # each pair's change/parent ratio: the host drifts between pairs more than within one
+        parent_rows = report["sides"]["parent"]["rows"]
+        for label, row in report["sides"]["change"]["rows"].items():
+            ratios = [c / p for p, c in zip(parent_rows[label]["processes"], row["processes"])]
+            row["vs_parent"] = {"ratios": ratios, "median": statistics.median(ratios), "wins": sum(q < 1 for q in ratios)}
     print(json.dumps(report, indent=1))
     return 0
 

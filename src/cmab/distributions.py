@@ -319,9 +319,10 @@ def dominant_cdfs(values, counts, t: int, radius=None) -> CdfMatrix:
     # one run for the batch kernel, with the zero column it reads left of the grid
     cum = np.zeros((1, len(counts), len(values) + 1), dtype=np.result_type(counts, np.int64))
     np.cumsum(counts, axis=1, out=cum[0, :, 1:])
-    n = cum[..., -1]
-    if np.any(n == 0):
+    if np.any(cum[..., -1] == 0):
         raise ValueError("dominant_cdfs requires at least one observation per arm")
+    cum = cum.astype(float)  # the cast true_divide would make
+    n = cum[..., -1].copy()
     if radius is None:
         if t < 2:
             raise ValueError("round index t must be >= 2")
@@ -338,11 +339,13 @@ def _optimistic(cum: np.ndarray, n: np.ndarray, radius: np.ndarray) -> tuple[np.
     """Each run's max{cum / n - radius, 0} and 1 at 1, ``low``, and the mask ``keep`` of the columns where some row
     has mass: run r's optimistic laws are ``CdfMatrix(values[r][keep[r]], low[r][:, keep[r]])``.
 
-    Run r's cumulative counts ``cum[r]`` (R, m, w) are over its ascending grid ``values[r]`` (R, w), right-aligned
-    with totals ``n = cum[..., -1]`` > 0 and with zero counts at the columns left of the grid, one or more.  With
-    ``radius`` >= 0 those columns stay 0, and the mask drops them as it drops a column without mass.
+    Run r's cumulative counts ``cum[r]`` (R, m, w), as floats, are over its ascending grid ``values[r]`` (R, w),
+    right-aligned with totals ``n``, a copy of ``cum[..., -1]`` > 0, and with zero counts at the columns left of the
+    grid, one or more.  With ``radius`` >= 0 those columns stay 0, and the mask drops them as it drops a column
+    without mass.  ``low`` is ``cum``, overwritten.
     """
-    low = cum / n[..., None]
+    low = cum
+    low /= n[..., None]
     low -= radius[..., None]
     np.maximum(low, 0.0, out=low)
     low[..., -1] = 1.0

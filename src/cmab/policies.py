@@ -100,31 +100,30 @@ class _Policy:
 class Sdcb(_Policy):
     """Stochastically dominant confidence bound policy.
 
-    Keeps one cumulative count array: ``cum[r, i, k]`` is how often arm i
-    of run r returned a value at or below that run's k-th grid value.  An
-    unbinned run's grid is the sorted list of every value it observed so
-    far plus 1; the grids are right-aligned in ``cum`` and in ``grid_values``,
-    with at least one column of zero counts left of the longest, so a
-    run's cumulative counts start from 0 at the column before its grid.
-    The zero columns double in number when a grid reaches the last, and
-    the kernel reads only the longest grid's columns and one zero column.
-    The first m rounds initialize: round i plays the lexicographically
-    smallest feasible super arm containing arm i - 1.  Afterwards every
-    arm's empirical CDF ``cum[r, i] / cum[r, i, -1]`` is shifted down by
-    the confidence radius sqrt(3 ln t / 2 T_i) (mass relocated to 1), and
-    the offline oracle is asked for every run's best super arm under that
-    optimistic product law, built by :func:`dominant_cdfs`'s kernel: in
-    one call with the kernel's arrays if the oracle has a ``_batch``
-    entry, else once per run with the run's :class:`CdfMatrix`.  Arm i of
-    run r has been pulled ``cum[r, i, -1]`` times.
+    Keeps one count array: ``counts[r, i, k]`` is how often arm i of run r
+    returned that run's k-th grid value.  An unbinned run's grid is the
+    sorted list of every value it observed so far plus 1; the grids are
+    right-aligned in ``counts`` and in ``grid_values``, with at least one
+    column of zero counts left of the longest.  The zero columns double in
+    number when a grid reaches the last, and ``_select`` reads only the
+    longest grid's columns and one zero column.  The first m rounds
+    initialize: round i plays the lexicographically smallest feasible super
+    arm containing arm i - 1.  Afterwards each round cumulates the counts
+    once into every arm's empirical CDF, shifts it down by the confidence
+    radius sqrt(3 ln t / 2 T_i) (mass relocated to 1), and asks the offline
+    oracle for every run's best super arm under that optimistic product
+    law, built by :func:`dominant_cdfs`'s kernel: in one call with the
+    kernel's arrays if the oracle has a ``_batch`` entry, else once per run
+    with the run's :class:`CdfMatrix`.  Arm i of run r has been pulled
+    ``counts[r, i].sum()`` times.
 
     With ``outcome_bins=s`` every observation is snapped to the right
     endpoint of its interval under the s-fold split of [0, 1] before
     storage.  A binned run's grid holds every bin, preallocated: column j
-    of ``cum`` and ``grid_values`` is bin j's right end j / s, column 0
-    the zero column, so an outcome in bin j adds 1 from column j on.  A
-    bin nobody observed repeats its left neighbour, and the kernel drops
-    it as it drops the columns left of an unbinned grid.
+    of ``counts`` and ``grid_values`` is bin j's right end j / s, column 0
+    the zero column, so an outcome in bin j adds 1 at column j.  A bin
+    nobody observed has no count, and the kernel drops it as it drops the
+    columns left of an unbinned grid.
     """
 
     def __init__(
@@ -146,15 +145,17 @@ class Sdcb(_Policy):
             self.grid_values = np.ones((R, 2))  # column 0 is padding
         else:  # the bits bin_value gives, j / s at column j
             self.grid_values = np.broadcast_to(np.arange(s + 1) / s, (R, s + 1))
-        self.cum = np.zeros((R, self.family.m, self.grid_values.shape[1]), dtype=np.int64)
+        self.counts = np.zeros((R, self.family.m, self.grid_values.shape[1]), dtype=np.int64)
 
     def _select(self, t: int) -> list[SuperArm]:
         if t <= self.family.m:
             return [self.family.smallest_containing(t - 1)] * self.runs
-        cum, values = self.cum, self.grid_values
+        counts, values = self.counts, self.grid_values
         if self.outcome_bins is None:
-            cum, values = cum[..., -self._live :], values[:, -self._live :]
-        n = cum[..., -1]  # every arm was observed in its initialization round
+            counts, values = counts[..., -self._live :], values[:, -self._live :]
+        # every partial sum is an integer below 2^53, so exact in floats
+        cum = counts.cumsum(-1, dtype=float)
+        n = cum[..., -1].copy()  # every arm was observed in its initialization round
         low, keep = _optimistic(cum, n, confidence_radius(t, n))
         batch = getattr(self.oracle, "_batch", None)
         if batch is not None:
@@ -164,32 +165,32 @@ class Sdcb(_Policy):
     def _observe(self, outcomes) -> None:
         s = self.outcome_bins
         if s is not None:
-            for cum, run_outcomes in zip(self.cum, outcomes):
+            for counts, run_outcomes in zip(self.counts, outcomes):
                 for arm, x in run_outcomes.items():
-                    cum[arm, bin_index(x, s) :] += 1
+                    counts[arm, bin_index(x, s)] += 1
             return
         for r, run_outcomes in enumerate(outcomes):
-            grid, cum = self._grids[r], self.cum[r]
+            grid, counts = self._grids[r], self.counts[r]
             for arm, x in run_outcomes.items():
                 k = bisect_left(grid, v := float(x))
                 if grid[k] != v:  # a new value: rare once the grid has filled
                     self._insert(r, k, v)
-                    cum = self.cum[r]
-                cum[arm, k - len(grid) :] += 1
+                    counts = self.counts[r]
+                counts[arm, k - len(grid)] += 1
 
     def _insert(self, r: int, k: int, v: float) -> None:
-        """Insert ``v`` at index k of run r's grid, with the cumulative counts of its left neighbour."""
+        """Insert ``v`` at index k of run r's grid, with zero counts."""
         grid = self._grids[r]
         grid.insert(k, v)
-        cum, vals = self.cum, self.grid_values
+        counts, vals = self.counts, self.grid_values
         self._live = max(self._live, len(grid) + 1)
-        if self._live > cum.shape[-1]:  # run r reached the last zero column: every run's width doubles
-            self.cum = cum = np.concatenate((np.zeros_like(cum), cum), axis=-1)
+        if self._live > counts.shape[-1]:  # run r reached the last zero column: every run's width doubles
+            self.counts = counts = np.concatenate((np.zeros_like(counts), counts), axis=-1)
             self.grid_values = vals = np.concatenate((np.zeros_like(vals), vals), axis=1)
-        # the grid's first k columns move one left; its old column k - 1 (or the zeros left of the grid) stays
-        # behind as the new value's, which holds the counts at or below its left neighbour
-        start = cum.shape[-1] - len(grid)
-        cum[r, :, start : start + k] = cum[r, :, start + 1 : start + k + 1]
+        # the grid's first k columns move one left, onto the zero column left of the grid, and free column k
+        start = counts.shape[-1] - len(grid)
+        counts[r, :, start : start + k] = counts[r, :, start + 1 : start + k + 1]
+        counts[r, :, start + k] = 0
         vals[r, start : start + k] = vals[r, start + 1 : start + k + 1]
         vals[r, start + k] = v
 
@@ -212,7 +213,7 @@ class LazySdcbDoubling(Sdcb):
     spans rounds 2^k + 1 .. 2^(k+1) with horizon 2^k.  Each epoch starts
     from empty counts binned for its horizon, replays the initialization
     rounds, and runs on epoch-local round indices, which also set its
-    confidence radius; ``cum`` covers the current epoch only.
+    confidence radius; ``counts`` covers the current epoch only.
     The epochs depend on t alone, so every run of a batch restarts at once.
     """
 
@@ -309,7 +310,7 @@ class Osm(_Policy):
         """Each instance's exploration-mixed draw probabilities, one row per instance."""
         W = self.weights
         P = W * (1.0 - self.gamma)
-        P /= W.sum(1, keepdims=True)
+        P /= np.add.reduce(W, 1, keepdims=True)
         P += self.gamma / W.shape[1]
         return P
 
@@ -317,21 +318,22 @@ class Osm(_Policy):
         self._probs = P = self.probs()
         # rng.choice(m, p=P[i]) per row: the same cumsum, division and
         # right-side search, on uniforms equal to K single draws per run
-        C = np.cumsum(P, 1)
+        C = P.cumsum(1)
         C /= C[:, -1:]
-        self.last_draws = (C <= next(self._uniforms)).sum(1).reshape(self.runs, -1).tolist()  # each run's K draws
+        self.last_draws = np.add.reduce(C <= next(self._uniforms), 1).reshape(self.runs, -1).tolist()  # each run's K draws
         return [SuperArm._trusted(tuple(sorted(set(draws)))) for draws in self.last_draws]
 
     def _observe(self, outcomes) -> None:
-        W, P, gamma = self.weights, self._probs, self.gamma
+        W, gamma = self.weights, self.gamma
+        P = self._probs.tolist()
         m = W.shape[1]
         row = 0
         for draws, run_outcomes in zip(self.last_draws, outcomes):
             running = 0.0
             for arm in draws:
                 gain = max(running, run_outcomes[arm]) - running
-                W[row, arm] *= math.exp(gamma * (gain / P[row, arm]) / m)
+                W[row, arm] *= math.exp(gamma * (gain / P[row][arm]) / m)
                 running += gain
                 row += 1
-        W /= W.max(1, keepdims=True)  # rescaling leaves probabilities unchanged
+        W /= np.maximum.reduce(W, 1, keepdims=True)  # rescaling leaves probabilities unchanged
         np.maximum(W, 1e-300, out=W)  # keep strictly positive

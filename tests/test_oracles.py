@@ -23,6 +23,7 @@ from cmab.oracles import (
     FeasibleFamily,
     _best_row,
     _Greedy,
+    _kmax_weights,
     _reachable_sets,
     _signatures,
     exhaustive_oracle,
@@ -655,6 +656,11 @@ class Gains(np.ndarray):
         Gains.log.append(np.asarray(out).copy())
         return out
 
+    def dot(self, other):
+        out = super().dot(other)
+        Gains.log.append(np.asarray(out).copy())
+        return out
+
 
 def random_batch(rng, R):
     """A lockstep batch's optimistic CDFs as ``_optimistic`` leaves them, for m arms over grids of w columns; each
@@ -664,9 +670,9 @@ def random_batch(rng, R):
     for r in range(R):
         counts[r, :, rng.choice(w, size=int(rng.integers(0, min(3, w))), replace=False)] = 0
     counts[..., -1] += 1  # every arm observed
-    cum = np.zeros((R, m, w + 1), dtype=np.int64)
+    cum = np.zeros((R, m, w + 1))
     np.cumsum(counts, axis=-1, out=cum[..., 1:])
-    n = cum[..., -1]
+    n = cum[..., -1].copy()
     radius = confidence_radius(int(rng.integers(2, 10**4)), n) * rng.uniform(0.0, 1.0, size=(R, 1))
     values = np.zeros((R, w + 1))
     values[:, 1:] = np.sort(rng.uniform(0.0, 1.0, size=(R, w)), axis=1)
@@ -711,6 +717,19 @@ class TestGreedyBatch:
                     got_gains[r] = [step[i, :, 0] for step in stacked]
         for r in range(R):
             assert [g.tobytes() for g in got_gains[r]] == [g.tobytes() for g in gains[r]]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 50))
+    def test_dot_is_matmul_bit_for_bit(self, seed, rows, cols):
+        # per-run greedy's gemvs go through ndarray.dot: @'s product, byte for byte, on a Fortran-ordered F as the
+        # kernel's kept columns are and on the C-ordered rows that take gathers from it
+        rng = np.random.default_rng(seed)
+        F = np.asfortranarray(rng.random((rows, cols)))
+        w = _kmax_weights(np.sort(rng.random(cols)))
+        rest = F.take(rng.permutation(rows)[: max(rows - 1, 1)], axis=0)
+        assert F.flags.f_contiguous and rest.flags.c_contiguous
+        for C in (F, np.ascontiguousarray(F), rest):
+            assert C.dot(w).tobytes() == (C @ w).tobytes()
 
     def test_default_threshold_mixes_paths(self):
         # 20 runs: the width groups of six or more runs are stacked, the rest run one by one, and every pick

@@ -15,7 +15,15 @@ from cmab.oracles import FeasibleFamily, exhaustive_oracle, greedy_kmax
 from cmab.policies import Cucb, LazySdcbDoubling, Osm, Sdcb, lazy_sdcb_known_T
 from cmab.rewards import SuperArm, expected_kmax, kmax_spec
 from cmab.rng import ARM_STREAM, POLICY_STREAM, substream
-from util import COARSE_GRID, ReferenceDoubling, ReferenceMatrixOsm, ReferenceOsm, count_matrix, run_grid
+from util import (
+    COARSE_GRID,
+    ReferenceCumulativeCounts,
+    ReferenceDoubling,
+    ReferenceMatrixOsm,
+    ReferenceOsm,
+    count_matrix,
+    run_grid,
+)
 
 EXACT = 1e-12
 
@@ -52,7 +60,7 @@ POLICY_MAKERS = {
 def arm_state(pol):
     """Copies of every array a policy learns into, over all its runs."""
     if isinstance(pol, Sdcb):
-        return [pol.grid_values.copy(), pol.cum.copy()]
+        return [pol.grid_values.copy(), pol.counts.copy()]
     if isinstance(pol, Cucb):
         return [pol.sums.copy(), pol.counts.copy()]
     return [pol.weights.copy()]
@@ -93,7 +101,7 @@ class TestRoundContract:
         for bad in (1.5, -0.1, math.nan):
             with pytest.raises(ValueError):
                 pol.observe(1, S, {i: bad for i in S.members})
-        assert not pol.cum.any()
+        assert not pol.counts.any()
 
     @pytest.mark.parametrize("make", POLICY_MAKERS.values(), ids=POLICY_MAKERS.keys())
     def test_corrected_retry_after_rejection(self, make):
@@ -184,9 +192,9 @@ class TestBatchContract:
                 values, counts = count_matrix(seen[r])
                 L = len(values)
                 assert np.array_equal(pol.grid_values[r, -L:], values)
-                assert not pol.cum[r, :, :-L].any()
-                assert np.array_equal(np.diff(pol.cum[r, :, -L - 1 :]), counts)
-        assert pol.cum.shape[-1] > len(count_matrix(seen[0])[0]) + 1  # run 0's grid is the shorter one
+                assert not pol.counts[r, :, :-L].any()
+                assert np.array_equal(pol.counts[r, :, -L:], counts)
+        assert pol.counts.shape[-1] > len(count_matrix(seen[0])[0]) + 1  # run 0's grid is the shorter one
 
 
 class TestSdcb:
@@ -212,13 +220,13 @@ class TestSdcb:
         pol = Sdcb(fam, spec, oracle)
         seq = drive(pol, {0: 0.2, 1: 0.8}, 8)
         assert seq == [(0,), (1,), (0,), (0,), (1,), (1,), (1,), (0,)]
-        assert pol.cum[0, :, -1].tolist() == [4, 4]
+        assert pol.counts[0].sum(-1).tolist() == [4, 4]
 
     def test_counter_conservation(self):
         fam, spec, oracle = cardinality_setup(2, 3)
         pol = Sdcb(fam, spec, oracle)
         seq = drive(pol, {0: 0.3, 1: 0.6, 2: 0.9}, 12)
-        assert pol.cum[0, :, -1].sum() == sum(len(s) for s in seq)
+        assert pol.counts[0].sum() == sum(len(s) for s in seq)
 
     def test_outcome_binning(self):
         fam, spec, oracle = cardinality_setup(1, 2)
@@ -258,12 +266,12 @@ class TestSdcb:
             assert np.all(np.diff(values) > 0) and values[-1] == 1.0
         for i, obs in seen.items():
             assert {v: c for v, c in zip(values, counts[i]) if c} == Counter(obs)
-        assert pol.cum[0, :, -1].tolist() == [len(seen[i]) for i in range(4)]
+        assert pol.counts[0].sum(-1).tolist() == [len(seen[i]) for i in range(4)]
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([None, 1, 3, 10, 45]))
     def test_oracle_input_is_dominant_cdfs(self, seed, m, bins):
-        # from cumulative counts, every round's oracle input equals dominant_cdfs on the count matrix of the
+        # from per-value counts, every round's oracle input equals dominant_cdfs on the count matrix of the
         # outcomes seen so far, bit for bit and Fortran-ordered as greedy's gemv reads it; new values keep arriving
         # below, between and above the grid, and a binned grid holds every bin from the start
         rng = np.random.default_rng(seed)
@@ -293,6 +301,42 @@ class TestSdcb:
                 seen[i].append(x if bins is None else bin_value(x, bins))
             assert np.array_equal(run_grid(pol)[0], count_matrix(seen)[0])
         assert not inputs
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 6]), st.sampled_from(["unbinned", "binned", "doubling"]))
+    def test_counts_are_steps_of_cumulative_counts(self, seed, R, kind):
+        # after every round, each run's counts are the column steps of the cumulative counts that one slice add per
+        # outcome kept, on the same columns and grid values: binned, unbinned through inserts and doubled padding,
+        # and across LazySdcbDoubling's restarts
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 6))
+        K = int(rng.integers(1, m + 1))
+        family = FeasibleFamily.cardinality_at_most(K, m)
+        oracle = lambda laws: SuperArm(rng.choice(m, size=K, replace=False))
+        if kind == "doubling":
+            pol = LazySdcbDoubling(family, kmax_spec(), oracle, runs=R)
+        else:
+            bins = None if kind == "unbinned" else int(rng.integers(1, 12))
+            pol = Sdcb(family, kmax_spec(), oracle, outcome_bins=bins, runs=R)
+        ref = ReferenceCumulativeCounts(R, m, pol.outcome_bins)
+        pool = [float(rng.choice(COARSE_GRID))]
+        epoch = getattr(pol, "epoch", None)
+        for t in range(1, 80):
+            arms = pol.select_batch(t)
+            if getattr(pol, "epoch", None) != epoch:  # a restart: the slice-add counting restarts with it
+                epoch = pol.epoch
+                ref._restart(pol.outcome_bins)
+            if rng.random() < 0.3:
+                pool.append(float(rng.choice([0.0, 1.0, rng.random(), rng.choice(COARSE_GRID)])))
+            outcomes = [{i: pool[int(rng.integers(len(pool)))] for i in S.members} for S in arms]
+            pol.observe_batch(t, arms, outcomes)
+            ref._observe(outcomes)
+            assert np.array_equal(pol.counts, np.diff(ref.cum, prepend=0))
+            assert np.array_equal(pol.grid_values, ref.grid_values)
+        if kind == "unbinned":
+            assert pol.counts.shape[-1] >= 8  # the padding doubled twice or more
+        if kind == "doubling":
+            assert epoch[0] > 1
 
     def test_identical_histories_identical_choices(self):
         fam, spec, oracle = cardinality_setup(1, 3)

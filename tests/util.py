@@ -24,6 +24,7 @@ from cmab.distributions import (
     PiecewiseDensity,
     _draws,
     bernoulli_decomposition,
+    bin_index,
     bin_value,
     confidence_radius,
     make_finite,
@@ -407,10 +408,66 @@ def run_grid(pol, r: int = 0):
     ``values`` is run r's grid columns where some arm's count steps up, plus 1.0;
     ``counts[i, k]`` is how often arm i observed ``values[k]``.
     """
-    cum = pol.cum[r]
-    steps = np.logical_or.reduce(cum[:, 1:] > cum[:, :-1], axis=0)
+    counts = pol.counts[r][:, 1:]
+    steps = np.logical_or.reduce(counts > 0, axis=0)
     steps[-1] = True
-    return pol.grid_values[r, 1:][steps], np.diff(cum)[:, steps]
+    return pol.grid_values[r, 1:][steps], counts[:, steps]
+
+
+class ReferenceCumulativeCounts:
+    """``Sdcb``'s counting as it was when it kept cumulative counts ``cum``: one slice add per outcome.
+
+    ``_restart``, ``_observe`` and ``_insert`` are that code verbatim, on the outcome maps a policy of ``runs`` runs
+    over m arms observes; ``cum`` and ``grid_values`` are laid out as ``Sdcb``'s ``counts`` and ``grid_values`` are.
+    """
+
+    def __init__(self, runs: int, m: int, outcome_bins: int | None):
+        self.runs, self.m = runs, m
+        self._restart(outcome_bins)
+
+    def _restart(self, outcome_bins: int | None) -> None:
+        """Forget every run's observations; later ones are binned into ``outcome_bins`` intervals."""
+        self.outcome_bins = s = outcome_bins
+        R = self.runs
+        if s is None:
+            self._grids = [[1.0] for _ in range(R)]  # each run's grid as a list, bisected per outcome
+            self._live = 2  # the longest grid and one zero column, the columns _select reads
+            self.grid_values = np.ones((R, 2))  # column 0 is padding
+        else:  # the bits bin_value gives, j / s at column j
+            self.grid_values = np.broadcast_to(np.arange(s + 1) / s, (R, s + 1))
+        self.cum = np.zeros((R, self.m, self.grid_values.shape[1]), dtype=np.int64)
+
+    def _observe(self, outcomes) -> None:
+        s = self.outcome_bins
+        if s is not None:
+            for cum, run_outcomes in zip(self.cum, outcomes):
+                for arm, x in run_outcomes.items():
+                    cum[arm, bin_index(x, s) :] += 1
+            return
+        for r, run_outcomes in enumerate(outcomes):
+            grid, cum = self._grids[r], self.cum[r]
+            for arm, x in run_outcomes.items():
+                k = bisect_left(grid, v := float(x))
+                if grid[k] != v:  # a new value: rare once the grid has filled
+                    self._insert(r, k, v)
+                    cum = self.cum[r]
+                cum[arm, k - len(grid) :] += 1
+
+    def _insert(self, r: int, k: int, v: float) -> None:
+        """Insert ``v`` at index k of run r's grid, with the cumulative counts of its left neighbour."""
+        grid = self._grids[r]
+        grid.insert(k, v)
+        cum, vals = self.cum, self.grid_values
+        self._live = max(self._live, len(grid) + 1)
+        if self._live > cum.shape[-1]:  # run r reached the last zero column: every run's width doubles
+            self.cum = cum = np.concatenate((np.zeros_like(cum), cum), axis=-1)
+            self.grid_values = vals = np.concatenate((np.zeros_like(vals), vals), axis=1)
+        # the grid's first k columns move one left; its old column k - 1 (or the zeros left of the grid) stays
+        # behind as the new value's, which holds the counts at or below its left neighbour
+        start = cum.shape[-1] - len(grid)
+        cum[r, :, start : start + k] = cum[r, :, start + 1 : start + k + 1]
+        vals[r, start : start + k] = vals[r, start + 1 : start + k + 1]
+        vals[r, start + k] = v
 
 
 def random_counts(rng: np.random.Generator, m: int):
